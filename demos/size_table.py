@@ -16,7 +16,6 @@ scenario = ScenarioConfig(
     error_dist="normal",
     m=0,
     reps=300,
-    gamma=0.05,
     seed=1,
 )
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import lambertw, ndtr, ndtri
 
 from .dependence import estimate_dependence, mt_rho_bar_sq
 from .errors import DegenerateDof, DimensionError, NegativeInput
@@ -137,19 +137,10 @@ def chisq4_sf(x: float) -> float:
 
 
 def chisq4_quantile(gamma: float) -> float:
-    """Upper-gamma quantile of chi-square with 4 dof, by bisection."""
+    """Upper-gamma quantile of chi-square with 4 dof, via Lambert W_{-1}."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    lo, hi = 0.0, 1.0
-    while chisq4_sf(hi) > gamma:
-        hi *= 2.0
-    while hi - lo > 1e-12:
-        mid = (lo + hi) / 2.0
-        if chisq4_sf(mid) > gamma:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return -2.0 * (1.0 + float(lambertw(-gamma / math.e, -1).real))
 
 
 def fisher_combine(p_a: float, p_b: float) -> float:

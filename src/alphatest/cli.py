@@ -19,33 +19,42 @@ import json
 import os
 import sys
 
-from .alpha_tests import run_all_detailed
-from .dgp import (
-    CovModelSpec,
-    FactorProcessParams,
-    assemble_panel,
-    build_cov,
-    cov_sqrt,
-    gen_alpha,
-    gen_betas,
-    gen_errors,
-    gen_factors,
-)
+from .alpha_tests import TestConfig, run_all_detailed
 from .errors import AlphatestError, ParseError, ShapeMismatch, TooFewObservations
 from .harness import (
     ExperimentSpec,
     ScenarioConfig,
     run_experiment,
     run_power_curve,
+    simulate_panel,
     summarize,
     table_to_csv,
 )
 from .panel_io import load_panel, write_panel, write_text_atomic
-from . import rng as streams
 
 EXIT_OK = 0
 EXIT_IO = 2
 EXIT_NUMERIC = 3
+
+# Override options: (flag, ScenarioConfig field path, argparse keywords).
+# `test` takes TEST_OPTIONS, `size` and `power` both tables.  Each defaults
+# to None, keeping the value from the scenario JSON or TestConfig.
+TEST_OPTIONS = (
+    ("--gamma", "test.gamma", {"type": float, "help": "test level"}),
+    ("--delta", "test.threshold_delta", {"type": float, "help": "threshold constant"}),
+    ("--qmt", "test.q_mt", {"type": float, "help": "multiple-testing level"}),
+    ("--deltamt", "test.delta_mt",
+     {"type": float, "help": "multiple-testing threshold constant"}),
+    ("--raw-critical", "test.use_adjusted_critical",
+     {"action": "store_const", "const": False,
+      "help": "use the unadjusted chi-square(4) critical value"}),
+)
+SCENARIO_OPTIONS = (
+    ("--reps", "reps", {"type": int, "help": "override replication count"}),
+    ("--seed", "seed", {"type": int, "help": "override master seed"}),
+    ("--freeze-cov", "freeze_cov", {"action": "store_const", "const": True}),
+    ("--fixed-support", "fixed_support", {"action": "store_const", "const": True}),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,33 +65,22 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     test = sub.add_parser("test", help="run the five tests on observed data")
+    test.set_defaults(handler=cmd_test)
     test.add_argument("--returns", required=True, help="time-major returns CSV")
     test.add_argument("--factors", required=True, help="time-major factors CSV")
-    test.add_argument("--gamma", type=float, default=0.05)
-    test.add_argument("--delta", type=float, default=3.0, help="threshold constant")
-    test.add_argument("--qmt", type=float, default=0.05)
-    test.add_argument("--deltamt", type=float, default=1.0)
-    test.add_argument("--raw-critical", action="store_true",
-                      help="use the unadjusted chi-square(4) critical value")
     test.add_argument("--out", required=True, help="JSON report path")
+    _add_options(test, TEST_OPTIONS)
 
-    for name, help_text in (
-        ("size", "replicated null (size) experiment"),
-        ("power", "power curve over an m grid"),
+    for name, help_text, handler in (
+        ("size", "replicated null (size) experiment", cmd_size),
+        ("power", "power curve over an m grid", cmd_power),
     ):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", required=True, help="scenario JSON path")
         cmd.add_argument("--out", required=True, help="output CSV path")
-        cmd.add_argument("--reps", type=int, help="override replication count")
-        cmd.add_argument("--seed", type=int, help="override master seed")
-        cmd.add_argument("--gamma", type=float, help="override test level")
-        cmd.add_argument("--delta", type=float, help="override threshold constant")
-        cmd.add_argument("--qmt", type=float)
-        cmd.add_argument("--deltamt", type=float)
         cmd.add_argument("--workers", type=int, default=1)
-        cmd.add_argument("--freeze-cov", action="store_true")
-        cmd.add_argument("--fixed-support", action="store_true")
-        cmd.add_argument("--raw-critical", action="store_true")
+        _add_options(cmd, SCENARIO_OPTIONS + TEST_OPTIONS)
         if name == "power":
             cmd.add_argument(
                 "--m-grid", default="1:20",
@@ -90,67 +88,39 @@ def _build_parser() -> argparse.ArgumentParser:
             )
 
     gen = sub.add_parser("gen", help="write a synthetic panel to CSV")
+    gen.set_defaults(handler=cmd_gen)
     gen.add_argument("--config", required=True, help="scenario JSON path")
     gen.add_argument("--out-prefix", required=True, help="output path prefix")
     return parser
 
 
-def _load_scenario(args) -> ScenarioConfig:
-    with open(args.config) as handle:
-        scenario = ScenarioConfig.from_json(handle.read())
-    updates = {}
-    if getattr(args, "reps", None) is not None:
-        updates["reps"] = args.reps
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "gamma", None) is not None:
-        updates["gamma"] = args.gamma
-    if getattr(args, "delta", None) is not None:
-        updates["threshold_delta"] = args.delta
-    if getattr(args, "qmt", None) is not None:
-        updates["q_mt"] = args.qmt
-    if getattr(args, "deltamt", None) is not None:
-        updates["delta_mt"] = args.deltamt
-    if getattr(args, "freeze_cov", False):
-        updates["freeze_cov"] = True
-    if getattr(args, "fixed_support", False):
-        updates["fixed_support"] = True
-    if getattr(args, "raw_critical", False):
-        updates["adjusted_critical"] = False
-    env_seed = os.environ.get("ALPHATEST_SEED")
-    if env_seed is not None:
-        updates["seed"] = int(env_seed)
-    if updates:
-        from dataclasses import replace
+def _add_options(cmd, options) -> None:
+    for flag, path, kwargs in options:
+        cmd.add_argument(flag, dest=path, **kwargs)
 
-        scenario = replace(scenario, **updates)
-    return scenario
+
+def _overrides(args) -> dict:
+    """{field path: value} of the override options given on the command line."""
+    paths = [path for _, path, _ in SCENARIO_OPTIONS + TEST_OPTIONS]
+    return {path: getattr(args, path) for path in paths
+            if getattr(args, path, None) is not None}
+
+
+def _load_scenario(args) -> ScenarioConfig:
+    overrides = _overrides(args)
+    if "ALPHATEST_SEED" in os.environ:
+        overrides["seed"] = os.environ["ALPHATEST_SEED"]
+    with open(args.config) as handle:
+        return ScenarioConfig.from_json(handle.read()).updated(overrides)
 
 
 def cmd_test(args) -> int:
-    from .alpha_tests import TestConfig
-
     panel = load_panel(args.returns, args.factors)
-    config = TestConfig(
-        gamma=args.gamma,
-        threshold_delta=args.delta,
-        q_mt=args.qmt,
-        delta_mt=args.deltamt,
-        use_adjusted_critical=not args.raw_critical,
-    )
-    results, diagnostics = run_all_detailed(panel, config)
-    report = {
-        "tests": {
-            r.name: {
-                "statistic": r.statistic,
-                "p_value": r.p_value,
-                "reject": r.reject,
-                "critical_value": r.critical_value,
-            }
-            for r in results
-        },
-        "metadata": diagnostics,
-    }
+    knobs = {path.removeprefix("test."): v for path, v in _overrides(args).items()}
+    results, diagnostics = run_all_detailed(panel, TestConfig(**knobs))
+    fields = ("statistic", "p_value", "reject", "critical_value")
+    tests = {r.name: {name: getattr(r, name) for name in fields} for r in results}
+    report = {"tests": tests, "metadata": diagnostics}
     write_text_atomic(args.out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK
 
@@ -172,10 +142,8 @@ def _parse_m_grid(text: str) -> tuple:
 
 def cmd_power(args) -> int:
     scenario = _load_scenario(args)
-    m_grid = _parse_m_grid(args.m_grid)
-    table = run_power_curve(
-        ExperimentSpec(scenario=scenario, m_grid=m_grid), workers=args.workers
-    )
+    spec = ExperimentSpec(scenario=scenario, m_grid=_parse_m_grid(args.m_grid))
+    table = run_power_curve(spec, workers=args.workers)
     write_text_atomic(args.out, table_to_csv(table))
     stem, ext = os.path.splitext(args.out)
     plot_lines = ["m,method,power"]
@@ -187,39 +155,8 @@ def cmd_power(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    with open(args.config) as handle:
-        scenario = ScenarioConfig.from_json(handle.read())
-    env_seed = os.environ.get("ALPHATEST_SEED")
-    if env_seed is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, seed=int(env_seed))
-    seed = scenario.seed
-    sigma = build_cov(
-        CovModelSpec(kind=scenario.cov_model),
-        scenario.n,
-        streams.substream(seed, scenario.m, 0, streams.COV),
-    )
-    root = cov_sqrt(sigma)
-    factors = gen_factors(
-        scenario.t,
-        FactorProcessParams(),
-        rng=streams.substream(seed, scenario.m, 0, streams.FACTORS),
-    )
-    errors = gen_errors(
-        root,
-        scenario.error_dist,
-        scenario.t,
-        streams.substream(seed, scenario.m, 0, streams.ERRORS),
-    )
-    betas = gen_betas(scenario.n, streams.substream(seed, scenario.m, 0, streams.BETAS))
-    alpha = gen_alpha(
-        scenario.n,
-        scenario.m,
-        scenario.t,
-        rng=streams.substream(seed, scenario.m, 0, streams.ALPHA),
-    )
-    panel = assemble_panel(alpha.alpha, betas, factors, errors)
+    scenario = _load_scenario(args)
+    panel = simulate_panel(scenario, scenario.m, 0)
     prefix = args.out_prefix
     write_panel(panel, prefix + "returns.csv", prefix + "factors.csv")
     return EXIT_OK
@@ -227,14 +164,8 @@ def cmd_gen(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "test": cmd_test,
-        "size": cmd_size,
-        "power": cmd_power,
-        "gen": cmd_gen,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (OSError, json.JSONDecodeError, ParseError, ShapeMismatch,
             TooFewObservations) as exc:
         print(f"error: {exc}", file=sys.stderr)

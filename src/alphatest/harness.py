@@ -6,10 +6,9 @@ the experiment spec regardless of worker count or scheduling.
 """
 
 import functools
-import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,19 +25,42 @@ from .dgp import (
     gen_errors,
     gen_factors,
 )
-from .errors import EmptyTable, NotPositiveDefinite
+from .errors import EmptyTable, ParseError
+from .ols import FactorPanel
 
 __all__ = [
     "ScenarioConfig",
     "ExperimentSpec",
     "TableRow",
     "SizePowerTable",
+    "simulate_panel",
     "run_experiment",
     "run_power_curve",
     "replicate_details",
     "summarize",
     "table_to_csv",
 ]
+
+# scenario JSON key -> ScenarioConfig field path, in document order; a
+# "flags." key lives in the "flags" object, a "test." field in the nested
+# TestConfig
+JSON_KEYS = {
+    "N": "n",
+    "T": "t",
+    "covModel": "cov_model",
+    "errorDist": "error_dist",
+    "m": "m",
+    "reps": "reps",
+    "gamma": "test.gamma",
+    "seed": "seed",
+    "thresholdDelta": "test.threshold_delta",
+    "qMt": "test.q_mt",
+    "deltaMt": "test.delta_mt",
+    "flags.freezeCov": "freeze_cov",
+    "flags.fixedSupport": "fixed_support",
+    "flags.adjustedCritical": "test.use_adjusted_critical",
+    "flags.sharedFactors": "shared_factors",
+}
 
 
 @dataclass(frozen=True)
@@ -51,72 +73,58 @@ class ScenarioConfig:
     error_dist: str = "normal"
     m: int = 0
     reps: int = 1000
-    gamma: float = 0.05
     seed: int = 0
-    threshold_delta: float = 3.0
-    q_mt: float = 0.05
-    delta_mt: float = 1.0
+    test: TestConfig = TestConfig()
     freeze_cov: bool = False
     fixed_support: bool = False
-    adjusted_critical: bool = True
     shared_factors: bool = False
 
     @property
     def scenario_id(self) -> str:
         return f"{self.cov_model}/{self.error_dist}/N{self.n}/T{self.t}"
 
-    def test_config(self) -> TestConfig:
-        return TestConfig(
-            gamma=self.gamma,
-            threshold_delta=self.threshold_delta,
-            q_mt=self.q_mt,
-            delta_mt=self.delta_mt,
-            use_adjusted_critical=self.adjusted_critical,
-        )
+    def updated(self, values: dict) -> "ScenarioConfig":
+        """Copy with {field path: value} applied, each cast to its field's type."""
+        own, test = {}, {}
+        for path, value in values.items():
+            owner, _, name = path.rpartition(".")
+            cls, target = (TestConfig, test) if owner else (ScenarioConfig, own)
+            kind = {f.name: f.type for f in fields(cls)}[name]
+            try:
+                target[name] = kind(value)
+            except (TypeError, ValueError):
+                message = f"{path}: expected {kind.__name__}, got {value!r}"
+                raise ParseError(message) from None
+        return replace(self, test=replace(self.test, **test), **own)
 
     def to_json(self) -> str:
-        doc = {
-            "N": self.n,
-            "T": self.t,
-            "covModel": self.cov_model,
-            "errorDist": self.error_dist,
-            "m": self.m,
-            "reps": self.reps,
-            "gamma": self.gamma,
-            "seed": self.seed,
-            "thresholdDelta": self.threshold_delta,
-            "qMt": self.q_mt,
-            "deltaMt": self.delta_mt,
-            "flags": {
-                "freezeCov": self.freeze_cov,
-                "fixedSupport": self.fixed_support,
-                "adjustedCritical": self.adjusted_critical,
-                "sharedFactors": self.shared_factors,
-            },
-        }
+        doc = {}
+        for key, path in JSON_KEYS.items():
+            group, _, name = key.rpartition(".")
+            owner, _, field_name = path.rpartition(".")
+            value = getattr(self.test if owner else self, field_name)
+            (doc.setdefault(group, {}) if group else doc)[name] = value
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
+        """Parse a scenario document; absent keys keep the dataclass defaults.
+
+        A missing N or T, an unknown key or a mistyped value is a ParseError.
+        """
         doc = json.loads(text)
-        flags = doc.get("flags", {})
-        return cls(
-            n=int(doc["N"]),
-            t=int(doc["T"]),
-            cov_model=doc.get("covModel", "M1"),
-            error_dist=doc.get("errorDist", "normal"),
-            m=int(doc.get("m", 0)),
-            reps=int(doc.get("reps", 1000)),
-            gamma=float(doc.get("gamma", 0.05)),
-            seed=int(doc.get("seed", 0)),
-            threshold_delta=float(doc.get("thresholdDelta", 3.0)),
-            q_mt=float(doc.get("qMt", 0.05)),
-            delta_mt=float(doc.get("deltaMt", 1.0)),
-            freeze_cov=bool(flags.get("freezeCov", False)),
-            fixed_support=bool(flags.get("fixedSupport", False)),
-            adjusted_critical=bool(flags.get("adjustedCritical", True)),
-            shared_factors=bool(flags.get("sharedFactors", False)),
-        )
+        if not isinstance(doc, dict) or not isinstance(doc.get("flags", {}), dict):
+            raise ParseError("a scenario and its \"flags\" must be JSON objects")
+        flat = {f"flags.{key}": value for key, value in doc.pop("flags", {}).items()}
+        unknown = [key for key in flat if key not in JSON_KEYS]
+        unknown += [key for key in doc if key not in JSON_KEYS or "." in key]
+        flat.update(doc)
+        if unknown:
+            raise ParseError(f"unknown scenario key(s): {', '.join(unknown)}")
+        missing = [key for key in ("N", "T") if key not in flat]
+        if missing:
+            raise ParseError(f"missing scenario key(s): {', '.join(missing)}")
+        return cls().updated({JSON_KEYS[key]: value for key, value in flat.items()})
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,6 @@ class TableRow:
 @dataclass(frozen=True)
 class SizePowerTable:
     rows: tuple
-    skipped: int = 0
 
 
 @functools.lru_cache(maxsize=8)
@@ -165,88 +172,51 @@ def _fixed_cov_root(kind: str, n: int):
     return cov_sqrt(sigma)
 
 
-def _replicate(scenario: ScenarioConfig, m: int, rep: int, detail: bool = False):
-    """One replication; returns {method: reject} or None on a failed draw.
+def simulate_panel(scenario: ScenarioConfig, m: int, rep: int) -> FactorPanel:
+    """Panel of replication `rep` at sparsity m.
 
-    With ``detail=True`` the full TestResult objects are returned instead
-    of the rejection booleans.
+    Each component draws from its own stream keyed by (seed, m, rep,
+    purpose); the scenario flags pin the covariance, factor path or alpha
+    support to replication 0's draw.
     """
     seed = scenario.seed
-    spec = CovModelSpec(kind=scenario.cov_model)
-    try:
-        if scenario.cov_model in ("M1", "M3"):
-            sigma_root = _fixed_cov_root(scenario.cov_model, scenario.n)
-        else:
-            cov_rep = 0 if scenario.freeze_cov else rep
-            cov_rng = streams.substream(seed, m, cov_rep, streams.COV)
-            sigma_root = cov_sqrt(build_cov(spec, scenario.n, cov_rng))
-    except NotPositiveDefinite:
-        return None
+    cov_rep = 0 if scenario.freeze_cov else rep
     factor_rep = 0 if scenario.shared_factors else rep
-    factors = gen_factors(
-        scenario.t,
-        FactorProcessParams(),
-        rng=streams.substream(seed, m, factor_rep, streams.FACTORS),
-    )
-    errors = gen_errors(
-        sigma_root,
-        scenario.error_dist,
-        scenario.t,
-        streams.substream(seed, m, rep, streams.ERRORS),
-    )
-    betas = gen_betas(scenario.n, streams.substream(seed, m, rep, streams.BETAS))
     alpha_rep = 0 if scenario.fixed_support else rep
-    alpha = gen_alpha(
-        scenario.n,
-        m,
-        scenario.t,
-        rng=streams.substream(seed, m, alpha_rep, streams.ALPHA),
-    )
-    panel = assemble_panel(alpha.alpha, betas, factors, errors)
-    results = run_all(panel, scenario.test_config())
-    if detail:
-        return {r.name: r for r in results}
-    return {r.name: r.reject for r in results}
-
-
-def replicate_details(scenario: ScenarioConfig, m: int, reps: int):
-    """Full TestResult dicts for `reps` replications (None entries skipped)."""
-    out = []
-    for rep in range(reps):
-        result = _replicate(scenario, m, rep, detail=True)
-        if result is not None:
-            out.append(result)
-    return out
-
-
-def _replicate_args(args):
-    return _replicate(*args)
-
-
-def _run_block(scenario, m, reps, workers):
-    tasks = [(scenario, m, rep) for rep in range(reps)]
-    if workers <= 1:
-        outcomes = [_replicate(*task) for task in tasks]
+    if scenario.cov_model in ("M1", "M3"):
+        sigma_root = _fixed_cov_root(scenario.cov_model, scenario.n)
     else:
-        chunk = max(1, reps // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate_args, tasks, chunksize=chunk))
-    kept = [o for o in outcomes if o is not None]
-    skipped = reps - len(kept)
-    if skipped > max(1, int(0.01 * reps)):
-        raise NotPositiveDefinite(
-            f"{skipped} of {reps} covariance draws failed (limit 1%)"
-        )
-    return kept, skipped
+        cov_rng = streams.substream(seed, m, cov_rep, streams.COV)
+        spec = CovModelSpec(kind=scenario.cov_model)
+        sigma_root = cov_sqrt(build_cov(spec, scenario.n, cov_rng))
+    factor_rng = streams.substream(seed, m, factor_rep, streams.FACTORS)
+    factors = gen_factors(scenario.t, FactorProcessParams(), rng=factor_rng)
+    error_rng = streams.substream(seed, m, rep, streams.ERRORS)
+    errors = gen_errors(sigma_root, scenario.error_dist, scenario.t, error_rng)
+    betas = gen_betas(scenario.n, streams.substream(seed, m, rep, streams.BETAS))
+    alpha_rng = streams.substream(seed, m, alpha_rep, streams.ALPHA)
+    alpha = gen_alpha(scenario.n, m, scenario.t, rng=alpha_rng)
+    return assemble_panel(alpha.alpha, betas, factors, errors)
 
 
-def _rows_from_block(scenario, m, kept, methods):
-    reps = len(kept)
+def _replicate(scenario: ScenarioConfig, m: int, rep: int) -> dict:
+    """{method: TestResult} of one replication."""
+    results = run_all(simulate_panel(scenario, m, rep), scenario.test)
+    return {r.name: r for r in results}
+
+
+def replicate_details(scenario: ScenarioConfig, m: int, reps: int) -> list:
+    """{method: TestResult} for each of `reps` replications at sparsity m."""
+    return [_replicate(scenario, m, rep) for rep in range(reps)]
+
+
+def _rows_from_block(scenario, m, outcomes, methods):
+    reps = len(outcomes)
     rows = []
     for method in METHODS:
         if method not in methods:
             continue
-        rate = sum(o[method] for o in kept) / reps
+        rate = sum(o[method].reject for o in outcomes) / reps
         se = float(np.sqrt(rate * (1.0 - rate) / reps))
         rows.append(
             TableRow(
@@ -265,45 +235,50 @@ def _rows_from_block(scenario, m, kept, methods):
     return rows
 
 
+def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
+    """Replicate every (m, rep) pair, through one process pool if workers > 1."""
+    scenario, reps = spec.scenario, spec.n_reps
+    ms = [m for m in m_values for _ in range(reps)]
+    rep_ids = [rep for _ in m_values for rep in range(reps)]
+    tasks = ([scenario] * len(ms), ms, rep_ids)  # argument columns of _replicate
+    if workers <= 1:
+        outcomes = list(map(_replicate, *tasks))
+    else:
+        chunk = max(1, len(ms) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_replicate, *tasks, chunksize=chunk))
+    rows = []
+    for block, m in enumerate(m_values):
+        block_outcomes = outcomes[block * reps:(block + 1) * reps]
+        rows.extend(_rows_from_block(scenario, m, block_outcomes, spec.methods))
+    ordered = sorted(rows, key=lambda r: (METHODS.index(r.method), r.m))
+    return SizePowerTable(rows=tuple(ordered))
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> SizePowerTable:
     """Size (or single-m power) experiment at the scenario's sparsity."""
-    scenario = spec.scenario
-    kept, skipped = _run_block(scenario, scenario.m, spec.n_reps, workers)
-    rows = _rows_from_block(scenario, scenario.m, kept, spec.methods)
-    return SizePowerTable(rows=tuple(rows), skipped=skipped)
+    return _run(spec, (spec.scenario.m,), workers)
 
 
 def run_power_curve(spec: ExperimentSpec, workers: int = 1) -> SizePowerTable:
     """One sub-experiment per entry of the m grid, shared scenario."""
     if not spec.m_grid:
         raise ValueError("m_grid must be non-empty for a power curve")
-    scenario = spec.scenario
-    rows = []
-    skipped = 0
-    for m in spec.m_grid:
-        kept, block_skipped = _run_block(scenario, m, spec.n_reps, workers)
-        rows.extend(_rows_from_block(scenario, m, kept, spec.methods))
-        skipped += block_skipped
-    ordered = sorted(rows, key=lambda r: (METHODS.index(r.method), r.m))
-    return SizePowerTable(rows=tuple(ordered), skipped=skipped)
+    return _run(spec, spec.m_grid, workers)
 
 
 def summarize(table: SizePowerTable) -> str:
     """Aligned text table; rates are percentages to one decimal."""
     if not table.rows:
         raise EmptyTable("no rows to summarize")
-    out = io.StringIO()
     header = f"{'method':<8}{'scenario':<28}{'m':>4}  {'rate':>12}  {'reps':>6}"
-    out.write(header + "\n")
-    out.write("-" * len(header) + "\n")
+    lines = [header, "-" * len(header)]
     for row in table.rows:
         cell = f"{100 * row.rate:.1f} (±{100 * row.se:.1f})"
-        out.write(
-            f"{row.method:<8}{row.scenario_id:<28}{row.m:>4}  {cell:>12}  {row.reps:>6}\n"
+        lines.append(
+            f"{row.method:<8}{row.scenario_id:<28}{row.m:>4}  {cell:>12}  {row.reps:>6}"
         )
-    if table.skipped:
-        out.write(f"skipped covariance draws: {table.skipped}\n")
-    return out.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 def table_to_csv(table: SizePowerTable) -> str:

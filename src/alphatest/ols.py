@@ -140,4 +140,4 @@ def t_ratios(fit_result: OlsFit) -> np.ndarray:
     sigma = fit_result.sigma_hat
     if (sigma < 1e-14).any():
         raise ZeroResidualVariance("residual variance below 1e-14")
-    return fit_result.alpha_hat * np.sqrt(fit_result.leverage) / np.sqrt(sigma)
+    return fit_result.t_stats

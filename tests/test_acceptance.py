@@ -317,7 +317,8 @@ WORKED = [
      lambda: py_stat(np.array([math.sqrt(2.0), math.sqrt(3.0)]), 0.0, 10)),
     # scipy.stats.gumbel_r.isf(0.05, loc=-log(pi), scale=2) = 4.795660612...
     ("gumbel_quantile", 4.79566, lambda: gumbel_quantile(0.05)),
-    ("adjusted_critical", 10.79554, lambda: adjusted_critical(100, 200, 0.05)),
+    # scipy.stats.chi2.isf(0.05, 4) * (1 + 1/log(100*sqrt(200))) = 10.795600...
+    ("adjusted_critical", 10.79560, lambda: adjusted_critical(100, 200, 0.05)),
     ("gen_alpha", 0.72790,
      lambda: float(gen_alpha(200, 1, 100, support=np.array([0])).alpha[0])),
 ]

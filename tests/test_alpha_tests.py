@@ -138,6 +138,13 @@ class TestChisq4:
         with pytest.raises(NegativeInput):
             chisq4_sf(-1.0)
 
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9])
+    def test_quantile_matches_scipy(self, gamma):
+        from scipy.stats import chi2
+
+        expected = chi2.isf(gamma, 4)
+        assert np.isclose(chisq4_quantile(gamma), expected, rtol=1e-12, atol=0.0)
+
 
 class TestFisherCombine:
     def test_worked_example(self):
@@ -156,7 +163,8 @@ class TestFisherCombine:
 
 class TestAdjustedCritical:
     def test_worked_example(self):
-        assert np.isclose(adjusted_critical(100, 200, 0.05), 10.79554, atol=1e-4)
+        # scipy.stats.chi2.isf(0.05, 4) * (1 + 1/log(100*sqrt(200))) = 10.795600...
+        assert np.isclose(adjusted_critical(100, 200, 0.05), 10.79560, atol=1e-4)
 
     def test_shrinks_to_asymptotic(self):
         big = adjusted_critical(10000, 10000, 0.05)

@@ -123,6 +123,26 @@ class TestCmdSize:
                      "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("text,key", [
+        ('{"T": 40}', "N"),
+        ('{"N": 20, "T": 40, "covmodel": "M3"}', "covmodel"),
+        ('{"N": 20, "T": 40, "flags": {"freezecov": true}}', "flags.freezecov"),
+    ], ids=["missing_n", "unknown_key", "unknown_flag"])
+    def test_bad_scenario_key_exits_io(self, tmp_path, capsys, text, key):
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        code = main(["size", "--config", str(config),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_IO
+        assert key in capsys.readouterr().err
+
+    def test_non_object_json_exits_io(self, tmp_path):
+        config = tmp_path / "scenario.json"
+        config.write_text("[20, 40]")
+        code = main(["size", "--config", str(config),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_IO
+
 
 class TestCmdPower:
     def test_writes_table_and_plot_csv(self, tmp_path):

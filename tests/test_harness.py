@@ -1,7 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from alphatest import rng as streams
+from alphatest.alpha_tests import TestConfig as Config
 from alphatest.dgp import gen_errors
 from alphatest.errors import EmptyTable
 from alphatest.harness import (
@@ -21,11 +24,17 @@ SMALL = ScenarioConfig(n=20, t=40, cov_model="M1", error_dist="normal",
                        m=0, reps=10, seed=123)
 
 
+class Outcome(NamedTuple):
+    """Stand-in for a TestResult: the aggregation reads only `reject`."""
+
+    reject: bool
+
+
 class TestScenarioConfig:
     def test_json_roundtrip(self):
         scenario = ScenarioConfig(n=50, t=80, cov_model="M2", error_dist="t5_scaled",
-                                  m=3, reps=200, gamma=0.1, seed=99,
-                                  threshold_delta=2.5, freeze_cov=True)
+                                  m=3, reps=200, seed=99, freeze_cov=True,
+                                  test=Config(gamma=0.1, threshold_delta=2.5))
         assert ScenarioConfig.from_json(scenario.to_json()) == scenario
 
     def test_json_defaults(self):
@@ -49,14 +58,14 @@ class TestExperimentSpec:
 
 class TestAggregation:
     def test_always_reject_stub(self):
-        kept = [{m: True for m in ("PY", "MAX1", "MAX2", "FC1", "FC2")}] * 8
+        kept = [{m: Outcome(True) for m in ("PY", "MAX1", "MAX2", "FC1", "FC2")}] * 8
         rows = _rows_from_block(SMALL, 0, kept, ("PY", "MAX1", "MAX2", "FC1", "FC2"))
         for row in rows:
             assert row.rate == 1.0
             assert row.se == 0.0
 
     def test_se_formula(self):
-        kept = [{"PY": i < 3} for i in range(10)]
+        kept = [{"PY": Outcome(i < 3)} for i in range(10)]
         row = _rows_from_block(SMALL, 0, kept, ("PY",))[0]
         assert row.rate == 0.3
         assert np.isclose(row.se, np.sqrt(0.3 * 0.7 / 10))
@@ -69,7 +78,6 @@ class TestRunExperiment:
         for row in table.rows:
             assert 0.0 <= row.rate <= 1.0
             assert row.reps == 10
-        assert table.skipped == 0
 
     def test_method_subset(self):
         table = run_experiment(ExperimentSpec(scenario=SMALL, methods=("PY", "MAX2")))
