@@ -8,7 +8,6 @@ import numpy as np
 
 from alphatest import run_all_detailed
 from alphatest.dgp import (
-    CovModelSpec,
     assemble_panel,
     build_cov,
     cov_sqrt,
@@ -21,7 +20,7 @@ from alphatest.dgp import (
 rng = np.random.default_rng(42)
 n, t, m = 200, 100, 3
 
-sigma = build_cov(CovModelSpec(kind="M1"), n, rng)
+sigma = build_cov("M1", n, rng)
 factors = gen_factors(t, rng=rng)
 errors = gen_errors(cov_sqrt(sigma), "normal", t, rng)
 betas = gen_betas(n, rng)

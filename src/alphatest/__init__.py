@@ -15,7 +15,7 @@ Library layout:
 """
 
 from .alpha_tests import METHODS, TestConfig, TestResult, run_all, run_all_detailed
-from .dgp import AlphaSpec, CovModelSpec, FactorProcessParams
+from .dgp import AlphaSpec
 from .harness import (
     ExperimentSpec,
     ScenarioConfig,
@@ -35,8 +35,6 @@ __all__ = [
     "run_all",
     "run_all_detailed",
     "AlphaSpec",
-    "CovModelSpec",
-    "FactorProcessParams",
     "ExperimentSpec",
     "ScenarioConfig",
     "SizePowerTable",

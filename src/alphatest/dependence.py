@@ -39,9 +39,6 @@ __all__ = [
 PSD_EPS_FRAC = 0.15
 EIGEN_FLOOR_FRAC = 0.12
 
-# Default constant in the correlation-scale threshold delta*sqrt(log(N)/T).
-DEFAULT_THRESHOLD_DELTA = 3.0
-
 
 @dataclass(frozen=True)
 class DependenceEstimate:
@@ -114,7 +111,7 @@ def precision_root(r_hat: np.ndarray, floor: float | None = None) -> np.ndarray:
 
 
 def mt_rho_bar_sq(
-    sigma_hat: np.ndarray, v: int, q_mt: float = 0.05, delta_mt: float = 1.0
+    sigma_hat: np.ndarray, v: int, q_mt: float, delta_mt: float
 ) -> MtCorrelation:
     """Multiple-testing estimate of the mean squared pairwise correlation.
 
@@ -137,7 +134,7 @@ def mt_rho_bar_sq(
 
 
 def estimate_dependence(
-    residuals: np.ndarray, dof: int, t: int, delta: float = DEFAULT_THRESHOLD_DELTA
+    residuals: np.ndarray, dof: int, t: int, delta: float
 ) -> DependenceEstimate:
     """Full dependence pipeline: covariance, threshold, correlation, root."""
     sigma = sample_cov(residuals, dof)

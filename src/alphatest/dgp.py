@@ -15,8 +15,6 @@ from .linalg import sym_eigen
 from .ols import FactorPanel
 
 __all__ = [
-    "FactorProcessParams",
-    "CovModelSpec",
     "AlphaSpec",
     "gen_factors",
     "build_cov",
@@ -30,52 +28,25 @@ __all__ = [
 ERROR_DISTS = ("normal", "t5_scaled", "mixture_scaled")
 COV_MODELS = ("M1", "M2", "M3", "M4")
 
+# Market / SMB / HML calibration of the factor recursion
+# f_t = a + b * f_{t-1} + sqrt(h_t) * zeta_t with variance
+# h_t = c + d * h_{t-1} + e * zeta_{t-1}**2, started at f = 0, h = 1.
+AR_INTERCEPT = (0.53, 0.19, 0.19)  # a
+AR_COEF = (0.06, 0.19, 0.05)  # b
+GARCH_INTERCEPT = (0.89, 0.62, 0.80)  # c
+GARCH_PERSISTENCE = (0.85, 0.74, 0.76)  # d
+ARCH_COEF = (0.11, 0.19, 0.15)  # e
+BURN_IN = 50
 
-@dataclass(frozen=True)
-class FactorProcessParams:
-    """AR(1) + GARCH(1,1) coefficients for the three simulated factors.
-
-    Defaults are the Market / SMB / HML calibration: the AR recursion is
-    ``f_t = a + b * f_{t-1} + sqrt(h_t) * zeta_t`` with variance
-    ``h_t = c + d * h_{t-1} + e * zeta_{t-1}**2``.
-    """
-
-    ar_intercept: tuple = (0.53, 0.19, 0.19)
-    ar_coef: tuple = (0.06, 0.19, 0.05)
-    garch_intercept: tuple = (0.89, 0.62, 0.80)
-    garch_persistence: tuple = (0.85, 0.74, 0.76)
-    arch_coef: tuple = (0.11, 0.19, 0.15)
-    burn_in: int = 50
-    f_init: float = 0.0
-    h_init: float = 1.0
-
-    def __post_init__(self):
-        for d, e in zip(self.garch_persistence, self.arch_coef):
-            if d + e >= 1.0:
-                raise ValueError("GARCH persistence + ARCH coefficient must be < 1")
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.ar_intercept)
-
-
-@dataclass(frozen=True)
-class CovModelSpec:
-    """Which residual covariance model to build, with its parameters."""
-
-    kind: str = "M1"
-    m1_base: float = 0.7
-    m3_base: float = 0.6
-    spike_exponent: float = 0.3
-    spike_low: float = 0.7
-    spike_high: float = 0.9
-    diag_low: float = 1.0
-    diag_high: float = 2.0
-    rook_rho: float = 0.5
-
-    def __post_init__(self):
-        if self.kind not in COV_MODELS:
-            raise ValueError(f"unknown covariance model {self.kind!r}")
+# Residual covariance models: band bases of M1 and M3, the spike count
+# N**SPIKE_EXPONENT and spike loadings of M2/M4, M2's variances and M4's
+# spatial-autoregressive coefficient.
+M1_BASE = 0.7
+M3_BASE = 0.6
+SPIKE_EXPONENT = 0.3
+SPIKE_RANGE = (0.7, 0.9)
+DIAG_RANGE = (1.0, 2.0)
+ROOK_RHO = 0.5
 
 
 @dataclass(frozen=True)
@@ -91,23 +62,20 @@ class AlphaSpec:
 
 
 def gen_factors(
-    t: int,
-    params: FactorProcessParams = FactorProcessParams(),
-    rng: np.random.Generator | None = None,
-    zeta: np.ndarray | None = None,
+    t: int, rng: np.random.Generator | None = None, zeta: np.ndarray | None = None
 ) -> np.ndarray:
     """Simulate T rows of the three-factor AR-GARCH process.
 
-    The recursion starts `burn_in` periods before the sample with
-    f = f_init and h = h_init; only the final T rows are returned.  At
-    each step the variance is updated from the previous innovation first,
-    then the new innovation is drawn.
+    The recursion starts BURN_IN periods before the sample with f = 0 and
+    h = 1; only the final T rows are returned.  At each step the variance
+    is updated from the previous innovation first, then the new
+    innovation is drawn.
 
-    `zeta` overrides the innovations with a given (burn_in + T + 1) x k
+    `zeta` overrides the innovations with a given (BURN_IN + T + 1) x 3
     array; used by tests to force deterministic paths.
     """
-    k = params.n_factors
-    steps = params.burn_in + t + 1
+    k = len(AR_INTERCEPT)
+    steps = BURN_IN + t + 1
     if zeta is None:
         if rng is None:
             raise ValueError("either rng or zeta must be provided")
@@ -117,76 +85,65 @@ def gen_factors(
         if zeta.shape != (steps, k):
             raise DimensionError(f"zeta must have shape {(steps, k)}, got {zeta.shape}")
 
-    a = np.asarray(params.ar_intercept)
-    b = np.asarray(params.ar_coef)
-    c = np.asarray(params.garch_intercept)
-    d = np.asarray(params.garch_persistence)
-    e = np.asarray(params.arch_coef)
-
-    f = np.full(k, params.f_init)
-    h = np.full(k, params.h_init)
+    a, b, c = map(np.asarray, (AR_INTERCEPT, AR_COEF, GARCH_INTERCEPT))
+    d, e = map(np.asarray, (GARCH_PERSISTENCE, ARCH_COEF))
+    f = np.zeros(k)
+    h = np.ones(k)
     out = np.empty((t, k))
     for step in range(1, steps):
         h = c + d * h + e * zeta[step - 1] ** 2
         f = a + b * f + np.sqrt(h) * zeta[step]
-        idx = step - (params.burn_in + 1)
+        idx = step - (BURN_IN + 1)
         if idx >= 0:
             out[idx] = f
     return out
 
 
-def build_cov(spec: CovModelSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     """Construct an N x N residual covariance matrix for one of the models.
 
     M1: AR(1)-style bands 0.7**|i-j|.  M2: single random spiked factor in
     the correlation, random U(1,2) variances.  M3: inverse of 0.6**|i-j|.
     M4: rank-one spike plus a rook-form spatial-autoregressive part.
+    Every model is positive definite by construction; `cov_sqrt` checks
+    the draw.
     """
+    if kind not in COV_MODELS:
+        raise ValueError(f"unknown covariance model {kind!r}")
     if n < 2:
         raise DimensionError(f"need N >= 2, got {n}")
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :])
-    if spec.kind == "M1":
-        sigma = spec.m1_base**dist
-    elif spec.kind == "M3":
-        omega = spec.m3_base**dist
-        sigma = np.linalg.inv(omega)
-        sigma = (sigma + sigma.T) / 2.0
-    elif spec.kind == "M2":
-        diag = rng.uniform(spec.diag_low, spec.diag_high, size=n)
+    if kind == "M1":
+        return M1_BASE**dist
+    if kind == "M3":
+        sigma = np.linalg.inv(M3_BASE**dist)
+        return (sigma + sigma.T) / 2.0
+    n_spikes = int(n**SPIKE_EXPONENT)
+    if kind == "M2":
+        diag = rng.uniform(*DIAG_RANGE, size=n)
         b = np.zeros(n)
-        n_spikes = int(n**spec.spike_exponent)
         positions = rng.choice(n, size=n_spikes, replace=False)
-        b[positions] = rng.uniform(spec.spike_low, spec.spike_high, size=n_spikes)
+        b[positions] = rng.uniform(*SPIKE_RANGE, size=n_spikes)
         r = np.eye(n) + np.outer(b, b) - np.diag(b**2)
         root_d = np.sqrt(diag)
-        sigma = r * np.outer(root_d, root_d)
-    else:  # M4
-        n_spikes = int(n**spec.spike_exponent)
-        gamma = np.zeros(n)
-        gamma[:n_spikes] = rng.uniform(spec.spike_low, spec.spike_high, size=n_spikes)
-        w = np.zeros((n, n))
-        for i in range(n - 2):  # w[i+1, i] for i = 1..N-2 (1-based)
-            w[i + 1, i] = 0.5
-        for j in range(2, n):  # w[j-1, j] for j = 3..N (1-based)
-            w[j - 1, j] = 0.5
-        w[0, 1] = 1.0
-        w[n - 1, n - 2] = 1.0
-        inv = np.linalg.inv(np.eye(n) - spec.rook_rho * w)
-        sigma = np.outer(gamma, gamma) + inv @ inv.T
-        sigma = (sigma + sigma.T) / 2.0
-    if np.linalg.eigvalsh(sigma)[0] <= 0:
-        raise NotPositiveDefinite(f"covariance model {spec.kind} draw is not PD")
-    return sigma
+        return r * np.outer(root_d, root_d)
+    gamma = np.zeros(n)
+    gamma[:n_spikes] = rng.uniform(*SPIKE_RANGE, size=n_spikes)
+    # rook weights: 1/2 to each neighbour, 1 to the only neighbour at the ends
+    w = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    w[0, 1] = w[n - 1, n - 2] = 1.0
+    inv = np.linalg.inv(np.eye(n) - ROOK_RHO * w)
+    sigma = np.outer(gamma, gamma) + inv @ inv.T
+    return (sigma + sigma.T) / 2.0
 
 
 def cov_sqrt(sigma: np.ndarray) -> np.ndarray:
     """Symmetric positive-definite square root via eigendecomposition."""
-    eig = sym_eigen(sigma)
-    if eig.eigenvalues[-1] <= 0:
+    w, q = sym_eigen(sigma)
+    if w[-1] <= 0:
         raise NotPositiveDefinite("matrix has a non-positive eigenvalue")
-    q = eig.eigenvectors
-    root = (q * np.sqrt(eig.eigenvalues)) @ q.T
+    root = (q * np.sqrt(w)) @ q.T
     return (root + root.T) / 2.0
 
 

@@ -15,8 +15,6 @@ import numpy as np
 from . import rng as streams
 from .alpha_tests import METHODS, TestConfig, run_all
 from .dgp import (
-    CovModelSpec,
-    FactorProcessParams,
     assemble_panel,
     build_cov,
     cov_sqrt,
@@ -84,14 +82,18 @@ class ScenarioConfig:
         return f"{self.cov_model}/{self.error_dist}/N{self.n}/T{self.t}"
 
     def updated(self, values: dict) -> "ScenarioConfig":
-        """Copy with {field path: value} applied, each cast to its field's type."""
+        """Copy with {field path: value} applied, each cast to its field's type.
+
+        A bool field takes only true or false; any other field rejects a
+        bool, and an int field a non-integral number.
+        """
         own, test = {}, {}
         for path, value in values.items():
             owner, _, name = path.rpartition(".")
             cls, target = (TestConfig, test) if owner else (ScenarioConfig, own)
             kind = {f.name: f.type for f in fields(cls)}[name]
             try:
-                target[name] = kind(value)
+                target[name] = _cast(kind, value)
             except (TypeError, ValueError):
                 message = f"{path}: expected {kind.__name__}, got {value!r}"
                 raise ParseError(message) from None
@@ -127,17 +129,24 @@ class ScenarioConfig:
         return cls().updated({JSON_KEYS[key]: value for key, value in flat.items()})
 
 
+def _cast(kind: type, value):
+    """`value` cast to `kind`; TypeError or ValueError if it is not a `kind` value."""
+    if (kind is bool) != isinstance(value, bool):
+        raise TypeError(value)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     scenario: ScenarioConfig
-    methods: tuple = METHODS
     reps: int | None = None  # defaults to scenario.reps
     m_grid: tuple = ()
 
     def __post_init__(self):
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}")
+        if self.n_reps < 1:
+            raise ValueError(f"need at least one replication, got {self.n_reps}")
         if any(m > self.scenario.n for m in self.m_grid):
             raise ValueError("m_grid entries must not exceed N")
 
@@ -168,7 +177,7 @@ class SizePowerTable:
 @functools.lru_cache(maxsize=8)
 def _fixed_cov_root(kind: str, n: int):
     # M1 and M3 covariances are deterministic; cache their roots per process
-    sigma = build_cov(CovModelSpec(kind=kind), n, np.random.default_rng(0))
+    sigma = build_cov(kind, n, np.random.default_rng(0))
     return cov_sqrt(sigma)
 
 
@@ -187,10 +196,9 @@ def simulate_panel(scenario: ScenarioConfig, m: int, rep: int) -> FactorPanel:
         sigma_root = _fixed_cov_root(scenario.cov_model, scenario.n)
     else:
         cov_rng = streams.substream(seed, m, cov_rep, streams.COV)
-        spec = CovModelSpec(kind=scenario.cov_model)
-        sigma_root = cov_sqrt(build_cov(spec, scenario.n, cov_rng))
+        sigma_root = cov_sqrt(build_cov(scenario.cov_model, scenario.n, cov_rng))
     factor_rng = streams.substream(seed, m, factor_rep, streams.FACTORS)
-    factors = gen_factors(scenario.t, FactorProcessParams(), rng=factor_rng)
+    factors = gen_factors(scenario.t, rng=factor_rng)
     error_rng = streams.substream(seed, m, rep, streams.ERRORS)
     errors = gen_errors(sigma_root, scenario.error_dist, scenario.t, error_rng)
     betas = gen_betas(scenario.n, streams.substream(seed, m, rep, streams.BETAS))
@@ -210,12 +218,10 @@ def replicate_details(scenario: ScenarioConfig, m: int, reps: int) -> list:
     return [_replicate(scenario, m, rep) for rep in range(reps)]
 
 
-def _rows_from_block(scenario, m, outcomes, methods):
+def _rows_from_block(scenario, m, outcomes):
     reps = len(outcomes)
     rows = []
     for method in METHODS:
-        if method not in methods:
-            continue
         rate = sum(o[method].reject for o in outcomes) / reps
         se = float(np.sqrt(rate * (1.0 - rate) / reps))
         rows.append(
@@ -250,7 +256,7 @@ def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
     rows = []
     for block, m in enumerate(m_values):
         block_outcomes = outcomes[block * reps:(block + 1) * reps]
-        rows.extend(_rows_from_block(scenario, m, block_outcomes, spec.methods))
+        rows.extend(_rows_from_block(scenario, m, block_outcomes))
     ordered = sorted(rows, key=lambda r: (METHODS.index(r.method), r.m))
     return SizePowerTable(rows=tuple(ordered))
 

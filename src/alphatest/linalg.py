@@ -7,39 +7,16 @@ single code path also handles indefinite inputs produced by hard
 thresholding.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DimensionError, SingularDesign
 
 __all__ = [
-    "SymmetricEigen",
     "annihilator",
     "sym_eigen",
     "inv_sqrt_psd",
     "psd_repair",
 ]
-
-
-@dataclass(frozen=True)
-class SymmetricEigen:
-    """Eigendecomposition of a symmetric matrix.
-
-    Attributes
-    ----------
-    eigenvalues : ndarray, shape (n,)
-        Real eigenvalues sorted in descending order.
-    eigenvectors : ndarray, shape (n, n)
-        Orthogonal matrix whose columns are the matching unit eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -73,11 +50,18 @@ def annihilator(factors: np.ndarray) -> np.ndarray:
     return _symmetrize(m)
 
 
-def sym_eigen(a: np.ndarray) -> SymmetricEigen:
+def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a (nearly) symmetric matrix.
 
     The input is symmetrized as (A + A') / 2 first, which absorbs the
     accumulation error of upstream matrix products.
+
+    Returns
+    -------
+    (ndarray, ndarray)
+        Eigenvalues sorted in descending order, shape (n,), and the
+        orthogonal matrix whose columns are the matching unit
+        eigenvectors, shape (n, n).
     """
     a = _symmetrize(np.asarray(a, dtype=float))
     try:
@@ -85,7 +69,7 @@ def sym_eigen(a: np.ndarray) -> SymmetricEigen:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(str(exc)) from exc
     order = np.argsort(w)[::-1]
-    return SymmetricEigen(eigenvalues=w[order], eigenvectors=q[:, order])
+    return w[order], q[:, order]
 
 
 def inv_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
@@ -97,9 +81,8 @@ def inv_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
     """
     if floor <= 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    eig = sym_eigen(a)
-    w = np.maximum(eig.eigenvalues, floor)
-    q = eig.eigenvectors
+    w, q = sym_eigen(a)
+    w = np.maximum(w, floor)
     return _symmetrize((q * (1.0 / np.sqrt(w))) @ q.T)
 
 
@@ -114,9 +97,8 @@ def psd_repair(a: np.ndarray, epsilon: float) -> np.ndarray:
     w = np.linalg.eigvalsh(a)
     if w[0] >= epsilon:
         return a
-    eig = sym_eigen(a)
-    clipped = np.maximum(eig.eigenvalues, epsilon)
-    q = eig.eigenvectors
+    w, q = sym_eigen(a)
+    clipped = np.maximum(w, epsilon)
     repaired = _symmetrize((q * clipped) @ q.T)
     with_diag = repaired.copy()
     np.fill_diagonal(with_diag, np.diag(a))

@@ -25,8 +25,6 @@ from alphatest.dependence import (
     sample_cov,
 )
 from alphatest.dgp import (
-    CovModelSpec,
-    FactorProcessParams,
     assemble_panel,
     build_cov,
     cov_sqrt,
@@ -137,7 +135,7 @@ def _sum_max_corr(details):
 def _known_cov_sum_max_corr(n, draws, seed):
     """Null sum/max correlation with no estimation: the sum and the max of
     the same squared N(0, R) coordinates, R Model 3's true correlation."""
-    sigma = build_cov(CovModelSpec(kind="M3"), n, np.random.default_rng(0))
+    sigma = build_cov("M3", n, np.random.default_rng(0))
     root = cov_sqrt(correlation_from_cov(sigma))
     z = np.random.default_rng(seed).standard_normal((draws, n)) @ root
     sq = z**2
@@ -237,15 +235,14 @@ def test_criterion_6c_combination_tracks_best(m1_power_rates, m2_power_rates):
 
 def _max2_rate_single_signal(t, reps, seed):
     n = 200
-    sigma = build_cov(CovModelSpec(kind="M1"), n, np.random.default_rng(0))
+    sigma = build_cov("M1", n, np.random.default_rng(0))
     root = cov_sqrt(sigma)
     alpha = np.zeros(n)
     alpha[0] = math.sqrt(8.0 * 2.0 * math.log(n) / t) * math.sqrt(sigma[0, 0])
     rejects = 0
     for rep in range(reps):
         factors = gen_factors(
-            t, FactorProcessParams(),
-            rng=streams.substream(seed, 1, rep, streams.FACTORS))
+            t, rng=streams.substream(seed, 1, rep, streams.FACTORS))
         errors = gen_errors(
             root, "normal", t, streams.substream(seed, 1, rep, streams.ERRORS))
         betas = gen_betas(n, streams.substream(seed, 1, rep, streams.BETAS))

@@ -23,8 +23,6 @@ from alphatest.alpha_tests import (
 )
 from alphatest.alpha_tests import TestConfig as Config
 from alphatest.dgp import (
-    CovModelSpec,
-    FactorProcessParams,
     assemble_panel,
     build_cov,
     cov_sqrt,
@@ -173,8 +171,8 @@ class TestAdjustedCritical:
 
 def _synthetic_panel(seed, n=40, t=60, alpha=None):
     rng = np.random.default_rng(seed)
-    sigma = build_cov(CovModelSpec(kind="M1"), n, rng)
-    factors = gen_factors(t, FactorProcessParams(), rng=rng)
+    sigma = build_cov("M1", n, rng)
+    factors = gen_factors(t, rng=rng)
     errors = gen_errors(cov_sqrt(sigma), "normal", t, rng)
     betas = gen_betas(n, rng)
     if alpha is None:

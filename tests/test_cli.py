@@ -136,6 +136,30 @@ class TestCmdSize:
         assert code == EXIT_IO
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"N": 20, "T": 40, "flags": {"freezeCov": "false"}}', "freeze_cov"),
+        ('{"N": 20, "T": 40, "flags": {"fixedSupport": 1}}', "fixed_support"),
+        ('{"N": 30.7, "T": 40}', "n"),
+        ('{"N": 20, "T": 40, "reps": true}', "reps"),
+    ], ids=["string_flag", "int_flag", "fractional_n", "bool_reps"])
+    def test_mistyped_scenario_value_exits_io(self, tmp_path, capsys, text, field):
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        code = main(["size", "--config", str(config),
+                     "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_IO
+        assert f"{field}: expected" in capsys.readouterr().err
+
+    def test_zero_reps_exits_numeric(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=5, seed=8)
+        out = tmp_path / "t.csv"
+        code = main(["size", "--config", str(config), "--out", str(out),
+                     "--reps", "0"])
+        assert code == EXIT_NUMERIC
+        assert "replication" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_json_exits_io(self, tmp_path):
         config = tmp_path / "scenario.json"
         config.write_text("[20, 40]")

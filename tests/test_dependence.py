@@ -11,7 +11,7 @@ from alphatest.dependence import (
     precision_root,
     sample_cov,
 )
-from alphatest.dgp import CovModelSpec, build_cov, cov_sqrt, gen_errors
+from alphatest.dgp import build_cov, cov_sqrt, gen_errors
 from alphatest.errors import NonPositiveDiagonal
 from alphatest.linalg import inv_sqrt_psd
 from alphatest.ols import FactorPanel, fit
@@ -116,13 +116,13 @@ class TestPrecisionRoot:
 class TestMtRhoBarSq:
     def test_single_surviving_pair(self):
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
-        mt = mt_rho_bar_sq(sigma, v=96)
+        mt = mt_rho_bar_sq(sigma, v=96, q_mt=0.05, delta_mt=1.0)
         assert mt.survivors == 1
         assert np.isclose(mt.rho_bar_sq, 0.81, atol=1e-12)
 
     def test_no_survivors(self):
         sigma = np.array([[1.0, 0.001], [0.001, 1.0]])
-        mt = mt_rho_bar_sq(sigma, v=96)
+        mt = mt_rho_bar_sq(sigma, v=96, q_mt=0.05, delta_mt=1.0)
         assert mt.survivors == 0
         assert mt.rho_bar_sq == 0.0
 
@@ -137,10 +137,10 @@ class TestMtRhoBarSq:
     def test_row_rescaling_invariance(self, seed, scale):
         rng = np.random.default_rng(seed)
         e = rng.standard_normal((6, 50))
-        a = mt_rho_bar_sq(sample_cov(e, 47), v=47).rho_bar_sq
+        a = mt_rho_bar_sq(sample_cov(e, 47), 47, 0.05, 1.0).rho_bar_sq
         e2 = e.copy()
         e2[2] *= scale
-        b = mt_rho_bar_sq(sample_cov(e2, 47), v=47).rho_bar_sq
+        b = mt_rho_bar_sq(sample_cov(e2, 47), 47, 0.05, 1.0).rho_bar_sq
         assert np.isclose(a, b, rtol=1e-9)
 
 
@@ -148,7 +148,7 @@ class TestEstimateDependence:
     def test_pipeline_shapes(self):
         rng = np.random.default_rng(5)
         e = rng.standard_normal((12, 60))
-        dep = estimate_dependence(e, 56, 60)
+        dep = estimate_dependence(e, 56, 60, 3.0)
         for mat in (dep.sigma_hat, dep.sigma_thresholded, dep.r_hat, dep.omega_root):
             assert mat.shape == (12, 12)
         assert np.allclose(np.diag(dep.r_hat), 1.0)
@@ -157,13 +157,13 @@ class TestEstimateDependence:
     def test_omega_root_symmetric(self):
         rng = np.random.default_rng(6)
         e = rng.standard_normal((20, 80))
-        dep = estimate_dependence(e, 76, 80)
+        dep = estimate_dependence(e, 76, 80, 3.0)
         assert np.allclose(dep.omega_root, dep.omega_root.T)
 
 
 def _omega_root_error(n, t, seed):
     """Max-entry error of the estimated inverse correlation root vs truth."""
-    sigma = build_cov(CovModelSpec(kind="M1"), n, np.random.default_rng(0))
+    sigma = build_cov("M1", n, np.random.default_rng(0))
     truth = inv_sqrt_psd(correlation_from_cov(sigma), 1e-10)
     rng = np.random.default_rng(seed)
     root = cov_sqrt(sigma)

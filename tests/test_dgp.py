@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+from alphatest import dgp
 from alphatest.dgp import (
     AlphaSpec,
-    CovModelSpec,
-    FactorProcessParams,
     assemble_panel,
     build_cov,
     cov_sqrt,
@@ -13,33 +12,30 @@ from alphatest.dgp import (
     gen_errors,
     gen_factors,
 )
-from alphatest.errors import DimensionError
+from alphatest.errors import DimensionError, NotPositiveDefinite
 from alphatest.ols import fit
 
 
 class TestFactorProcessParams:
     def test_defaults(self):
-        params = FactorProcessParams()
-        assert params.ar_intercept == (0.53, 0.19, 0.19)
-        assert params.ar_coef == (0.06, 0.19, 0.05)
-        assert params.garch_intercept == (0.89, 0.62, 0.80)
-        assert params.garch_persistence == (0.85, 0.74, 0.76)
-        assert params.arch_coef == (0.11, 0.19, 0.15)
-        assert params.burn_in == 50
-        assert params.n_factors == 3
+        assert dgp.AR_INTERCEPT == (0.53, 0.19, 0.19)
+        assert dgp.AR_COEF == (0.06, 0.19, 0.05)
+        assert dgp.GARCH_INTERCEPT == (0.89, 0.62, 0.80)
+        assert dgp.GARCH_PERSISTENCE == (0.85, 0.74, 0.76)
+        assert dgp.ARCH_COEF == (0.11, 0.19, 0.15)
+        assert dgp.BURN_IN == 50
 
-    def test_nonstationary_rejected(self):
-        with pytest.raises(ValueError):
-            FactorProcessParams(garch_persistence=(0.9, 0.74, 0.76))
+    def test_garch_stationary(self):
+        for d, e in zip(dgp.GARCH_PERSISTENCE, dgp.ARCH_COEF):
+            assert d + e < 1.0
 
 
 class TestGenFactors:
     def test_zero_innovations_hit_fixed_points(self):
         # with zeta = 0: h -> c/(1-d), f -> a/(1-b)
         t = 200
-        params = FactorProcessParams()
-        zeta = np.zeros((params.burn_in + t + 1, 3))
-        out = gen_factors(t, params, zeta=zeta)
+        zeta = np.zeros((dgp.BURN_IN + t + 1, 3))
+        out = gen_factors(t, zeta=zeta)
         assert out.shape == (t, 3)
         expect = np.array([0.53 / 0.94, 0.19 / 0.81, 0.19 / 0.95])
         assert np.abs(out[-1] - expect).max() < 1e-6
@@ -69,18 +65,18 @@ class TestGenFactors:
 
 class TestBuildCov:
     def test_m1_entries(self):
-        sigma = build_cov(CovModelSpec(kind="M1"), 4, np.random.default_rng(0))
+        sigma = build_cov("M1", 4, np.random.default_rng(0))
         idx = np.arange(4)
         assert np.allclose(sigma, 0.7 ** np.abs(idx[:, None] - idx[None, :]))
 
     def test_m3_worked_example(self):
-        sigma = build_cov(CovModelSpec(kind="M3"), 2, np.random.default_rng(0))
+        sigma = build_cov("M3", 2, np.random.default_rng(0))
         expect = np.array([[1.5625, -0.9375], [-0.9375, 1.5625]])
         assert np.abs(sigma - expect).max() < 1e-10
 
     def test_m2_structure(self):
         n = 100
-        sigma = build_cov(CovModelSpec(kind="M2"), n, np.random.default_rng(1))
+        sigma = build_cov("M2", n, np.random.default_rng(1))
         d = np.diag(sigma)
         assert ((d >= 1.0) & (d <= 2.0)).all()
         corr = sigma / np.sqrt(np.outer(d, d))
@@ -92,32 +88,52 @@ class TestBuildCov:
         assert (nonzero >= 0.7**2 - 1e-9).all() and (nonzero <= 0.9**2 + 1e-9).all()
 
     def test_m4_positive_definite(self):
-        sigma = build_cov(CovModelSpec(kind="M4"), 60, np.random.default_rng(2))
+        sigma = build_cov("M4", 60, np.random.default_rng(2))
         assert np.linalg.eigvalsh(sigma)[0] > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 40, 500])
+    def test_m4_rook_weights(self, n):
+        # W[i, i +- 1] = 1/2 inside the chain, 1 toward the only neighbour
+        # at either end; Sigma = gamma gamma' + (I - W/2)^-1 (I - W/2)^-T
+        w = np.zeros((n, n))
+        for i in range(1, n - 1):
+            w[i, i - 1] = w[i, i + 1] = 0.5
+        w[0, 1] = w[n - 1, n - 2] = 1.0
+        rng = np.random.default_rng(3)
+        gamma = np.zeros(n)
+        n_spikes = int(n**0.3)
+        gamma[:n_spikes] = rng.uniform(0.7, 0.9, size=n_spikes)
+        inv = np.linalg.inv(np.eye(n) - 0.5 * w)
+        expect = np.outer(gamma, gamma) + inv @ inv.T
+        expect = (expect + expect.T) / 2.0
+        assert np.array_equal(build_cov("M4", n, np.random.default_rng(3)), expect)
 
     def test_all_models_positive_definite(self):
         for n in (50, 100, 200, 300):
             for kind in ("M1", "M3"):
-                sigma = build_cov(CovModelSpec(kind=kind), n, np.random.default_rng(0))
+                sigma = build_cov(kind, n, np.random.default_rng(0))
                 assert np.linalg.eigvalsh(sigma)[0] > 0, (kind, n)
             for kind in ("M2", "M4"):
                 for seed in range(20):
-                    sigma = build_cov(
-                        CovModelSpec(kind=kind), n, np.random.default_rng(seed)
-                    )
+                    sigma = build_cov(kind, n, np.random.default_rng(seed))
                     assert np.linalg.eigvalsh(sigma)[0] > 0, (kind, n, seed)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            CovModelSpec(kind="M9")
+            build_cov("M9", 10, np.random.default_rng(0))
 
 
 class TestCovSqrt:
     def test_square_reproduces(self):
-        sigma = build_cov(CovModelSpec(kind="M1"), 5, np.random.default_rng(0))
+        sigma = build_cov("M1", 5, np.random.default_rng(0))
         root = cov_sqrt(sigma)
         assert np.abs(root @ root - sigma).max() < 1e-10
         assert np.allclose(root, root.T)
+
+    def test_indefinite_raises(self):
+        # the PD check of every covariance draw: eigenvalues 3 and -1
+        with pytest.raises(NotPositiveDefinite):
+            cov_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestGenErrors:
@@ -129,7 +145,7 @@ class TestGenErrors:
 
     def test_covariance_matches(self):
         n, t = 10, 100_000
-        sigma = build_cov(CovModelSpec(kind="M1"), n, np.random.default_rng(0))
+        sigma = build_cov("M1", n, np.random.default_rng(0))
         eps = gen_errors(cov_sqrt(sigma), "normal", t, np.random.default_rng(4))
         assert np.abs(np.cov(eps) - sigma).max() < 0.05
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from alphatest import rng as streams
+from alphatest.alpha_tests import METHODS
 from alphatest.alpha_tests import TestConfig as Config
 from alphatest.dgp import gen_errors
-from alphatest.errors import EmptyTable
+from alphatest.errors import EmptyTable, ParseError
 from alphatest.harness import (
     ExperimentSpec,
     ScenarioConfig,
@@ -42,31 +43,42 @@ class TestScenarioConfig:
         assert scenario.n == 30 and scenario.t == 60
         assert scenario.cov_model == "M1" and scenario.reps == 1000
 
+    def test_updated_casts_strictly(self):
+        scenario = SMALL.updated({"seed": "10", "n": 30.0, "freeze_cov": True})
+        assert (scenario.seed, scenario.n, scenario.freeze_cov) == (10, 30, True)
+        assert type(scenario.n) is int
+        for path, value in [("freeze_cov", "false"), ("freeze_cov", 1), ("n", 30.7),
+                            ("n", True), ("seed", "1.5"), ("test.gamma", False)]:
+            with pytest.raises(ParseError, match=path):
+                SMALL.updated({path: value})
+
     def test_scenario_id(self):
         assert SMALL.scenario_id == "M1/normal/N20/T40"
 
 
 class TestExperimentSpec:
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(scenario=SMALL, methods=("PY", "XXX"))
-
     def test_m_grid_exceeds_n(self):
         with pytest.raises(ValueError):
             ExperimentSpec(scenario=SMALL, m_grid=(25,))
 
+    @pytest.mark.parametrize("reps,scenario_reps", [(0, 10), (-1, 10), (None, 0)])
+    def test_reps_below_one(self, reps, scenario_reps):
+        scenario = ScenarioConfig(n=20, t=40, reps=scenario_reps)
+        with pytest.raises(ValueError, match="replication"):
+            ExperimentSpec(scenario=scenario, reps=reps)
+
 
 class TestAggregation:
     def test_always_reject_stub(self):
-        kept = [{m: Outcome(True) for m in ("PY", "MAX1", "MAX2", "FC1", "FC2")}] * 8
-        rows = _rows_from_block(SMALL, 0, kept, ("PY", "MAX1", "MAX2", "FC1", "FC2"))
+        kept = [{m: Outcome(True) for m in METHODS}] * 8
+        rows = _rows_from_block(SMALL, 0, kept)
         for row in rows:
             assert row.rate == 1.0
             assert row.se == 0.0
 
     def test_se_formula(self):
-        kept = [{"PY": Outcome(i < 3)} for i in range(10)]
-        row = _rows_from_block(SMALL, 0, kept, ("PY",))[0]
+        kept = [{m: Outcome(i < 3) for m in METHODS} for i in range(10)]
+        row = _rows_from_block(SMALL, 0, kept)[0]
         assert row.rate == 0.3
         assert np.isclose(row.se, np.sqrt(0.3 * 0.7 / 10))
 
@@ -80,8 +92,9 @@ class TestRunExperiment:
             assert row.reps == 10
 
     def test_method_subset(self):
-        table = run_experiment(ExperimentSpec(scenario=SMALL, methods=("PY", "MAX2")))
-        assert tuple(r.method for r in table.rows) == ("PY", "MAX2")
+        table = run_experiment(ExperimentSpec(scenario=SMALL))
+        rows = [r for r in table.rows if r.method in ("PY", "MAX2")]
+        assert tuple(r.method for r in rows) == ("PY", "MAX2")
 
     def test_deterministic_across_worker_counts(self):
         spec = ExperimentSpec(scenario=SMALL)
@@ -100,10 +113,9 @@ class TestRunExperiment:
 
 class TestRunPowerCurve:
     def test_rows_ordered(self):
-        spec = ExperimentSpec(scenario=SMALL, methods=("PY", "MAX1"),
-                              reps=5, m_grid=(2, 1))
+        spec = ExperimentSpec(scenario=SMALL, reps=5, m_grid=(2, 1))
         table = run_power_curve(spec)
-        keys = [(r.method, r.m) for r in table.rows]
+        keys = [(r.method, r.m) for r in table.rows if r.method in ("PY", "MAX1")]
         assert keys == [("PY", 1), ("PY", 2), ("MAX1", 1), ("MAX1", 2)]
 
     def test_empty_grid(self):
@@ -168,8 +180,8 @@ class TestStreams:
 
 
 def test_mc_error_halves_when_reps_double():
-    spec_a = ExperimentSpec(scenario=SMALL, methods=("PY",), reps=400)
-    spec_b = ExperimentSpec(scenario=SMALL, methods=("PY",), reps=800)
+    spec_a = ExperimentSpec(scenario=SMALL, reps=400)
+    spec_b = ExperimentSpec(scenario=SMALL, reps=800)
     se_a = run_experiment(spec_a).rows[0].se
     se_b = run_experiment(spec_b).rows[0].se
     assert abs(se_b / se_a - 1.0 / np.sqrt(2.0)) < 0.1

@@ -50,31 +50,30 @@ class TestAnnihilator:
 class TestSymEigen:
     def test_reconstruction(self):
         a = random_symmetric(8, 2)
-        eig = sym_eigen(a)
-        assert np.abs(eig.reconstruct() - a).max() < 1e-10
+        w, q = sym_eigen(a)
+        assert np.abs((q * w) @ q.T - a).max() < 1e-10
 
     def test_eigenvalues_descending(self):
-        eig = sym_eigen(random_symmetric(6, 3))
-        assert (np.diff(eig.eigenvalues) <= 1e-12).all()
+        w, _ = sym_eigen(random_symmetric(6, 3))
+        assert (np.diff(w) <= 1e-12).all()
 
     def test_eigenvector_orthogonality(self):
-        eig = sym_eigen(random_symmetric(7, 4))
-        q = eig.eigenvectors
+        _, q = sym_eigen(random_symmetric(7, 4))
         assert np.abs(q @ q.T - np.eye(7)).max() < 1e-10
 
     @given(st.integers(0, 1000), st.integers(2, 12))
     @settings(max_examples=40, deadline=None)
     def test_eigenvalue_sum_equals_trace(self, seed, n):
         a = random_symmetric(n, seed)
-        eig = sym_eigen(a)
+        w, _ = sym_eigen(a)
         norm = max(np.abs(a).max(), 1.0)
-        assert abs(eig.eigenvalues.sum() - np.trace(a)) < 1e-10 * n * norm
+        assert abs(w.sum() - np.trace(a)) < 1e-10 * n * norm
 
     def test_symmetrizes_input(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((4, 4))
-        eig = sym_eigen(a)
-        assert np.abs(eig.reconstruct() - (a + a.T) / 2.0).max() < 1e-10
+        w, q = sym_eigen(a)
+        assert np.abs((q * w) @ q.T - (a + a.T) / 2.0).max() < 1e-10
 
 
 class TestInvSqrtPsd:
