@@ -222,6 +222,7 @@ def run_all_detailed(
         "p": panel.n_factors,
         "v": v,
         "threshold_used": dep.threshold_used,
+        "coupled": dep.coupled,
         "rho_bar_sq": mt.rho_bar_sq,
         "gamma": gamma,
     }

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import NonPositiveDiagonal
-from .linalg import inv_sqrt_psd, psd_repair
+from .linalg import coupled, inv_sqrt_psd, psd_repair, spectrum
 
 __all__ = [
     "DependenceEstimate",
@@ -47,6 +47,7 @@ class DependenceEstimate:
     r_hat: np.ndarray
     omega_root: np.ndarray
     threshold_used: float
+    coupled: int  # securities in the block the precision root decomposed
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def precision_root(r_hat: np.ndarray, floor: float | None = None) -> np.ndarray:
     """Symmetric inverse square root of a correlation matrix."""
     r = np.asarray(r_hat, dtype=float)
     if floor is None:
-        floor = EIGEN_FLOOR_FRAC * np.linalg.eigvalsh(r)[-1]
+        floor = EIGEN_FLOOR_FRAC * spectrum(r)[-1]
     return inv_sqrt_psd(r, floor)
 
 
@@ -147,4 +148,5 @@ def estimate_dependence(
         r_hat=r_hat,
         omega_root=omega_root,
         threshold_used=used,
+        coupled=int(coupled(r_hat).size),
     )

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefinite
-from .linalg import sym_eigen
+from .linalg import spectral_map, sym_eigen
 from .ols import FactorPanel
 
 __all__ = [
@@ -138,13 +138,20 @@ def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     return (sigma + sigma.T) / 2.0
 
 
-def cov_sqrt(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric positive-definite square root via eigendecomposition."""
-    w, q = sym_eigen(sigma)
-    if w[-1] <= 0:
+def _positive_sqrt(w: np.ndarray) -> np.ndarray:
+    if (w <= 0).any():
         raise NotPositiveDefinite("matrix has a non-positive eigenvalue")
-    root = (q * np.sqrt(w)) @ q.T
-    return (root + root.T) / 2.0
+    return np.sqrt(w)
+
+
+def cov_sqrt(sigma: np.ndarray) -> np.ndarray:
+    """Symmetric positive-definite square root via eigendecomposition.
+
+    Only the coupled block is decomposed (see `linalg`): an M2 draw is
+    diagonal outside its spike positions.  Every eigenvalue, the
+    decoupled diagonal's included, must be positive.
+    """
+    return spectral_map(sigma, _positive_sqrt, eigen=sym_eigen)
 
 
 def gen_errors(

@@ -15,6 +15,8 @@ import numpy as np
 from . import rng as streams
 from .alpha_tests import METHODS, TestConfig, run_all
 from .dgp import (
+    COV_MODELS,
+    ERROR_DISTS,
     assemble_panel,
     build_cov,
     cov_sqrt,
@@ -59,6 +61,9 @@ JSON_KEYS = {
     "flags.adjustedCritical": "test.use_adjusted_critical",
     "flags.sharedFactors": "shared_factors",
 }
+FIELD_KEYS = {path: key for key, path in JSON_KEYS.items()}
+# field path -> the values it may take
+CHOICES = {"cov_model": COV_MODELS, "error_dist": ERROR_DISTS}
 
 
 @dataclass(frozen=True)
@@ -85,18 +90,25 @@ class ScenarioConfig:
         """Copy with {field path: value} applied, each cast to its field's type.
 
         A bool field takes only true or false; any other field rejects a
-        bool, and an int field a non-integral number.
+        bool, and an int field a non-integral number.  The covariance
+        model and error law must be one of `CHOICES`.  A ParseError names
+        the scenario JSON key of the field.
         """
         own, test = {}, {}
         for path, value in values.items():
             owner, _, name = path.rpartition(".")
             cls, target = (TestConfig, test) if owner else (ScenarioConfig, own)
             kind = {f.name: f.type for f in fields(cls)}[name]
+            key = FIELD_KEYS[path]
             try:
                 target[name] = _cast(kind, value)
             except (TypeError, ValueError):
-                message = f"{path}: expected {kind.__name__}, got {value!r}"
+                message = f"{key}: expected {kind.__name__}, got {value!r}"
                 raise ParseError(message) from None
+            allowed = CHOICES.get(path)
+            if allowed and target[name] not in allowed:
+                message = f"{key}: expected one of {', '.join(allowed)}, got {value!r}"
+                raise ParseError(message)
         return replace(self, test=replace(self.test, **test), **own)
 
     def to_json(self) -> str:

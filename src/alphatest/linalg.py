@@ -1,10 +1,21 @@
 """Dense symmetric linear-algebra kernels.
 
 Everything downstream (OLS projections, correlation roots, covariance
-repair) funnels through the four functions here.  All matrix roots are
+repair) funnels through the functions here.  All matrix roots are
 computed by symmetric eigendecomposition rather than Cholesky so that a
 single code path also handles indefinite inputs produced by hard
 thresholding.
+
+Coupled-block rule: in a symmetric matrix, a row whose off-diagonal
+entries are all exactly zero is decoupled, and ``(a_ii, e_i)`` is an
+exact eigenpair.  `spectrum` and `spectral_map` therefore solve the
+eigenproblem of the principal submatrix on the coupled indices
+(`coupled`) only and read the other eigenvalues off the diagonal.  A
+hard-thresholded correlation or a spiked covariance is mostly diagonal,
+so the block is small or empty; a matrix whose rows are all coupled is
+decomposed whole, with the same LAPACK call on the same values.  Each
+helper makes exactly one eigensolver call, on a 0x0 block too, so call
+counts do not depend on the data.
 """
 
 import numpy as np
@@ -14,6 +25,9 @@ from .errors import ConvergenceError, DimensionError, SingularDesign
 __all__ = [
     "annihilator",
     "sym_eigen",
+    "coupled",
+    "spectrum",
+    "spectral_map",
     "inv_sqrt_psd",
     "psd_repair",
 ]
@@ -72,6 +86,43 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[order], q[:, order]
 
 
+def coupled(a: np.ndarray) -> np.ndarray:
+    """Ascending indices whose row or column has a nonzero off-diagonal entry."""
+    off = np.asarray(a) != 0
+    np.fill_diagonal(off, False)
+    return np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+
+
+def spectrum(a: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending.
+
+    One ``eigvalsh`` on the coupled block; the decoupled diagonal entries
+    are the remaining eigenvalues, exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    idx = coupled(a)
+    block = np.linalg.eigvalsh(a[np.ix_(idx, idx)])
+    return np.sort(np.concatenate([block, np.delete(np.diag(a), idx)]))
+
+
+def spectral_map(a: np.ndarray, f, eigen=None) -> np.ndarray:
+    """f(A) for a (nearly) symmetric A, `f` acting on its eigenvalues.
+
+    The coupled block is ``q f(w) q'`` from one call of `eigen` (default
+    `sym_eigen`) on it; each decoupled row holds ``f(a_ii)`` on the
+    diagonal and exact zeros elsewhere.  `f` maps an array of eigenvalues
+    to an array of the same shape and may raise to reject them.
+    """
+    a = np.asarray(a, dtype=float)
+    idx = coupled(a)
+    w, q = (eigen or sym_eigen)(a[np.ix_(idx, idx)])
+    free = np.delete(np.arange(a.shape[0]), idx)
+    out = np.zeros_like(a)
+    out[np.ix_(idx, idx)] = _symmetrize((q * f(w)) @ q.T)
+    out[free, free] = f(a[free, free])
+    return out
+
+
 def inv_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
     """Symmetric inverse square root with an eigenvalue floor.
 
@@ -81,9 +132,7 @@ def inv_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
     """
     if floor <= 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    w, q = sym_eigen(a)
-    w = np.maximum(w, floor)
-    return _symmetrize((q * (1.0 / np.sqrt(w))) @ q.T)
+    return spectral_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor)))
 
 
 def psd_repair(a: np.ndarray, epsilon: float) -> np.ndarray:
@@ -94,14 +143,11 @@ def psd_repair(a: np.ndarray, epsilon: float) -> np.ndarray:
     doing so keeps the smallest eigenvalue at or above epsilon / 2.
     """
     a = _symmetrize(np.asarray(a, dtype=float))
-    w = np.linalg.eigvalsh(a)
-    if w[0] >= epsilon:
+    if spectrum(a)[0] >= epsilon:
         return a
-    w, q = sym_eigen(a)
-    clipped = np.maximum(w, epsilon)
-    repaired = _symmetrize((q * clipped) @ q.T)
+    repaired = spectral_map(a, lambda w: np.maximum(w, epsilon))
     with_diag = repaired.copy()
     np.fill_diagonal(with_diag, np.diag(a))
-    if np.linalg.eigvalsh(with_diag)[0] >= epsilon / 2.0:
+    if spectrum(with_diag)[0] >= epsilon / 2.0:
         return with_diag
     return repaired

@@ -31,6 +31,7 @@ from alphatest.dgp import (
     gen_factors,
 )
 from alphatest.errors import DegenerateDof, DimensionError, NegativeInput
+from alphatest.harness import ScenarioConfig, simulate_panel
 from alphatest.ols import FactorPanel
 
 
@@ -220,6 +221,16 @@ class TestRunAll:
         assert diag["v"] == 60 - 3 - 1
         assert diag["threshold_used"] > 0
         assert 0.0 <= diag["rho_bar_sq"] < 1.0
+        assert 0 <= diag["coupled"] <= 40
+
+    def test_m3_null_block_is_empty(self):
+        # at N=200, T=100 no Model 3 correlation clears the threshold 0.691,
+        # so the precision root is the identity and MAX2 equals MAX1
+        scenario = ScenarioConfig(n=200, t=100, cov_model="M3", m=0, seed=11)
+        results, diag = run_all_detailed(simulate_panel(scenario, 0, 0))
+        stats = {r.name: r.statistic for r in results}
+        assert diag["coupled"] == 0
+        assert stats["MAX2"] == stats["MAX1"]
 
     def test_raw_critical_flag(self):
         panel = _synthetic_panel(6)

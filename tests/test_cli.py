@@ -43,6 +43,7 @@ class TestCmdTest:
             assert isinstance(entry["reject"], bool)
         assert report["metadata"]["N"] == 30
         assert report["metadata"]["v"] == 50 - 3 - 1
+        assert 0 <= report["metadata"]["coupled"] <= 30
 
     def test_planted_alpha_rejected(self, tmp_path):
         n, t = 50, 60
@@ -136,19 +137,33 @@ class TestCmdSize:
         assert code == EXIT_IO
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text,field", [
-        ('{"N": 20, "T": 40, "flags": {"freezeCov": "false"}}', "freeze_cov"),
-        ('{"N": 20, "T": 40, "flags": {"fixedSupport": 1}}', "fixed_support"),
-        ('{"N": 30.7, "T": 40}', "n"),
+    @pytest.mark.parametrize("text,key", [
+        ('{"N": 20, "T": 40, "flags": {"freezeCov": "false"}}', "flags.freezeCov"),
+        ('{"N": 20, "T": 40, "flags": {"fixedSupport": 1}}', "flags.fixedSupport"),
+        ('{"N": 30.7, "T": 40}', "N"),
         ('{"N": 20, "T": 40, "reps": true}', "reps"),
     ], ids=["string_flag", "int_flag", "fractional_n", "bool_reps"])
-    def test_mistyped_scenario_value_exits_io(self, tmp_path, capsys, text, field):
+    def test_mistyped_scenario_value_exits_io(self, tmp_path, capsys, text, key):
         config = tmp_path / "scenario.json"
         config.write_text(text)
         code = main(["size", "--config", str(config),
                      "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_IO
-        assert f"{field}: expected" in capsys.readouterr().err
+        assert f"error: {key}: expected" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,key,allowed", [
+        ('{"N": 20, "T": 40, "covModel": "M9"}', "covModel", "M1, M2, M3, M4"),
+        ('{"N": 20, "T": 40, "errorDist": "cauchy"}', "errorDist",
+         "normal, t5_scaled, mixture_scaled"),
+    ], ids=["cov_model", "error_dist"])
+    def test_unknown_model_exits_io(self, tmp_path, capsys, text, key, allowed):
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        out = tmp_path / "t.csv"
+        code = main(["size", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_IO
+        assert f"error: {key}: expected one of {allowed}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_reps_exits_numeric(self, tmp_path, capsys):
         config = tmp_path / "scenario.json"

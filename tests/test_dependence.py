@@ -161,6 +161,34 @@ class TestEstimateDependence:
         assert np.allclose(dep.omega_root, dep.omega_root.T)
 
 
+def _eigen_calls(monkeypatch, residuals):
+    """estimate_dependence of `residuals` and its numpy eigensolver calls."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    dep = estimate_dependence(residuals, 96, 100, 3.0)
+    monkeypatch.undo()
+    return dep, calls
+
+
+def test_eigen_call_count_does_not_depend_on_the_block(monkeypatch):
+    # threshold 3 * sqrt(log 40 / 100) = 0.58: independent rows leave an
+    # empty coupled block, one pair at correlation 0.8 a 2x2 block; PSD
+    # repair stays idle on both
+    e = np.random.default_rng(8).standard_normal((40, 100))
+    paired = e.copy()
+    paired[1] = 0.8 * e[0] + 0.6 * e[1]
+    empty, empty_calls = _eigen_calls(monkeypatch, e)
+    pair, pair_calls = _eigen_calls(monkeypatch, paired)
+    assert (empty.coupled, pair.coupled) == (0, 2)
+    assert empty_calls == pair_calls == {"eigh": 1, "eigvalsh": 2}
+    np.testing.assert_array_equal(empty.omega_root, np.eye(40))
+
+
 def _omega_root_error(n, t, seed):
     """Max-entry error of the estimated inverse correlation root vs truth."""
     sigma = build_cov("M1", n, np.random.default_rng(0))

@@ -135,6 +135,22 @@ class TestCovSqrt:
         with pytest.raises(NotPositiveDefinite):
             cov_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_decoupled_nonpositive_variance_raises(self):
+        # the check covers the decoupled diagonal, not only the coupled block
+        with pytest.raises(NotPositiveDefinite):
+            cov_sqrt(np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -1.0]]))
+
+    def test_m2_root_stays_on_the_spikes(self):
+        n = 500
+        sigma = build_cov("M2", n, np.random.default_rng(2))
+        spikes = np.flatnonzero(np.count_nonzero(sigma, axis=1) > 1)
+        assert spikes.size == int(n**dgp.SPIKE_EXPONENT)
+        root = cov_sqrt(sigma)
+        outside = ~np.eye(n, dtype=bool)
+        outside[np.ix_(spikes, spikes)] = False
+        assert (root[outside] == 0.0).all()
+        assert np.abs(root @ root - sigma).max() <= 1e-12 * np.abs(sigma).max()
+
 
 class TestGenErrors:
     @pytest.mark.parametrize("dist", ["normal", "t5_scaled", "mixture_scaled"])

@@ -47,9 +47,14 @@ class TestScenarioConfig:
         scenario = SMALL.updated({"seed": "10", "n": 30.0, "freeze_cov": True})
         assert (scenario.seed, scenario.n, scenario.freeze_cov) == (10, 30, True)
         assert type(scenario.n) is int
-        for path, value in [("freeze_cov", "false"), ("freeze_cov", 1), ("n", 30.7),
-                            ("n", True), ("seed", "1.5"), ("test.gamma", False)]:
-            with pytest.raises(ParseError, match=path):
+        # each error names the scenario JSON key of the field
+        for path, value, key in [("freeze_cov", "false", "flags.freezeCov"),
+                                 ("freeze_cov", 1, "flags.freezeCov"),
+                                 ("n", 30.7, "N"), ("n", True, "N"),
+                                 ("seed", "1.5", "seed"), ("test.gamma", False, "gamma"),
+                                 ("cov_model", "M9", "covModel"),
+                                 ("error_dist", "cauchy", "errorDist")]:
+            with pytest.raises(ParseError, match=f"^{key}: expected"):
                 SMALL.updated({path: value})
 
     def test_scenario_id(self):

@@ -3,8 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphatest.dependence import EIGEN_FLOOR_FRAC, precision_root
+from alphatest.dgp import cov_sqrt
 from alphatest.errors import DimensionError, SingularDesign
-from alphatest.linalg import annihilator, inv_sqrt_psd, psd_repair, sym_eigen
+from alphatest.linalg import (
+    annihilator,
+    coupled,
+    inv_sqrt_psd,
+    psd_repair,
+    spectrum,
+    sym_eigen,
+)
 
 
 def random_symmetric(n, seed):
@@ -123,3 +132,119 @@ class TestPsdRepair:
         a = random_symmetric(6, seed)
         repaired = psd_repair(a, 1e-2)
         assert np.linalg.eigvalsh(repaired)[0] >= 5e-3 - 1e-12
+
+
+@st.composite
+def block_layouts(draw):
+    """(seed, n, decoupled count): a dense block has 0 or at least 2 rows."""
+    n = draw(st.integers(2, 12))
+    size = draw(st.sampled_from([0, *range(2, n + 1)]))
+    return draw(st.integers(0, 2**32 - 1)), n, n - size
+
+
+def permuted_block_diagonal(seed, n, n_free, definite):
+    """Symmetric matrix with one dense block and `n_free` decoupled rows,
+    conjugated by a random permutation; returns it and the decoupled
+    indices.  `definite` makes every eigenvalue at least 0.5, otherwise
+    the block and the decoupled diagonal are indefinite."""
+    rng = np.random.default_rng(seed)
+    size = n - n_free
+    g = rng.standard_normal((size, size))
+    if definite:
+        block = g @ g.T / max(size, 1) + 0.5 * np.eye(size)
+        diag = rng.uniform(0.5, 2.0, n_free)
+    else:
+        block = (g + g.T) / 2.0
+        diag = rng.uniform(-1.0, 2.0, n_free)
+    a = np.zeros((n, n))
+    a[:size, :size] = block
+    a[range(size, n), range(size, n)] = diag
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)], np.flatnonzero(perm >= size)
+
+
+def dense_map(a, f):
+    """Reference f(A) from one eigh of the whole matrix."""
+    w, q = np.linalg.eigh(a)
+    return (q * f(w)) @ q.T
+
+
+def assert_close(out, ref):
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def assert_decoupled_exact(out, free, diag):
+    """Decoupled rows and columns are zero off the diagonal, `diag` on it."""
+    off = np.zeros(out.shape, dtype=bool)
+    off[free, :] = off[:, free] = True
+    np.fill_diagonal(off, False)
+    assert (out[off] == 0.0).all()
+    np.testing.assert_array_equal(out[free, free], diag)
+
+
+class TestCoupledBlock:
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_coupled_is_the_block(self, layout):
+        seed, n, n_free = layout
+        a, free = permuted_block_diagonal(seed, n, n_free, definite=False)
+        np.testing.assert_array_equal(coupled(a), np.setdiff1d(np.arange(n), free))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_spectrum(self, layout):
+        a, free = permuted_block_diagonal(*layout, definite=False)
+        w = spectrum(a)
+        assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
+        assert (np.diff(w) >= 0).all()
+        assert np.isin(np.diag(a)[free], w).all()
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_inv_sqrt_psd(self, layout):
+        a, free = permuted_block_diagonal(*layout, definite=True)
+        floor = 0.8  # clamps part of the spectrum
+        out = inv_sqrt_psd(a, floor)
+        assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
+        assert_decoupled_exact(out, free, 1.0 / np.sqrt(np.maximum(np.diag(a)[free], floor)))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_precision_root(self, layout):
+        a, free = permuted_block_diagonal(*layout, definite=True)
+        out = precision_root(a)
+        floor = EIGEN_FLOOR_FRAC * np.linalg.eigvalsh(a)[-1]
+        assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
+        used = EIGEN_FLOOR_FRAC * spectrum(a)[-1]
+        assert_decoupled_exact(out, free, 1.0 / np.sqrt(np.maximum(np.diag(a)[free], used)))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_cov_sqrt(self, layout):
+        a, free = permuted_block_diagonal(*layout, definite=True)
+        out = cov_sqrt(a)
+        assert_close(out, dense_map(a, np.sqrt))
+        assert_decoupled_exact(out, free, np.sqrt(np.diag(a)[free]))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_psd_repair_idle(self, layout):
+        a, _ = permuted_block_diagonal(*layout, definite=True)
+        assert np.array_equal(psd_repair(a, 0.5 * np.linalg.eigvalsh(a)[0]), a)
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_psd_repair_fires(self, layout):
+        a, free = permuted_block_diagonal(*layout, definite=False)
+        eps = 0.3
+        if np.linalg.eigvalsh(a)[0] >= eps:  # nothing to repair in this draw
+            assert np.array_equal(psd_repair(a, eps), a)
+            return
+        out = psd_repair(a, eps)
+        repaired = dense_map(a, lambda w: np.maximum(w, eps))
+        with_diag = repaired.copy()
+        np.fill_diagonal(with_diag, np.diag(a))
+        restored = np.linalg.eigvalsh(with_diag)[0] >= eps / 2.0
+        assert_close(out, with_diag if restored else repaired)
+        diag = np.diag(a)[free]
+        assert_decoupled_exact(out, free, diag if restored else np.maximum(diag, eps))
