@@ -33,7 +33,9 @@ print(f"panel: N={diag['N']} T={diag['T']} p={diag['p']} v={diag['v']}")
 print(f"true alpha support: {alpha.support.tolist()}, "
       f"magnitude {alpha.alpha[alpha.support[0]]:.4f}")
 print(f"dependence: threshold {diag['threshold_used']:.4f}, "
-      f"rho_bar_sq {diag['rho_bar_sq']:.6f}")
+      f"{diag['coupled']} coupled securities, "
+      f"PSD repair {'fired' if diag['repaired'] else 'idle'}, "
+      f"{diag['mt_survivors']} MT pairs, rho_bar_sq {diag['rho_bar_sq']:.6f}")
 print()
 print(f"{'test':<6}{'statistic':>12}{'p-value':>12}{'critical':>12}  decision")
 for r in results:

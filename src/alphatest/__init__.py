@@ -6,7 +6,8 @@ Library layout:
   projections, matrix inverse square roots, PSD repair.
 * :mod:`alphatest.ols` - per-security OLS fits and intercept t-ratios.
 * :mod:`alphatest.dependence` - thresholded residual covariance,
-  correlation precision root, multiple-testing correlation summary.
+  correlation precision root, multiple-testing correlation summary; the
+  estimate is held in block form, repair and root on the active rows.
 * :mod:`alphatest.alpha_tests` - the PY, MAX1, MAX2, FC1, FC2 statistics,
   p-values and decisions.
 * :mod:`alphatest.dgp` - synthetic factor/error/alpha generation.

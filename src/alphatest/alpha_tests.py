@@ -188,13 +188,13 @@ def run_all_detailed(
     dep = estimate_dependence(
         fit_result.residuals, v, t_periods, delta=config.threshold_delta
     )
-    mt = mt_rho_bar_sq(dep.sigma_hat, v, q_mt=config.q_mt, delta_mt=config.delta_mt)
+    mt = mt_rho_bar_sq(dep.corr, v, q_mt=config.q_mt, delta_mt=config.delta_mt)
 
     py = py_stat(t, mt.rho_bar_sq, v)
     p_sum = py_p_value(py)
 
     m1 = max_stat(t)
-    m2 = max_stat_standardized(t, dep.omega_root)
+    m2 = max_stat(dep.standardize(t))
     p_max1 = max_p_value(m1, n)
     p_max2 = max_p_value(m2, n)
 
@@ -223,6 +223,8 @@ def run_all_detailed(
         "v": v,
         "threshold_used": dep.threshold_used,
         "coupled": dep.coupled,
+        "repaired": dep.repaired,
+        "mt_survivors": mt.survivors,
         "rho_bar_sq": mt.rho_bar_sq,
         "gamma": gamma,
     }

@@ -107,11 +107,15 @@ def _overrides(args) -> dict:
 
 
 def _load_scenario(args) -> ScenarioConfig:
-    overrides = _overrides(args)
-    if "ALPHATEST_SEED" in os.environ:
-        overrides["seed"] = os.environ["ALPHATEST_SEED"]
     with open(args.config) as handle:
-        return ScenarioConfig.from_json(handle.read()).updated(overrides)
+        scenario = ScenarioConfig.from_json(handle.read()).updated(_overrides(args))
+    seed = os.environ.get("ALPHATEST_SEED")
+    if seed is None:
+        return scenario
+    try:
+        return scenario.updated({"seed": seed})
+    except ParseError:
+        raise ParseError(f"ALPHATEST_SEED: expected int, got {seed!r}") from None
 
 
 def cmd_test(args) -> int:

@@ -1,13 +1,21 @@
-"""Residual dependence estimation.
+"""Residual dependence estimation, held in block form.
 
-Produces the three correlation-structure ingredients the tests need:
+Produces the correlation-structure ingredients the tests need:
 
+* the correlation scale ``s_ij / sqrt(s_ii s_jj)`` of the residual
+  covariance, computed once and read by both thresholds below,
 * a hard-thresholded covariance estimate (Bickel-Levina style) and the
-  correlation matrix derived from it,
-* the symmetric inverse square root of that correlation matrix, used to
-  decorrelate the t-ratio vector before taking a maximum,
-* the multiple-testing average of squared thresholded correlations that
+  symmetric inverse square root of the correlation matrix derived from
+  it, used to decorrelate the t-ratio vector before taking a maximum,
+* the multiple-testing average of squared surviving correlations that
   corrects the sum-type test's variance for cross-sectional dependence.
+
+Block form: thresholding leaves most rows with no off-diagonal survivor.
+Such a decoupled row stays a diagonal row through PSD repair (unless its
+variance is below the repair epsilon), correlation scaling and the root,
+and its entry in the root has the closed form ``1 / sqrt(max(1, floor))``.
+So repair and root run on the *active* rows only: the coupled rows plus
+the low-variance decoupled ones.
 """
 
 from dataclasses import dataclass
@@ -22,6 +30,7 @@ __all__ = [
     "DependenceEstimate",
     "MtCorrelation",
     "sample_cov",
+    "correlation_scale",
     "hard_threshold",
     "correlation_from_cov",
     "precision_root",
@@ -42,12 +51,26 @@ EIGEN_FLOOR_FRAC = 0.12
 
 @dataclass(frozen=True)
 class DependenceEstimate:
-    sigma_hat: np.ndarray
-    sigma_thresholded: np.ndarray
-    r_hat: np.ndarray
-    omega_root: np.ndarray
+    """Correlation scale and block-form inverse correlation root.
+
+    The root is block diagonal: `root` on the ascending indices `active`,
+    and ``1 / sqrt(max(1, floor))`` on the diagonal of every other row.
+    """
+
+    corr: np.ndarray  # correlation scale of the residual covariance, N x N
+    active: np.ndarray
+    root: np.ndarray
+    floor: float  # eigenvalue floor of the root
     threshold_used: float
     coupled: int  # securities in the block the precision root decomposed
+    repaired: bool  # PSD repair clipped an eigenvalue
+
+    def standardize(self, t: np.ndarray) -> np.ndarray:
+        """The estimated inverse correlation root times `t`."""
+        t = np.asarray(t, dtype=float)
+        nu = t * (1.0 / np.sqrt(max(1.0, self.floor)))
+        nu[self.active] = self.root @ t[self.active]
+        return nu
 
 
 @dataclass(frozen=True)
@@ -60,35 +83,56 @@ class MtCorrelation:
 
 
 def sample_cov(residuals: np.ndarray, dof: int) -> np.ndarray:
-    """Residual covariance with divisor `dof`."""
-    e = np.asarray(residuals, dtype=float)
-    s = (e @ e.T) / dof
-    return (s + s.T) / 2.0
+    """Residual covariance with divisor `dof`, exactly symmetric.
+
+    numpy evaluates ``e @ e.T`` of a contiguous `e` with one BLAS syrk and
+    mirrors its triangle, so no symmetrizing pass is needed.
+    """
+    e = np.ascontiguousarray(residuals, dtype=float)
+    s = e @ e.T
+    s /= dof
+    return s
 
 
-def hard_threshold(sigma: np.ndarray, t: int, delta: float):
-    """Zero small off-diagonal entries on the correlation scale.
+def correlation_scale(sigma: np.ndarray) -> np.ndarray:
+    """``sigma_ij / sqrt(sigma_ii * sigma_jj)`` for every pair, diagonal included."""
+    s = np.asarray(sigma, dtype=float)
+    d = np.sqrt(np.diag(s))
+    scale = np.outer(d, d)
+    return np.divide(s, scale, out=scale)
 
-    An off-diagonal entry survives iff its correlation magnitude is at
-    least ``delta * sqrt(log(N) / t)``.  The diagonal is untouched; the
-    result is passed through PSD repair since thresholding can break
-    positive definiteness.
+
+def hard_threshold(sigma: np.ndarray, corr: np.ndarray, t: int, delta: float):
+    """Zero small off-diagonal entries on the correlation scale, in block form.
+
+    An off-diagonal entry survives iff its magnitude in `corr` (the
+    symmetric `correlation_scale` of `sigma`) is at least
+    ``delta * sqrt(log(N) / t)``; the diagonal is untouched.  A row with
+    no survivor is diagonal in the result.  The active rows are the
+    coupled ones plus every decoupled row that PSD repair with epsilon
+    ``PSD_EPS_FRAC * max(sigma_ii)`` could change or correlation scaling
+    would reject: those with a variance below epsilon or not positive.
 
     Returns
     -------
-    (ndarray, float)
-        The repaired thresholded matrix and the threshold that was used.
+    (ndarray, ndarray, float)
+        The thresholded matrix on the active rows, the ascending active
+        indices, and the threshold that was used.
     """
     s = np.asarray(sigma, dtype=float)
+    corr = np.asarray(corr, dtype=float)
     n = s.shape[0]
     threshold = delta * np.sqrt(np.log(n) / t)
-    d = np.sqrt(np.diag(s))
-    corr = s / np.outer(d, d)
-    keep = np.abs(corr) >= threshold
+    keep = corr >= threshold  # |corr| >= threshold, without an N x N |corr|
+    keep |= corr <= -threshold
+    np.fill_diagonal(keep, False)
+    var = np.diag(s)
+    settled = (var >= PSD_EPS_FRAC * var.max()) & (var > 0)
+    active = np.flatnonzero(keep.any(axis=1) | ~settled)
+    block = np.ix_(active, active)
+    keep = keep[block]
     np.fill_diagonal(keep, True)
-    out = np.where(keep, s, 0.0)
-    out = psd_repair(out, PSD_EPS_FRAC * np.diag(s).max())
-    return out, threshold
+    return np.where(keep, s[block], 0.0), active, threshold
 
 
 def correlation_from_cov(sigma: np.ndarray) -> np.ndarray:
@@ -104,49 +148,71 @@ def correlation_from_cov(sigma: np.ndarray) -> np.ndarray:
 
 
 def precision_root(r_hat: np.ndarray, floor: float | None = None) -> np.ndarray:
-    """Symmetric inverse square root of a correlation matrix."""
+    """Symmetric inverse square root of a correlation matrix.
+
+    The default floor is ``EIGEN_FLOOR_FRAC`` times the largest eigenvalue
+    (any positive floor does for a 0x0 matrix).
+    """
     r = np.asarray(r_hat, dtype=float)
     if floor is None:
-        floor = EIGEN_FLOOR_FRAC * spectrum(r)[-1]
+        w = spectrum(r)
+        floor = EIGEN_FLOOR_FRAC * (w[-1] if w.size else 1.0)
     return inv_sqrt_psd(r, floor)
 
 
 def mt_rho_bar_sq(
-    sigma_hat: np.ndarray, v: int, q_mt: float, delta_mt: float
+    corr: np.ndarray, v: int, q_mt: float, delta_mt: float
 ) -> MtCorrelation:
     """Multiple-testing estimate of the mean squared pairwise correlation.
 
-    A pairwise sample correlation rho_ij survives iff
+    A pairwise sample correlation rho_ij (an entry of `corr`, the
+    `correlation_scale` of the residual covariance) survives iff
     ``sqrt(v) * |rho_ij| >= ndtri(1 - q_mt / (2 * N**delta_mt))``; the
     estimate averages the squared survivors over all N(N-1)/2 pairs.
     """
-    s = np.asarray(sigma_hat, dtype=float)
-    n = s.shape[0]
-    d = np.sqrt(np.diag(s))
-    corr = s / np.outer(d, d)
+    c = np.asarray(corr, dtype=float)
+    n = c.shape[0]
     c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
-    iu = np.triu_indices(n, k=1)
-    rho = corr[iu]
-    survive = np.sqrt(v) * np.abs(rho) >= c_n
-    rho_bar_sq = 2.0 / (n * (n - 1)) * float(np.sum(rho[survive] ** 2))
-    return MtCorrelation(
-        rho_bar_sq=rho_bar_sq, survivors=int(survive.sum()), mt_threshold=c_n
-    )
+    # Candidates clear a cut a relative 1e-9 below c_n / sqrt(v), more than
+    # the rounding of either side, so they include every survivor; the
+    # exact test then runs on the candidates alone.
+    cut = c_n / np.sqrt(v) * (1.0 - 1e-9)
+    candidate = c >= cut
+    candidate |= c <= -cut
+    np.fill_diagonal(candidate, False)
+    rows = np.flatnonzero(candidate.any(axis=1))
+    i, j = np.nonzero(candidate[rows])
+    i = rows[i]
+    upper = j > i  # row-major order over the upper triangle, as `triu_indices`
+    rho = c[i[upper], j[upper]]
+    rho = rho[np.sqrt(v) * np.abs(rho) >= c_n]
+    rho_bar_sq = 2.0 / (n * (n - 1)) * float(np.sum(rho**2))
+    return MtCorrelation(rho_bar_sq=rho_bar_sq, survivors=rho.size, mt_threshold=c_n)
 
 
 def estimate_dependence(
     residuals: np.ndarray, dof: int, t: int, delta: float
 ) -> DependenceEstimate:
-    """Full dependence pipeline: covariance, threshold, correlation, root."""
+    """Covariance, correlation scale, threshold, repair and root.
+
+    Only the covariance, its correlation scale and the threshold
+    comparisons are N x N; repair and root run on the active block.
+    """
     sigma = sample_cov(residuals, dof)
-    thresholded, used = hard_threshold(sigma, t, delta)
-    r_hat = correlation_from_cov(thresholded)
-    omega_root = precision_root(r_hat)
+    corr = correlation_scale(sigma)
+    thresholded, active, used = hard_threshold(sigma, corr, t, delta)
+    block = psd_repair(thresholded, PSD_EPS_FRAC * np.diag(sigma).max())
+    r_hat = correlation_from_cov(block)
+    w = spectrum(r_hat)
+    if active.size < sigma.shape[0]:
+        w = np.append(w, 1.0)  # each decoupled row outside is the eigenpair (1, e_i)
+    floor = EIGEN_FLOOR_FRAC * w.max()
     return DependenceEstimate(
-        sigma_hat=sigma,
-        sigma_thresholded=thresholded,
-        r_hat=r_hat,
-        omega_root=omega_root,
+        corr=corr,
+        active=active,
+        root=precision_root(r_hat, floor),
+        floor=floor,
         threshold_used=used,
         coupled=int(coupled(r_hat).size),
+        repaired=not np.array_equal(block, thresholded),
     )

@@ -143,7 +143,8 @@ def psd_repair(a: np.ndarray, epsilon: float) -> np.ndarray:
     doing so keeps the smallest eigenvalue at or above epsilon / 2.
     """
     a = _symmetrize(np.asarray(a, dtype=float))
-    if spectrum(a)[0] >= epsilon:
+    w = spectrum(a)
+    if not w.size or w[0] >= epsilon:
         return a
     repaired = spectral_map(a, lambda w: np.maximum(w, epsilon))
     with_diag = repaired.copy()

@@ -24,8 +24,19 @@ def _read_csv_matrix(path: str) -> tuple[list[str], np.ndarray]:
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")
     header = rows[0]
+    try:
+        # one conversion for all cells; it accepts exactly what float() does
+        data = np.array(rows[1:], dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1:] != (len(header),) or not np.isfinite(data).all():
+        _raise_first_bad_cell(path, header, rows)
+    return header, data
+
+
+def _raise_first_bad_cell(path: str, header: list[str], rows: list[list[str]]) -> None:
+    """Raise the error of the first ragged row or bad cell, in file order."""
     width = len(header)
-    data = np.empty((len(rows) - 1, width))
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != width:
             raise ParseError(f"{path}: row {i} has {len(row)} cells, expected {width}")
@@ -40,8 +51,6 @@ def _read_csv_matrix(path: str) -> tuple[list[str], np.ndarray]:
                 raise ParseError(
                     f"{path}: row {i}, column {header[j]!r}: non-finite value {cell!r}"
                 )
-            data[i - 2, j] = value
-    return header, data
 
 
 def load_panel(returns_path: str, factors_path: str) -> FactorPanel:

@@ -18,12 +18,7 @@ from alphatest.alpha_tests import (
     gumbel_quantile,
     py_stat,
 )
-from alphatest.dependence import (
-    correlation_from_cov,
-    hard_threshold,
-    precision_root,
-    sample_cov,
-)
+from alphatest.dependence import correlation_from_cov, precision_root, sample_cov
 from alphatest.dgp import (
     assemble_panel,
     build_cov,
@@ -43,6 +38,7 @@ from alphatest.harness import (
 from alphatest.linalg import annihilator
 from alphatest.ols import FactorPanel, fit
 from alphatest import rng as streams
+from dense_reference import thresholded_dense
 
 pytestmark = pytest.mark.acceptance
 
@@ -290,7 +286,7 @@ def test_criterion_8_precision_root_identity():
     rng = np.random.default_rng(89)
     e = rng.standard_normal((20, 400))
     sigma = sample_cov(e, 396)
-    thresholded, _ = hard_threshold(sigma, 400, 3.0)
+    thresholded, _ = thresholded_dense(sigma, 400, 3.0)
     r_hat = correlation_from_cov(thresholded)
     root = precision_root(r_hat, floor=1e-8)
     err = np.abs(root @ r_hat @ root - np.eye(20)).max()

@@ -44,6 +44,8 @@ class TestCmdTest:
         assert report["metadata"]["N"] == 30
         assert report["metadata"]["v"] == 50 - 3 - 1
         assert 0 <= report["metadata"]["coupled"] <= 30
+        assert isinstance(report["metadata"]["repaired"], bool)
+        assert 0 <= report["metadata"]["mt_survivors"] <= 30 * 29 // 2
 
     def test_planted_alpha_rejected(self, tmp_path):
         n, t = 50, 60
@@ -116,6 +118,14 @@ class TestCmdSize:
         monkeypatch.setenv("ALPHATEST_SEED", "10")
         assert main(["size", "--config", str(config), "--out", str(out_b)]) == EXIT_OK
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_bad_seed_env_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=2, seed=9)
+        monkeypatch.setenv("ALPHATEST_SEED", "abc")
+        code = main(["size", "--config", str(config), "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "error: ALPHATEST_SEED: expected int, got 'abc'\n"
 
     def test_bad_json_exits_io(self, tmp_path):
         config = tmp_path / "scenario.json"

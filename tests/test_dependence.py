@@ -3,8 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphatest.alpha_tests import (
+    TestConfig as Config,
+    max_p_value,
+    max_stat_standardized,
+    py_stat,
+    run_all_detailed,
+)
 from alphatest.dependence import (
     correlation_from_cov,
+    correlation_scale,
     estimate_dependence,
     hard_threshold,
     mt_rho_bar_sq,
@@ -13,8 +21,10 @@ from alphatest.dependence import (
 )
 from alphatest.dgp import build_cov, cov_sqrt, gen_errors
 from alphatest.errors import NonPositiveDiagonal
+from alphatest.harness import ScenarioConfig, simulate_panel
 from alphatest.linalg import inv_sqrt_psd
 from alphatest.ols import FactorPanel, fit
+from dense_reference import dense_oracle, dense_root, thresholded_dense
 
 
 class TestSampleCov:
@@ -27,6 +37,14 @@ class TestSampleCov:
             for j in range(3):
                 assert np.isclose(s[i, j], e[i] @ e[j] / v, atol=1e-12)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    def test_exactly_symmetric(self, layout):
+        e = np.random.default_rng(2).standard_normal((500, 200))
+        e = {"C": e[:, :100], "F": np.asfortranarray(e[:, :100]), "sliced": e[:, ::2]}[layout]
+        s = sample_cov(e, 96)
+        np.testing.assert_array_equal(s, s.T)
+        assert np.abs(s - e @ e.T / 96).max() < 1e-12
+
     def test_symmetric_psd(self):
         rng = np.random.default_rng(1)
         s = sample_cov(rng.standard_normal((6, 40)), 37)
@@ -38,24 +56,24 @@ class TestHardThreshold:
     def test_small_offdiagonal_zeroed(self):
         # |rho| = 0.01/sqrt(6) = 0.0041 < 2*sqrt(log(2)/100) = 0.1665
         sigma = np.array([[2.0, 0.01], [0.01, 3.0]])
-        out, used = hard_threshold(sigma, 100, 2.0)
+        out, used = thresholded_dense(sigma, 100, 2.0)
         assert out[0, 1] == 0.0
         assert np.isclose(used, 2.0 * np.sqrt(np.log(2) / 100))
 
     def test_diagonal_untouched(self):
         sigma = np.array([[2.0, 0.01], [0.01, 3.0]])
-        out, _ = hard_threshold(sigma, 100, 2.0)
+        out, _ = thresholded_dense(sigma, 100, 2.0)
         assert np.allclose(np.diag(out), [2.0, 3.0])
 
     def test_large_entries_survive(self):
         # the 0.9 correlation survives; PSD repair may trim it slightly
         sigma = np.array([[1.0, 0.9], [0.9, 1.0]])
-        out, _ = hard_threshold(sigma, 100, 2.0)
+        out, _ = thresholded_dense(sigma, 100, 2.0)
         assert out[0, 1] > 0.8
 
     def test_moderate_entries_survive_exactly(self):
         sigma = np.array([[1.0, 0.5], [0.5, 1.0]])
-        out, _ = hard_threshold(sigma, 100, 2.0)
+        out, _ = thresholded_dense(sigma, 100, 2.0)
         assert np.isclose(out[0, 1], 0.5)
 
     @given(st.integers(0, 500), st.floats(0.5, 3.0), st.floats(0.0, 2.5))
@@ -75,7 +93,7 @@ class TestHardThreshold:
     def test_result_positive_definite(self):
         rng = np.random.default_rng(3)
         e = rng.standard_normal((30, 50))
-        out, _ = hard_threshold(sample_cov(e, 46), 50, 2.0)
+        out, _ = thresholded_dense(sample_cov(e, 46), 50, 2.0)
         assert np.linalg.eigvalsh(out)[0] > 0
 
 
@@ -137,10 +155,10 @@ class TestMtRhoBarSq:
     def test_row_rescaling_invariance(self, seed, scale):
         rng = np.random.default_rng(seed)
         e = rng.standard_normal((6, 50))
-        a = mt_rho_bar_sq(sample_cov(e, 47), 47, 0.05, 1.0).rho_bar_sq
+        a = mt_rho_bar_sq(correlation_scale(sample_cov(e, 47)), 47, 0.05, 1.0).rho_bar_sq
         e2 = e.copy()
         e2[2] *= scale
-        b = mt_rho_bar_sq(sample_cov(e2, 47), 47, 0.05, 1.0).rho_bar_sq
+        b = mt_rho_bar_sq(correlation_scale(sample_cov(e2, 47)), 47, 0.05, 1.0).rho_bar_sq
         assert np.isclose(a, b, rtol=1e-9)
 
 
@@ -149,20 +167,25 @@ class TestEstimateDependence:
         rng = np.random.default_rng(5)
         e = rng.standard_normal((12, 60))
         dep = estimate_dependence(e, 56, 60, 3.0)
-        for mat in (dep.sigma_hat, dep.sigma_thresholded, dep.r_hat, dep.omega_root):
+        sigma_hat = sample_cov(e, 56)
+        thresholded, _ = thresholded_dense(sigma_hat, 60, 3.0)
+        r_hat = correlation_from_cov(thresholded)
+        for mat in (sigma_hat, thresholded, r_hat, dense_root(dep), dep.corr):
             assert mat.shape == (12, 12)
-        assert np.allclose(np.diag(dep.r_hat), 1.0)
+        assert dep.root.shape == (dep.active.size, dep.active.size)
+        assert np.allclose(np.diag(r_hat), 1.0)
         assert dep.threshold_used > 0
 
     def test_omega_root_symmetric(self):
         rng = np.random.default_rng(6)
         e = rng.standard_normal((20, 80))
         dep = estimate_dependence(e, 76, 80, 3.0)
-        assert np.allclose(dep.omega_root, dep.omega_root.T)
+        omega_root = dense_root(dep)
+        assert np.allclose(omega_root, omega_root.T)
 
 
-def _eigen_calls(monkeypatch, residuals):
-    """estimate_dependence of `residuals` and its numpy eigensolver calls."""
+def _count_solver_calls(monkeypatch):
+    """Count numpy eigensolver calls from here on: {"eigh": n, "eigvalsh": n}."""
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
         def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
@@ -170,6 +193,12 @@ def _eigen_calls(monkeypatch, residuals):
             return _solver(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _eigen_calls(monkeypatch, residuals):
+    """estimate_dependence of `residuals` and its numpy eigensolver calls."""
+    calls = _count_solver_calls(monkeypatch)
     dep = estimate_dependence(residuals, 96, 100, 3.0)
     monkeypatch.undo()
     return dep, calls
@@ -186,7 +215,8 @@ def test_eigen_call_count_does_not_depend_on_the_block(monkeypatch):
     pair, pair_calls = _eigen_calls(monkeypatch, paired)
     assert (empty.coupled, pair.coupled) == (0, 2)
     assert empty_calls == pair_calls == {"eigh": 1, "eigvalsh": 2}
-    np.testing.assert_array_equal(empty.omega_root, np.eye(40))
+    assert empty.root.shape == (0, 0) and pair.active.tolist() == [0, 1]
+    np.testing.assert_array_equal(dense_root(empty), np.eye(40))
 
 
 def _omega_root_error(n, t, seed):
@@ -201,7 +231,7 @@ def _omega_root_error(n, t, seed):
     panel = FactorPanel(returns=b @ f.T + eps, factors=f)
     res = fit(panel)
     sigma_hat = sample_cov(res.residuals, res.dof)
-    thresholded, _ = hard_threshold(sigma_hat, t, 3.0)
+    thresholded, _ = thresholded_dense(sigma_hat, t, 3.0)
     est = precision_root(correlation_from_cov(thresholded), floor=1e-6)
     return np.abs(est - truth).max()
 
@@ -211,3 +241,106 @@ def test_omega_root_consistency_direction():
     # estimation error of the inverse correlation root shrinks with T
     for seed in (0, 1):
         assert _omega_root_error(50, 8000, seed) < _omega_root_error(50, 2000, seed)
+
+
+class TestBlockForm:
+    def test_active_rows(self):
+        # rows 0 and 3 correlate at 0.8; row 5's variance 0.1 is below the
+        # repair epsilon 0.15 * 1; the other rows leave the block
+        sigma = np.eye(6)
+        sigma[0, 3] = sigma[3, 0] = 0.8
+        sigma[5, 5] = 0.1
+        block, active, _ = hard_threshold(sigma, correlation_scale(sigma), 100, 2.0)
+        assert active.tolist() == [0, 3, 5]
+        np.testing.assert_array_equal(block, sigma[np.ix_(active, active)])
+
+    def test_empty_block(self):
+        sigma = np.diag([1.0, 2.0, 3.0])
+        block, active, _ = hard_threshold(sigma, correlation_scale(sigma), 100, 2.0)
+        assert block.shape == (0, 0) and active.size == 0
+
+    def test_empty_precision_root(self, monkeypatch):
+        calls = _count_solver_calls(monkeypatch)
+        assert precision_root(np.empty((0, 0))).shape == (0, 0)
+        assert calls == {"eigh": 1, "eigvalsh": 1}
+
+
+def _residuals_with_cov(cov, dof, t, seed=0):
+    """T residual columns whose `sample_cov` with divisor `dof` is `cov`."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((t, cov.shape[0])))
+    return np.linalg.cholesky(cov) @ q.T * np.sqrt(dof)
+
+
+def _chain_cov(n):
+    # 0-1 and 1-2 correlate at 0.8, 0-2 at 0.55: the threshold 0.58 at
+    # N=40, T=100 drops 0-2, leaving eigenvalues 1 and 1 +- 0.8 sqrt(2);
+    # after clipping, restoring the diagonal would leave an eigenvalue
+    # below epsilon / 2, so repair keeps the clipped diagonal
+    cov = np.eye(n)
+    cov[0, 1] = cov[1, 0] = cov[1, 2] = cov[2, 1] = 0.8
+    cov[0, 2] = cov[2, 0] = 0.55
+    return cov
+
+
+def _spiked_cov(n):
+    # twelve rows at correlation 0.8: the block's largest eigenvalue 9.8
+    # puts the floor 0.12 * 9.8 above the decoupled rows' eigenvalue 1
+    cov = np.eye(n)
+    cov[:12, :12] = 0.8 + 0.2 * np.eye(12)
+    return cov
+
+
+def _low_variance_cov(n):
+    # row 7 is decoupled with variance 0.1, below the repair epsilon 0.15
+    cov = np.eye(n)
+    cov[3, 9] = cov[9, 3] = 0.7
+    cov[7, 7] = 0.1
+    return cov
+
+
+def _assert_rel(a, b, rtol=1e-12):
+    assert abs(a - b) <= rtol * abs(b), (a, b)
+
+
+@pytest.mark.parametrize("make_cov,check", [
+    (_chain_cov, lambda dep, repaired, sigma: (
+        dep.repaired and not np.array_equal(np.diag(repaired), np.diag(sigma)))),
+    (_spiked_cov, lambda dep, repaired, sigma: dep.floor > 1.0),
+    (_low_variance_cov, lambda dep, repaired, sigma: (
+        7 in dep.active and dep.coupled == 2 and dep.repaired)),
+], ids=["restore-fails", "floor-above-one", "low-variance-row"])
+def test_block_matches_dense_on_engineered_cases(make_cov, check):
+    n, t, dof = 40, 100, 96
+    e = _residuals_with_cov(make_cov(n), dof, t)
+    dep = estimate_dependence(e, dof, t, 3.0)
+    _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
+    assert check(dep, repaired, sample_cov(e, dof))
+    assert dep.active.size < n
+    np.testing.assert_array_equal(dense_root(dep), root)
+    tr = np.random.default_rng(1).standard_normal(n) * 3.0
+    _assert_rel(float(np.max(dep.standardize(tr) ** 2)), max_stat_standardized(tr, root))
+
+
+BLOCK_PANELS = [(model, n, m, delta) for model in ("M1", "M2", "M3", "M4")
+                for n, m in ((200, 0), (200, 3)) for delta in (3.0, 1.0)]
+BLOCK_PANELS += [("M2", 500, 3, 3.0), ("M1", 500, 0, 1.0)]
+
+
+@pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS)
+def test_block_matches_dense_pipeline(model, n, m, delta):
+    # MAX2 from the block-form root and PY from the MT step agree with the
+    # dense oracle, and so do their decisions
+    scenario = ScenarioConfig(n=n, t=100, cov_model=model, m=m, seed=31)
+    config = Config(threshold_delta=delta)
+    panel = simulate_panel(scenario, m, 0)
+    results, diag = run_all_detailed(panel, config)
+    stats = {r.name: r for r in results}
+    res = fit(panel)
+    rho_bar_sq, root, _ = dense_oracle(res.residuals, res.dof, 100, delta,
+                                       config.q_mt, config.delta_mt)
+    assert diag["rho_bar_sq"] == rho_bar_sq
+    max2 = max_stat_standardized(res.t_stats, root)
+    _assert_rel(stats["MAX2"].statistic, max2)
+    assert stats["MAX2"].reject == (max_p_value(max2, n) < config.gamma)
+    py = py_stat(res.t_stats, rho_bar_sq, res.dof)
+    assert stats["PY"].statistic == py

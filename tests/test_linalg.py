@@ -126,6 +126,13 @@ class TestPsdRepair:
         assert np.linalg.eigvalsh(repaired)[0] >= eps / 2.0 - 1e-12
         assert np.allclose(repaired, repaired.T)
 
+    def test_empty_matrix(self, monkeypatch):
+        calls = []
+        solver = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solver(a))
+        assert psd_repair(np.empty((0, 0)), 0.1).shape == (0, 0)
+        assert calls == [(0, 0)]
+
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_min_eigenvalue_bounded(self, seed):

@@ -57,6 +57,35 @@ class TestLoadPanel:
         with pytest.raises(ParseError):
             load_panel(str(rpath), str(fpath))
 
+    @pytest.mark.parametrize("cell,message", [
+        ("oops", "row 6, column 'sec2': cannot parse 'oops'"),
+        ("inf", "row 6, column 'sec2': non-finite value 'inf'"),
+        ("-nan", "row 6, column 'sec2': non-finite value '-nan'"),
+    ])
+    def test_bad_cell_position(self, tmp_path, cell, message):
+        rpath, fpath, returns, _ = well_formed_pair(tmp_path)
+        rows = returns.tolist()
+        rows[4][2] = cell
+        rows[7][0] = "later"  # the first bad cell in file order is named
+        write_csv(rpath, ["sec0", "sec1", "sec2"], rows)
+        with pytest.raises(ParseError) as err:
+            load_panel(str(rpath), str(fpath))
+        assert str(err.value) == f"{rpath}: {message}"
+
+    def test_cells_parse_as_float_does(self, tmp_path):
+        rpath, fpath, returns, _ = well_formed_pair(tmp_path)
+        rows = returns.tolist()
+        rows[0][0] = "1_000"
+        rows[1][1] = "  2.5\t"
+        rows[2][2] = "-1e-3 "
+        write_csv(rpath, ["sec0", "sec1", "sec2"], rows)
+        panel = load_panel(str(rpath), str(fpath))
+        assert (panel.returns[0, 0], panel.returns[1, 1], panel.returns[2, 2]) == (
+            1000.0, 2.5, -1e-3)
+        expect = returns.T.copy()
+        expect[0, 0], expect[1, 1], expect[2, 2] = 1000.0, 2.5, -1e-3
+        np.testing.assert_array_equal(panel.returns, expect)
+
     def test_ragged_row(self, tmp_path):
         rpath, fpath, _, _ = well_formed_pair(tmp_path)
         rpath.write_text("a,b,c\n1,2\n")
