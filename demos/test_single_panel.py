@@ -26,12 +26,12 @@ errors = gen_errors(cov_sqrt(sigma), "normal", t, rng)
 betas = gen_betas(n, rng)
 alpha = gen_alpha(n, m, t, rng=rng)
 
-panel = assemble_panel(alpha.alpha, betas, factors, errors)
+panel = assemble_panel(alpha, betas, factors, errors)
 results, diag = run_all_detailed(panel)
 
 print(f"panel: N={diag['N']} T={diag['T']} p={diag['p']} v={diag['v']}")
-print(f"true alpha support: {alpha.support.tolist()}, "
-      f"magnitude {alpha.alpha[alpha.support[0]]:.4f}")
+support = np.flatnonzero(alpha)
+print(f"true alpha support: {support.tolist()}, magnitude {alpha[support[0]]:.4f}")
 print(f"dependence: threshold {diag['threshold_used']:.4f}, "
       f"{diag['coupled']} coupled securities, "
       f"PSD repair {'fired' if diag['repaired'] else 'idle'}, "

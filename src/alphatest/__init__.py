@@ -16,7 +16,6 @@ Library layout:
 """
 
 from .alpha_tests import METHODS, TestConfig, TestResult, run_all, run_all_detailed
-from .dgp import AlphaSpec
 from .harness import (
     ExperimentSpec,
     ScenarioConfig,
@@ -35,7 +34,6 @@ __all__ = [
     "TestResult",
     "run_all",
     "run_all_detailed",
-    "AlphaSpec",
     "ExperimentSpec",
     "ScenarioConfig",
     "SizePowerTable",

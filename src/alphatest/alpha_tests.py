@@ -16,14 +16,13 @@ import numpy as np
 from scipy.special import lambertw, ndtr, ndtri
 
 from .dependence import estimate_dependence, mt_rho_bar_sq
-from .errors import DegenerateDof, DimensionError, NegativeInput
+from .errors import DegenerateDof, NegativeInput
 from .ols import FactorPanel, fit
 
 __all__ = [
     "TestConfig",
     "TestResult",
     "max_stat",
-    "max_stat_standardized",
     "gumbel_cdf",
     "gumbel_quantile",
     "max_p_value",
@@ -66,18 +65,6 @@ class TestResult:
 def max_stat(t: np.ndarray) -> float:
     """Maximum squared t-ratio."""
     return float(np.max(np.asarray(t, dtype=float) ** 2))
-
-
-def max_stat_standardized(t: np.ndarray, omega_root: np.ndarray) -> float:
-    """Maximum squared entry of omega_root @ t."""
-    t = np.asarray(t, dtype=float)
-    omega_root = np.asarray(omega_root, dtype=float)
-    if omega_root.shape != (t.size, t.size):
-        raise DimensionError(
-            f"omega_root shape {omega_root.shape} does not match t length {t.size}"
-        )
-    nu = omega_root @ t
-    return float(np.max(nu**2))
 
 
 def gumbel_cdf(x: float) -> float:

@@ -138,10 +138,15 @@ def cmd_size(args) -> int:
 
 
 def _parse_m_grid(text: str) -> tuple:
-    if ":" in text:
-        lo, hi = text.split(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in text.split(","))
+    lo, sep, hi = text.partition(":")
+    try:
+        grid = tuple(range(int(lo), int(hi) + 1) if sep else map(int, text.split(",")))
+    except ValueError:
+        grid = ()
+    if not grid or min(grid) < 0:
+        raise ParseError("--m-grid: expected a nonempty 'lo:hi' range or "
+                         f"comma-separated integers >= 0, got {text!r}")
+    return grid
 
 
 def cmd_power(args) -> int:

@@ -136,7 +136,7 @@ def hard_threshold(sigma: np.ndarray, corr: np.ndarray, t: int, delta: float):
 
 
 def correlation_from_cov(sigma: np.ndarray) -> np.ndarray:
-    """Scale a covariance matrix to unit diagonal."""
+    """Scale a covariance matrix to unit diagonal; exactly symmetric if `sigma` is."""
     s = np.asarray(sigma, dtype=float)
     d = np.diag(s)
     if (d <= 0).any():
@@ -144,20 +144,13 @@ def correlation_from_cov(sigma: np.ndarray) -> np.ndarray:
     inv_sd = 1.0 / np.sqrt(d)
     r = s * np.outer(inv_sd, inv_sd)
     np.fill_diagonal(r, 1.0)
-    return (r + r.T) / 2.0
+    return r
 
 
-def precision_root(r_hat: np.ndarray, floor: float | None = None) -> np.ndarray:
-    """Symmetric inverse square root of a correlation matrix.
-
-    The default floor is ``EIGEN_FLOOR_FRAC`` times the largest eigenvalue
-    (any positive floor does for a 0x0 matrix).
-    """
-    r = np.asarray(r_hat, dtype=float)
-    if floor is None:
-        w = spectrum(r)
-        floor = EIGEN_FLOOR_FRAC * (w[-1] if w.size else 1.0)
-    return inv_sqrt_psd(r, floor)
+def precision_root(r_hat: np.ndarray, floor: float) -> np.ndarray:
+    """Symmetric inverse square root of a correlation matrix, eigenvalues
+    floored at `floor` (`estimate_dependence` sets it)."""
+    return inv_sqrt_psd(r_hat, floor)
 
 
 def mt_rho_bar_sq(

@@ -6,8 +6,6 @@ covariance models under three innovation laws; sparse alpha signals keep
 a fixed total signal strength regardless of sparsity.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefinite
@@ -15,7 +13,6 @@ from .linalg import spectral_map, sym_eigen
 from .ols import FactorPanel
 
 __all__ = [
-    "AlphaSpec",
     "gen_factors",
     "build_cov",
     "cov_sqrt",
@@ -47,18 +44,6 @@ SPIKE_EXPONENT = 0.3
 SPIKE_RANGE = (0.7, 0.9)
 DIAG_RANGE = (1.0, 2.0)
 ROOK_RHO = 0.5
-
-
-@dataclass(frozen=True)
-class AlphaSpec:
-    """Sparse intercept vector with sparsity-invariant signal strength."""
-
-    alpha: np.ndarray
-    support: np.ndarray = field(repr=False)
-
-    @property
-    def m(self) -> int:
-        return self.support.size
 
 
 def gen_factors(
@@ -194,8 +179,8 @@ def gen_alpha(
     t: int,
     rng: np.random.Generator | None = None,
     support: np.ndarray | None = None,
-) -> AlphaSpec:
-    """Sparse intercepts: sqrt(10 * log(N) / (m * T)) on a random support.
+) -> np.ndarray:
+    """Sparse intercept N-vector: sqrt(10 * log(N) / (m * T)) on a random support.
 
     The squared norm is 10 * log(N) / T for every m, so power comparisons
     across sparsity levels hold the signal strength fixed.  m = 0 gives
@@ -205,17 +190,16 @@ def gen_alpha(
         raise ValueError(f"need 0 <= m <= N, got m={m}, N={n}")
     alpha = np.zeros(n)
     if m == 0:
-        return AlphaSpec(alpha=alpha, support=np.array([], dtype=int))
+        return alpha
     if support is None:
         if rng is None:
             raise ValueError("either rng or support must be provided")
-        support = np.sort(rng.choice(n, size=m, replace=False))
-    else:
-        support = np.sort(np.asarray(support, dtype=int))
-        if support.size != m:
-            raise ValueError("support size must equal m")
+        support = rng.choice(n, size=m, replace=False)
+    support = np.asarray(support, dtype=int)
+    if support.size != m:
+        raise ValueError("support size must equal m")
     alpha[support] = np.sqrt(10.0 * np.log(n) / (m * t))
-    return AlphaSpec(alpha=alpha, support=support)
+    return alpha
 
 
 def assemble_panel(

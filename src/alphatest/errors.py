@@ -13,10 +13,6 @@ class SingularDesign(AlphatestError):
     """The factor Gram matrix F'F is numerically singular."""
 
 
-class ConvergenceError(AlphatestError):
-    """An iterative eigensolver failed to converge."""
-
-
 class DegenerateDesign(AlphatestError):
     """The intercept is (numerically) collinear with the factor columns."""
 

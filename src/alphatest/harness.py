@@ -216,7 +216,7 @@ def simulate_panel(scenario: ScenarioConfig, m: int, rep: int) -> FactorPanel:
     betas = gen_betas(scenario.n, streams.substream(seed, m, rep, streams.BETAS))
     alpha_rng = streams.substream(seed, m, alpha_rep, streams.ALPHA)
     alpha = gen_alpha(scenario.n, m, scenario.t, rng=alpha_rng)
-    return assemble_panel(alpha.alpha, betas, factors, errors)
+    return assemble_panel(alpha, betas, factors, errors)
 
 
 def _replicate(scenario: ScenarioConfig, m: int, rep: int) -> dict:

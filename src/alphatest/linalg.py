@@ -16,11 +16,16 @@ so the block is small or empty; a matrix whose rows are all coupled is
 decomposed whole, with the same LAPACK call on the same values.  Each
 helper makes exactly one eigensolver call, on a 0x0 block too, so call
 counts do not depend on the data.
+
+Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
+matrices (``a == a.T``), as the residual Gram (one syrk), its symmetric
+threshold mask and `spectral_map`'s symmetrized rebuild are.  `sym_eigen`
+symmetrizes its input: it is the entry point for nearly symmetric products.
 """
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, SingularDesign
+from .errors import DimensionError, SingularDesign
 
 __all__ = [
     "annihilator",
@@ -77,11 +82,7 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         orthogonal matrix whose columns are the matching unit
         eigenvectors, shape (n, n).
     """
-    a = _symmetrize(np.asarray(a, dtype=float))
-    try:
-        w, q = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(str(exc)) from exc
+    w, q = np.linalg.eigh(_symmetrize(np.asarray(a, dtype=float)))
     order = np.argsort(w)[::-1]
     return w[order], q[:, order]
 
@@ -138,11 +139,12 @@ def inv_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
 def psd_repair(a: np.ndarray, epsilon: float) -> np.ndarray:
     """Clip eigenvalues up to `epsilon`, preserving the diagonal when safe.
 
-    Returns the input unchanged when it is already sufficiently positive
-    definite.  After clipping, the original diagonal is restored only if
-    doing so keeps the smallest eigenvalue at or above epsilon / 2.
+    Returns `a`, which must be exactly symmetric, unchanged when it is
+    already sufficiently positive definite.  After clipping, the original
+    diagonal is restored only if doing so keeps the smallest eigenvalue at
+    or above epsilon / 2.
     """
-    a = _symmetrize(np.asarray(a, dtype=float))
+    a = np.asarray(a, dtype=float)
     w = spectrum(a)
     if not w.size or w[0] >= epsilon:
         return a

@@ -72,9 +72,6 @@ class OlsFit:
         Intercept t-ratios.
     dof : int
         Residual degrees of freedom v.
-    leverage : float
-        1' M 1 where M is the factor annihilator; the inverse variance
-        scale of the intercept estimate.
     """
 
     alpha_hat: np.ndarray
@@ -82,7 +79,6 @@ class OlsFit:
     sigma_hat: np.ndarray
     t_stats: np.ndarray
     dof: int
-    leverage: float
 
 
 def fit(panel: FactorPanel) -> OlsFit:
@@ -117,7 +113,6 @@ def fit(panel: FactorPanel) -> OlsFit:
         sigma_hat=sigma,
         t_stats=t_stats,
         dof=v,
-        leverage=leverage,
     )
 
 

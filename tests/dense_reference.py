@@ -5,14 +5,16 @@ covariance and the inverse correlation root on their active rows only.
 `densify`, `thresholded_dense` and `dense_root` rebuild the N x N
 matrices from those blocks.  `dense_oracle` recomputes the estimate
 without the block form: the threshold on the whole correlation scale,
-then PSD repair, correlation scaling and the precision root on N x N,
-and the multiple-testing sum over `triu_indices`.
+then PSD repair, correlation scaling, the eigenvalue floor and the
+precision root on N x N, and the multiple-testing sum over
+`triu_indices`.  `max_stat_standardized` is MAX2 from an N x N root.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
 from alphatest.dependence import (
+    EIGEN_FLOOR_FRAC,
     PSD_EPS_FRAC,
     correlation_from_cov,
     correlation_scale,
@@ -20,7 +22,19 @@ from alphatest.dependence import (
     precision_root,
     sample_cov,
 )
-from alphatest.linalg import psd_repair
+from alphatest.errors import DimensionError
+from alphatest.linalg import psd_repair, spectrum
+
+
+def max_stat_standardized(t, omega_root):
+    """Maximum squared entry of omega_root @ t."""
+    t = np.asarray(t, dtype=float)
+    omega_root = np.asarray(omega_root, dtype=float)
+    if omega_root.shape != (t.size, t.size):
+        raise DimensionError(
+            f"omega_root shape {omega_root.shape} does not match t length {t.size}"
+        )
+    return float(np.max((omega_root @ t) ** 2))
 
 
 def densify(block, active, diag):
@@ -56,7 +70,8 @@ def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
     keep = np.abs(corr) >= delta * np.sqrt(np.log(n) / t)
     np.fill_diagonal(keep, True)
     repaired = psd_repair(np.where(keep, sigma, 0.0), PSD_EPS_FRAC * np.diag(sigma).max())
-    root = precision_root(correlation_from_cov(repaired))
+    r_hat = correlation_from_cov(repaired)
+    root = precision_root(r_hat, EIGEN_FLOOR_FRAC * spectrum(r_hat)[-1])
     rho = corr[np.triu_indices(n, k=1)]
     c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
     rho_bar_sq = 2.0 / (n * (n - 1)) * float(np.sum(rho[np.sqrt(dof) * np.abs(rho) >= c_n] ** 2))

@@ -313,7 +313,7 @@ WORKED = [
     # scipy.stats.chi2.isf(0.05, 4) * (1 + 1/log(100*sqrt(200))) = 10.795600...
     ("adjusted_critical", 10.79560, lambda: adjusted_critical(100, 200, 0.05)),
     ("gen_alpha", 0.72790,
-     lambda: float(gen_alpha(200, 1, 100, support=np.array([0])).alpha[0])),
+     lambda: float(gen_alpha(200, 1, 100, support=np.array([0]))[0])),
 ]
 
 

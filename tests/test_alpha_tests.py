@@ -15,7 +15,6 @@ from alphatest.alpha_tests import (
     gumbel_quantile,
     max_p_value,
     max_stat,
-    max_stat_standardized,
     py_p_value,
     py_stat,
     run_all,
@@ -33,6 +32,7 @@ from alphatest.dgp import (
 from alphatest.errors import DegenerateDof, DimensionError, NegativeInput
 from alphatest.harness import ScenarioConfig, simulate_panel
 from alphatest.ols import FactorPanel
+from dense_reference import max_stat_standardized
 
 
 class TestMaxStat:

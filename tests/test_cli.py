@@ -89,6 +89,20 @@ class TestCmdTest:
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_NUMERIC
 
+    def test_eigensolver_failure_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        rpath, fpath = null_panel_files(tmp_path, seed=5)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err == "numeric error: Eigenvalues did not converge\n"
+        assert not out.exists()
+
 
 class TestCmdSize:
     def test_deterministic_output(self, tmp_path):
@@ -216,6 +230,18 @@ class TestCmdPower:
         assert code == EXIT_OK
         ms = {line.split(",")[5] for line in out.read_text().strip().splitlines()[1:]}
         assert ms == {"1", "2", "3"}
+
+    @pytest.mark.parametrize("grid", ["abc", "5:1", "-1"],
+                             ids=["not_integer", "empty_range", "negative"])
+    def test_bad_m_grid_exits_io(self, tmp_path, capsys, grid):
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=2, seed=12)
+        out = tmp_path / "power.csv"
+        code = main(["power", "--config", str(config), "--out", str(out),
+                     "--m-grid", grid])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("error: --m-grid: expected")
+        assert not out.exists()
 
 
 class TestCmdGen:

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from alphatest.alpha_tests import (
     TestConfig as Config,
     max_p_value,
-    max_stat_standardized,
     py_stat,
     run_all_detailed,
 )
 from alphatest.dependence import (
+    PSD_EPS_FRAC,
     correlation_from_cov,
     correlation_scale,
     estimate_dependence,
@@ -22,9 +22,14 @@ from alphatest.dependence import (
 from alphatest.dgp import build_cov, cov_sqrt, gen_errors
 from alphatest.errors import NonPositiveDiagonal
 from alphatest.harness import ScenarioConfig, simulate_panel
-from alphatest.linalg import inv_sqrt_psd
+from alphatest.linalg import inv_sqrt_psd, psd_repair
 from alphatest.ols import FactorPanel, fit
-from dense_reference import dense_oracle, dense_root, thresholded_dense
+from dense_reference import (
+    dense_oracle,
+    dense_root,
+    max_stat_standardized,
+    thresholded_dense,
+)
 
 
 class TestSampleCov:
@@ -261,8 +266,8 @@ class TestBlockForm:
 
     def test_empty_precision_root(self, monkeypatch):
         calls = _count_solver_calls(monkeypatch)
-        assert precision_root(np.empty((0, 0))).shape == (0, 0)
-        assert calls == {"eigh": 1, "eigvalsh": 1}
+        assert precision_root(np.empty((0, 0)), 1.0).shape == (0, 0)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 def _residuals_with_cov(cov, dof, t, seed=0):
@@ -344,3 +349,27 @@ def test_block_matches_dense_pipeline(model, n, m, delta):
     assert stats["MAX2"].reject == (max_p_value(max2, n) < config.gamma)
     py = py_stat(res.t_stats, rho_bar_sq, res.dof)
     assert stats["PY"].statistic == py
+
+
+def _assert_exactly_symmetric(residuals, dof, t, delta):
+    # psd_repair and correlation_from_cov do not symmetrize their input:
+    # each stage must hand the next an exactly symmetric matrix
+    sigma = sample_cov(residuals, dof)
+    corr = correlation_scale(sigma)
+    block, _, _ = hard_threshold(sigma, corr, t, delta)
+    repaired = psd_repair(block, PSD_EPS_FRAC * np.diag(sigma).max())
+    for x in (corr, block, repaired, correlation_from_cov(repaired)):
+        assert np.array_equal(x, x.T)
+
+
+@pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS)
+def test_pipeline_exactly_symmetric_on_panels(model, n, m, delta):
+    scenario = ScenarioConfig(n=n, t=100, cov_model=model, m=m, seed=31)
+    res = fit(simulate_panel(scenario, m, 0))
+    _assert_exactly_symmetric(res.residuals, res.dof, 100, delta)
+
+
+@pytest.mark.parametrize("make_cov", [_chain_cov, _spiked_cov, _low_variance_cov],
+                         ids=["restore-fails", "floor-above-one", "low-variance-row"])
+def test_pipeline_exactly_symmetric_on_engineered_cases(make_cov):
+    _assert_exactly_symmetric(_residuals_with_cov(make_cov(40), 96, 100), 96, 100, 3.0)

@@ -219,10 +219,10 @@ class TestCoupledBlock:
     @settings(max_examples=40, deadline=None)
     def test_precision_root(self, layout):
         a, free = permuted_block_diagonal(*layout, definite=True)
-        out = precision_root(a)
+        used = EIGEN_FLOOR_FRAC * spectrum(a)[-1]
+        out = precision_root(a, used)
         floor = EIGEN_FLOOR_FRAC * np.linalg.eigvalsh(a)[-1]
         assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
-        used = EIGEN_FLOOR_FRAC * spectrum(a)[-1]
         assert_decoupled_exact(out, free, 1.0 / np.sqrt(np.maximum(np.diag(a)[free], used)))
 
     @given(block_layouts())
