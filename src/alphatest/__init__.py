@@ -24,7 +24,7 @@ from .harness import (
     run_power_curve,
     summarize,
 )
-from .ols import FactorPanel, OlsFit, fit, t_ratios
+from .ols import FactorPanel, OlsFit, fit
 
 __version__ = "0.1.0"
 
@@ -43,5 +43,4 @@ __all__ = [
     "FactorPanel",
     "OlsFit",
     "fit",
-    "t_ratios",
 ]

@@ -209,7 +209,7 @@ def run_all_detailed(
         "p": panel.n_factors,
         "v": v,
         "threshold_used": dep.threshold_used,
-        "coupled": dep.coupled,
+        "coupled": dep.active.size,
         "repaired": dep.repaired,
         "mt_survivors": mt.survivors,
         "rho_bar_sq": mt.rho_bar_sq,

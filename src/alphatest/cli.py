@@ -137,7 +137,7 @@ def cmd_size(args) -> int:
     return EXIT_OK
 
 
-def _parse_m_grid(text: str) -> tuple:
+def _parse_m_grid(text: str, n: int) -> tuple:
     lo, sep, hi = text.partition(":")
     try:
         grid = tuple(range(int(lo), int(hi) + 1) if sep else map(int, text.split(",")))
@@ -146,12 +146,15 @@ def _parse_m_grid(text: str) -> tuple:
     if not grid or min(grid) < 0:
         raise ParseError("--m-grid: expected a nonempty 'lo:hi' range or "
                          f"comma-separated integers >= 0, got {text!r}")
+    if max(grid) > n:
+        raise ParseError(f"--m-grid: entries must not exceed N={n}, got {max(grid)}")
     return grid
 
 
 def cmd_power(args) -> int:
     scenario = _load_scenario(args)
-    spec = ExperimentSpec(scenario=scenario, m_grid=_parse_m_grid(args.m_grid))
+    grid = _parse_m_grid(args.m_grid, scenario.n)
+    spec = ExperimentSpec(scenario=scenario, m_grid=grid)
     table = run_power_curve(spec, workers=args.workers)
     write_text_atomic(args.out, table_to_csv(table))
     stem, ext = os.path.splitext(args.out)

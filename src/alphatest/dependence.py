@@ -4,18 +4,20 @@ Produces the correlation-structure ingredients the tests need:
 
 * the correlation scale ``s_ij / sqrt(s_ii s_jj)`` of the residual
   covariance, computed once and read by both thresholds below,
-* a hard-thresholded covariance estimate (Bickel-Levina style) and the
-  symmetric inverse square root of the correlation matrix derived from
-  it, used to decorrelate the t-ratio vector before taking a maximum,
+* a hard-thresholded (Bickel-Levina style), PSD-repaired correlation
+  matrix and its symmetric inverse square root, used to decorrelate the
+  t-ratio vector before taking a maximum,
 * the multiple-testing average of squared surviving correlations that
   corrects the sum-type test's variance for cross-sectional dependence.
 
+Everything after the correlation scale works on it alone, so the
+estimate does not depend on any security's units.
+
 Block form: thresholding leaves most rows with no off-diagonal survivor.
-Such a decoupled row stays a diagonal row through PSD repair (unless its
-variance is below the repair epsilon), correlation scaling and the root,
-and its entry in the root has the closed form ``1 / sqrt(max(1, floor))``.
-So repair and root run on the *active* rows only: the coupled rows plus
-the low-variance decoupled ones.
+Such a decoupled row stays a unit diagonal row through PSD repair,
+diagonal restoration and the root, and its entry in the root has the
+closed form ``1 / sqrt(max(1, floor))``.  So repair and root run on the
+*active* rows only: those with a surviving off-diagonal correlation.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import NonPositiveDiagonal
-from .linalg import coupled, inv_sqrt_psd, psd_repair, spectrum
+from .linalg import inv_sqrt_psd, psd_repair, spectrum
 
 __all__ = [
     "DependenceEstimate",
@@ -38,13 +40,14 @@ __all__ = [
     "estimate_dependence",
 ]
 
-# Fraction of the largest diagonal entry (resp. eigenvalue) used as the
-# PSD-repair epsilon and the inverse-root eigenvalue floor.  Hard
-# thresholding of a banded correlation structure routinely produces an
-# indefinite matrix; with a tiny floor the inverse root amplifies the
-# repaired directions by orders of magnitude and the standardized max
-# test rejects almost always.  These fractions keep that amplification
-# below ~3x and reproduce the reference null rejection rates.
+# PSD-repair epsilon, as a fraction of the thresholded correlation's unit
+# diagonal, and the inverse-root eigenvalue floor, as a fraction of the
+# repaired correlation's largest eigenvalue.  Hard thresholding of a
+# banded correlation structure routinely produces an indefinite matrix;
+# with a tiny floor the inverse root amplifies the repaired directions by
+# orders of magnitude and the standardized max test rejects almost always.
+# These fractions keep that amplification below ~3x and reproduce the
+# reference null rejection rates.
 PSD_EPS_FRAC = 0.15
 EIGEN_FLOOR_FRAC = 0.12
 
@@ -62,7 +65,6 @@ class DependenceEstimate:
     root: np.ndarray
     floor: float  # eigenvalue floor of the root
     threshold_used: float
-    coupled: int  # securities in the block the precision root decomposed
     repaired: bool  # PSD repair clipped an eigenvalue
 
     def standardize(self, t: np.ndarray) -> np.ndarray:
@@ -102,41 +104,39 @@ def correlation_scale(sigma: np.ndarray) -> np.ndarray:
     return np.divide(s, scale, out=scale)
 
 
-def hard_threshold(sigma: np.ndarray, corr: np.ndarray, t: int, delta: float):
-    """Zero small off-diagonal entries on the correlation scale, in block form.
+def hard_threshold(corr: np.ndarray, t: int, delta: float):
+    """Zero small off-diagonal correlations, in block form.
 
-    An off-diagonal entry survives iff its magnitude in `corr` (the
-    symmetric `correlation_scale` of `sigma`) is at least
-    ``delta * sqrt(log(N) / t)``; the diagonal is untouched.  A row with
-    no survivor is diagonal in the result.  The active rows are the
-    coupled ones plus every decoupled row that PSD repair with epsilon
-    ``PSD_EPS_FRAC * max(sigma_ii)`` could change or correlation scaling
-    would reject: those with a variance below epsilon or not positive.
+    An off-diagonal entry of `corr` (a symmetric `correlation_scale`)
+    survives iff its magnitude is at least ``delta * sqrt(log(N) / t)``;
+    the diagonal is untouched.  The active rows are those with a survivor;
+    every other row is diagonal in the result.
 
     Returns
     -------
     (ndarray, ndarray, float)
-        The thresholded matrix on the active rows, the ascending active
-        indices, and the threshold that was used.
+        The thresholded correlation on the active rows, the ascending
+        active indices, and the threshold that was used.
     """
-    s = np.asarray(sigma, dtype=float)
     corr = np.asarray(corr, dtype=float)
-    n = s.shape[0]
+    n = corr.shape[0]
     threshold = delta * np.sqrt(np.log(n) / t)
     keep = corr >= threshold  # |corr| >= threshold, without an N x N |corr|
     keep |= corr <= -threshold
     np.fill_diagonal(keep, False)
-    var = np.diag(s)
-    settled = (var >= PSD_EPS_FRAC * var.max()) & (var > 0)
-    active = np.flatnonzero(keep.any(axis=1) | ~settled)
+    active = np.flatnonzero(keep.any(axis=1))
     block = np.ix_(active, active)
     keep = keep[block]
     np.fill_diagonal(keep, True)
-    return np.where(keep, s[block], 0.0), active, threshold
+    return np.where(keep, corr[block], 0.0), active, threshold
 
 
 def correlation_from_cov(sigma: np.ndarray) -> np.ndarray:
-    """Scale a covariance matrix to unit diagonal; exactly symmetric if `sigma` is."""
+    """Scale a covariance matrix to unit diagonal; exactly symmetric if `sigma` is.
+
+    `estimate_dependence` uses it to restore the unit diagonal of the
+    PSD-repaired correlation block.
+    """
     s = np.asarray(sigma, dtype=float)
     d = np.diag(s)
     if (d <= 0).any():
@@ -191,13 +191,12 @@ def estimate_dependence(
     Only the covariance, its correlation scale and the threshold
     comparisons are N x N; repair and root run on the active block.
     """
-    sigma = sample_cov(residuals, dof)
-    corr = correlation_scale(sigma)
-    thresholded, active, used = hard_threshold(sigma, corr, t, delta)
-    block = psd_repair(thresholded, PSD_EPS_FRAC * np.diag(sigma).max())
+    corr = correlation_scale(sample_cov(residuals, dof))
+    thresholded, active, used = hard_threshold(corr, t, delta)
+    block = psd_repair(thresholded, PSD_EPS_FRAC)
     r_hat = correlation_from_cov(block)
     w = spectrum(r_hat)
-    if active.size < sigma.shape[0]:
+    if active.size < corr.shape[0]:
         w = np.append(w, 1.0)  # each decoupled row outside is the eigenpair (1, e_i)
     floor = EIGEN_FLOOR_FRAC * w.max()
     return DependenceEstimate(
@@ -206,6 +205,5 @@ def estimate_dependence(
         root=precision_root(r_hat, floor),
         floor=floor,
         threshold_used=used,
-        coupled=int(coupled(r_hat).size),
         repaired=not np.array_equal(block, thresholded),
     )

@@ -12,7 +12,11 @@ import numpy as np
 from .errors import DegenerateDesign, DimensionError, ZeroResidualVariance
 from .linalg import annihilator
 
-__all__ = ["FactorPanel", "OlsFit", "fit", "t_ratios"]
+__all__ = ["FactorPanel", "OlsFit", "fit"]
+
+# A residual standard deviation below 1e-10 of the security's RMS return is
+# an exact fit: the relative cut does not depend on the security's units.
+EXACT_FIT_FRAC = 1e-20
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,13 @@ class OlsFit:
 def fit(panel: FactorPanel) -> OlsFit:
     """Fit the factor model to every security in the panel.
 
-    Securities with a numerically exact zero-noise fit get t = 0 when the
-    intercept estimate is also zero, and an infinite t otherwise; use
-    :func:`t_ratios` for the strict variant that rejects such fits.
-
     Raises
     ------
     DegenerateDesign
         If the intercept is numerically collinear with the factors.
+    ZeroResidualVariance
+        If a security is fitted exactly: its residual variance is at most
+        `EXACT_FIT_FRAC` of its mean squared return, so it has no t-ratio.
     """
     y = panel.returns
     f = panel.factors
@@ -106,7 +109,13 @@ def fit(panel: FactorPanel) -> OlsFit:
     alpha = (y @ m_ones) / leverage
     resid = (y - alpha[:, None]) @ m
     sigma = np.einsum("ij,ij->i", resid, resid) / v
-    t_stats = _safe_t(alpha, sigma, leverage)
+    exact = sigma <= EXACT_FIT_FRAC * np.einsum("ij,ij->i", y, y) / t
+    if exact.any():
+        raise ZeroResidualVariance(
+            f"exact fit (residual variance at most {EXACT_FIT_FRAC:g} of the mean "
+            f"squared return) for securities {np.flatnonzero(exact).tolist()}"
+        )
+    t_stats = alpha * np.sqrt(leverage) / np.sqrt(sigma)
     return OlsFit(
         alpha_hat=alpha,
         residuals=resid,
@@ -115,24 +124,3 @@ def fit(panel: FactorPanel) -> OlsFit:
         dof=v,
     )
 
-
-def _safe_t(alpha, sigma, leverage):
-    tiny = sigma < 1e-14
-    if not tiny.any():
-        return alpha * np.sqrt(leverage) / np.sqrt(sigma)
-    # exact-fit securities: zero intercept gives t = 0, a nonzero one
-    # has no finite t-ratio and is marked infinite
-    t = np.zeros_like(alpha)
-    ok = ~tiny
-    t[ok] = alpha[ok] * np.sqrt(leverage) / np.sqrt(sigma[ok])
-    blown = tiny & (np.abs(alpha) > 1e-10)
-    t[blown] = np.sign(alpha[blown]) * np.inf
-    return t
-
-
-def t_ratios(fit_result: OlsFit) -> np.ndarray:
-    """Intercept t-ratios alpha * sqrt(1'M1) / sqrt(sigma)."""
-    sigma = fit_result.sigma_hat
-    if (sigma < 1e-14).any():
-        raise ZeroResidualVariance("residual variance below 1e-14")
-    return fit_result.t_stats

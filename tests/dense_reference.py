@@ -1,11 +1,11 @@
 """Dense N x N forms of the block-form dependence estimate, for tests.
 
 `hard_threshold` and `estimate_dependence` hold the thresholded
-covariance and the inverse correlation root on their active rows only.
+correlation and the inverse correlation root on their active rows only.
 `densify`, `thresholded_dense` and `dense_root` rebuild the N x N
 matrices from those blocks.  `dense_oracle` recomputes the estimate
 without the block form: the threshold on the whole correlation scale,
-then PSD repair, correlation scaling, the eigenvalue floor and the
+then PSD repair, diagonal restoration, the eigenvalue floor and the
 precision root on N x N, and the multiple-testing sum over
 `triu_indices`.  `max_stat_standardized` is MAX2 from an N x N root.
 """
@@ -45,12 +45,11 @@ def densify(block, active, diag):
 
 
 def thresholded_dense(sigma, t, delta):
-    """`hard_threshold` of `sigma` as an N x N matrix, PSD-repaired, and the
-    threshold used."""
-    sigma = np.asarray(sigma, dtype=float)
-    block, active, used = hard_threshold(sigma, correlation_scale(sigma), t, delta)
-    dense = densify(block, active, np.diag(sigma))
-    return psd_repair(dense, PSD_EPS_FRAC * np.diag(sigma).max()), used
+    """`hard_threshold` of the correlation scale of `sigma` as an N x N
+    matrix, PSD-repaired, and the threshold used."""
+    corr = correlation_scale(sigma)
+    block, active, used = hard_threshold(corr, t, delta)
+    return psd_repair(densify(block, active, np.diag(corr)), PSD_EPS_FRAC), used
 
 
 def dense_root(dep):
@@ -61,7 +60,7 @@ def dense_root(dep):
 
 
 def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
-    """(rho_bar_sq, N x N root, thresholded-and-repaired covariance) from
+    """(rho_bar_sq, N x N root, thresholded-and-repaired correlation) from
     the dense pipeline; `dof` is also the MT step's v."""
     sigma = sample_cov(residuals, dof)
     n = sigma.shape[0]
@@ -69,7 +68,7 @@ def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
     corr = sigma / np.outer(d, d)
     keep = np.abs(corr) >= delta * np.sqrt(np.log(n) / t)
     np.fill_diagonal(keep, True)
-    repaired = psd_repair(np.where(keep, sigma, 0.0), PSD_EPS_FRAC * np.diag(sigma).max())
+    repaired = psd_repair(np.where(keep, corr, 0.0), PSD_EPS_FRAC)
     r_hat = correlation_from_cov(repaired)
     root = precision_root(r_hat, EIGEN_FLOOR_FRAC * spectrum(r_hat)[-1])
     rho = corr[np.triu_indices(n, k=1)]

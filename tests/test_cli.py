@@ -89,6 +89,22 @@ class TestCmdTest:
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_NUMERIC
 
+    def test_constant_security_exits_numeric(self, tmp_path, capsys):
+        rpath, fpath = null_panel_files(tmp_path, seed=6)
+        lines = rpath.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[3] = "0.25"  # security 3 is fitted exactly by its intercept
+        rpath.write_text("\n".join(
+            [lines[0]] + [",".join(row) for row in rows]) + "\n")
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: exact fit") and err.endswith("[3]\n")
+        assert not out.exists()
+
     def test_eigensolver_failure_exits_numeric(self, tmp_path, monkeypatch, capsys):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -231,16 +247,18 @@ class TestCmdPower:
         ms = {line.split(",")[5] for line in out.read_text().strip().splitlines()[1:]}
         assert ms == {"1", "2", "3"}
 
-    @pytest.mark.parametrize("grid", ["abc", "5:1", "-1"],
-                             ids=["not_integer", "empty_range", "negative"])
-    def test_bad_m_grid_exits_io(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize("grid,message", [
+        ("abc", "expected"), ("5:1", "expected"), ("-1", "expected"),
+        ("1,50", "entries must not exceed N=20, got 50\n"),
+    ], ids=["not_integer", "empty_range", "negative", "above_n"])
+    def test_bad_m_grid_exits_io(self, tmp_path, capsys, grid, message):
         config = tmp_path / "scenario.json"
         write_scenario(config, n=20, t=40, reps=2, seed=12)
         out = tmp_path / "power.csv"
         code = main(["power", "--config", str(config), "--out", str(out),
                      "--m-grid", grid])
         assert code == EXIT_IO
-        assert capsys.readouterr().err.startswith("error: --m-grid: expected")
+        assert capsys.readouterr().err.startswith("error: --m-grid: " + message)
         assert not out.exists()
 
 

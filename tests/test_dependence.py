@@ -68,7 +68,7 @@ class TestHardThreshold:
     def test_diagonal_untouched(self):
         sigma = np.array([[2.0, 0.01], [0.01, 3.0]])
         out, _ = thresholded_dense(sigma, 100, 2.0)
-        assert np.allclose(np.diag(out), [2.0, 3.0])
+        np.testing.assert_array_equal(np.diag(out), np.diag(correlation_scale(sigma)))
 
     def test_large_entries_survive(self):
         # the 0.9 correlation survives; PSD repair may trim it slightly
@@ -218,7 +218,7 @@ def test_eigen_call_count_does_not_depend_on_the_block(monkeypatch):
     paired[1] = 0.8 * e[0] + 0.6 * e[1]
     empty, empty_calls = _eigen_calls(monkeypatch, e)
     pair, pair_calls = _eigen_calls(monkeypatch, paired)
-    assert (empty.coupled, pair.coupled) == (0, 2)
+    assert (empty.active.size, pair.active.size) == (0, 2)
     assert empty_calls == pair_calls == {"eigh": 1, "eigvalsh": 2}
     assert empty.root.shape == (0, 0) and pair.active.tolist() == [0, 1]
     np.testing.assert_array_equal(dense_root(empty), np.eye(40))
@@ -250,18 +250,19 @@ def test_omega_root_consistency_direction():
 
 class TestBlockForm:
     def test_active_rows(self):
-        # rows 0 and 3 correlate at 0.8; row 5's variance 0.1 is below the
-        # repair epsilon 0.15 * 1; the other rows leave the block
+        # rows 0 and 3 correlate at 0.8; row 5's small variance 0.1 does not
+        # matter on the correlation scale; the other rows leave the block
         sigma = np.eye(6)
         sigma[0, 3] = sigma[3, 0] = 0.8
         sigma[5, 5] = 0.1
-        block, active, _ = hard_threshold(sigma, correlation_scale(sigma), 100, 2.0)
-        assert active.tolist() == [0, 3, 5]
-        np.testing.assert_array_equal(block, sigma[np.ix_(active, active)])
+        corr = correlation_scale(sigma)
+        block, active, _ = hard_threshold(corr, 100, 2.0)
+        assert active.tolist() == [0, 3]
+        np.testing.assert_array_equal(block, corr[np.ix_(active, active)])
 
     def test_empty_block(self):
         sigma = np.diag([1.0, 2.0, 3.0])
-        block, active, _ = hard_threshold(sigma, correlation_scale(sigma), 100, 2.0)
+        block, active, _ = hard_threshold(correlation_scale(sigma), 100, 2.0)
         assert block.shape == (0, 0) and active.size == 0
 
     def test_empty_precision_root(self, monkeypatch):
@@ -296,7 +297,8 @@ def _spiked_cov(n):
 
 
 def _low_variance_cov(n):
-    # row 7 is decoupled with variance 0.1, below the repair epsilon 0.15
+    # row 7 is decoupled with variance 0.1: on the correlation scale it is a
+    # unit row like any other, so it stays out of the block
     cov = np.eye(n)
     cov[3, 9] = cov[9, 3] = 0.7
     cov[7, 7] = 0.1
@@ -308,22 +310,37 @@ def _assert_rel(a, b, rtol=1e-12):
 
 
 @pytest.mark.parametrize("make_cov,check", [
-    (_chain_cov, lambda dep, repaired, sigma: (
-        dep.repaired and not np.array_equal(np.diag(repaired), np.diag(sigma)))),
-    (_spiked_cov, lambda dep, repaired, sigma: dep.floor > 1.0),
-    (_low_variance_cov, lambda dep, repaired, sigma: (
-        7 in dep.active and dep.coupled == 2 and dep.repaired)),
+    (_chain_cov, lambda dep, repaired, corr: (
+        dep.repaired and not np.array_equal(np.diag(repaired), np.diag(corr)))),
+    (_spiked_cov, lambda dep, repaired, corr: dep.floor > 1.0),
+    (_low_variance_cov, lambda dep, repaired, corr: (
+        dep.active.tolist() == [3, 9] and not dep.repaired)),
 ], ids=["restore-fails", "floor-above-one", "low-variance-row"])
 def test_block_matches_dense_on_engineered_cases(make_cov, check):
     n, t, dof = 40, 100, 96
     e = _residuals_with_cov(make_cov(n), dof, t)
     dep = estimate_dependence(e, dof, t, 3.0)
     _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
-    assert check(dep, repaired, sample_cov(e, dof))
+    assert check(dep, repaired, correlation_scale(sample_cov(e, dof)))
     assert dep.active.size < n
     np.testing.assert_array_equal(dense_root(dep), root)
     tr = np.random.default_rng(1).standard_normal(n) * 3.0
     _assert_rel(float(np.max(dep.standardize(tr) ** 2)), max_stat_standardized(tr, root))
+
+
+def test_low_variance_row_is_a_unit_row():
+    # the estimate for the panel with row 7 at variance 0.1 is the one for
+    # the same panel with row 7 at unit variance
+    n, t, dof = 40, 100, 96
+    low = estimate_dependence(_residuals_with_cov(_low_variance_cov(n), dof, t), dof, t, 3.0)
+    unit_cov = _low_variance_cov(n)
+    unit_cov[7, 7] = 1.0
+    unit = estimate_dependence(_residuals_with_cov(unit_cov, dof, t), dof, t, 3.0)
+    np.testing.assert_array_equal(low.active, unit.active)
+    np.testing.assert_array_equal(low.root, unit.root)
+    assert (low.floor, low.threshold_used, low.repaired) == \
+        (unit.floor, unit.threshold_used, unit.repaired)
+    np.testing.assert_allclose(low.corr, unit.corr, rtol=0, atol=1e-15)
 
 
 BLOCK_PANELS = [(model, n, m, delta) for model in ("M1", "M2", "M3", "M4")
@@ -354,10 +371,9 @@ def test_block_matches_dense_pipeline(model, n, m, delta):
 def _assert_exactly_symmetric(residuals, dof, t, delta):
     # psd_repair and correlation_from_cov do not symmetrize their input:
     # each stage must hand the next an exactly symmetric matrix
-    sigma = sample_cov(residuals, dof)
-    corr = correlation_scale(sigma)
-    block, _, _ = hard_threshold(sigma, corr, t, delta)
-    repaired = psd_repair(block, PSD_EPS_FRAC * np.diag(sigma).max())
+    corr = correlation_scale(sample_cov(residuals, dof))
+    block, _, _ = hard_threshold(corr, t, delta)
+    repaired = psd_repair(block, PSD_EPS_FRAC)
     for x in (corr, block, repaired, correlation_from_cov(repaired)):
         assert np.array_equal(x, x.T)
 

@@ -213,9 +213,11 @@ class TestAssemblePanel:
         factors = gen_factors(t, rng=rng)
         betas = gen_betas(n, rng)
         alpha = np.linspace(-0.5, 0.5, n)
-        panel = assemble_panel(alpha, betas, factors, np.zeros((n, t)))
-        result = fit(panel)
-        assert np.abs(result.alpha_hat - alpha).max() < 1e-9
+        errors = np.zeros((n, t))
+        panel = assemble_panel(alpha, betas, factors, errors)
+        np.testing.assert_array_equal(panel.returns,
+                                      alpha[:, None] + betas @ factors.T + errors)
+        np.testing.assert_array_equal(panel.factors, factors)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):

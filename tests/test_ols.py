@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from alphatest.errors import DegenerateDesign, DimensionError, ZeroResidualVariance
-from alphatest.ols import FactorPanel, fit, t_ratios
+from alphatest.ols import FactorPanel, fit
 
 
 def make_panel(n=5, t=30, p=3, seed=0, alpha=None):
@@ -61,30 +61,56 @@ class TestFactorPanel:
 
 class TestFit:
     def test_constant_series_is_pure_intercept(self):
+        # a constant series is fitted exactly by its intercept: no t-ratio
         rng = np.random.default_rng(1)
         f = rng.standard_normal((20, 3))
-        y = np.full((4, 20), 2.5)
-        result = fit(FactorPanel(returns=y, factors=f))
-        assert np.allclose(result.alpha_hat, 2.5, atol=1e-10)
-        assert np.abs(result.residuals).max() < 1e-9
+        y = rng.standard_normal((4, 20))
+        y[[1, 3]] = 2.5
+        with pytest.raises(ZeroResidualVariance, match=r"securities \[1, 3\]$"):
+            fit(FactorPanel(returns=y, factors=f))
 
     def test_zero_noise_factor_returns(self):
-        # Y = F b exactly: alpha = 0, sigma degenerates, t set to 0
+        # Y = F b exactly: a zero intercept does not make the fit usable
         rng = np.random.default_rng(2)
         f = rng.standard_normal((15, 2))
         b = rng.standard_normal((3, 2))
-        result = fit(FactorPanel(returns=b @ f.T, factors=f))
-        assert np.abs(result.alpha_hat).max() < 1e-10
-        assert np.array_equal(result.t_stats, np.zeros(3))
+        with pytest.raises(ZeroResidualVariance, match=r"securities \[0, 1, 2\]$"):
+            fit(FactorPanel(returns=b @ f.T, factors=f))
 
     def test_constant_series_is_exact_intercept_fit(self):
+        # a nonzero intercept with no noise has no finite t-ratio either
         rng = np.random.default_rng(3)
         f = rng.standard_normal((15, 2))
-        result = fit(FactorPanel(returns=np.full((2, 15), 1.5), factors=f))
-        assert np.allclose(result.alpha_hat, 1.5, atol=1e-10)
-        assert np.isinf(result.t_stats).all()
         with pytest.raises(ZeroResidualVariance):
-            t_ratios(result)
+            fit(FactorPanel(returns=np.full((2, 15), 1.5), factors=f))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
+    def test_exact_fit_raises_at_every_scale(self, scale):
+        rng = np.random.default_rng(12)
+        f = rng.standard_normal((30, 3))
+        y = rng.standard_normal((5, 30))
+        y[2] = 0.3 + f @ rng.standard_normal(3)
+        with pytest.raises(ZeroResidualVariance, match=r"securities \[2\]$"):
+            fit(FactorPanel(returns=scale * y, factors=f))
+        assert np.isfinite(fit(FactorPanel(returns=scale * y[[0, 1, 3, 4]], factors=f))
+                           .t_stats).all()
+
+    def test_all_zero_security_raises_without_warning(self):
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal((3, 20))
+        y[0] = 0.0
+        with np.errstate(all="raise"), pytest.raises(ZeroResidualVariance):
+            fit(FactorPanel(returns=y, factors=rng.standard_normal((20, 2))))
+
+    def test_tiny_noise_is_not_an_exact_fit(self):
+        # residual noise at 1e-8 of the RMS return is a fit with a t-ratio
+        rng = np.random.default_rng(14)
+        f = rng.standard_normal((40, 3))
+        exact = 1.0 + f @ rng.standard_normal((3, 4))
+        rms = np.sqrt(np.mean(exact.T**2, axis=1))
+        y = exact.T + 1e-8 * rms[:, None] * rng.standard_normal((4, 40))
+        result = fit(FactorPanel(returns=y, factors=f))
+        assert np.isfinite(result.t_stats).all() and (np.abs(result.t_stats) > 1e6).all()
 
     def test_matches_full_design_oracle(self):
         panel = make_panel(n=6, t=20, p=3, seed=4, alpha=np.linspace(-1, 1, 6))
@@ -134,16 +160,20 @@ class TestFit:
 
 class TestTRatios:
     def test_matches_fit(self):
-        result = fit(make_panel(seed=10))
-        assert np.array_equal(t_ratios(result), result.t_stats)
+        # t = alpha * sqrt(1'M1) / sqrt(sigma), with M the factor annihilator
+        panel = make_panel(seed=10)
+        result = fit(panel)
+        x = np.column_stack([np.ones(panel.n_periods), panel.factors])
+        leverage = 1.0 / np.linalg.inv(x.T @ x)[0, 0]
+        expect = result.alpha_hat * np.sqrt(leverage / result.sigma_hat)
+        assert np.abs(result.t_stats - expect).max() < 1e-9
 
     def test_degenerate_variance_raises(self):
         rng = np.random.default_rng(11)
         f = rng.standard_normal((15, 2))
         b = rng.standard_normal((3, 2))
-        result = fit(FactorPanel(returns=b @ f.T, factors=f))
-        with pytest.raises(ZeroResidualVariance):
-            t_ratios(result)
+        with pytest.raises(ZeroResidualVariance, match="exact fit"):
+            fit(FactorPanel(returns=b @ f.T, factors=f))
 
 
 def test_null_t_moments():
