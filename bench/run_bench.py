@@ -1,0 +1,120 @@
+"""Per-replication stage timings of the simulator and the five tests.
+
+    python3 bench/run_bench.py --label HEAD --out BENCH.json
+    python3 bench/run_bench.py --label parent --src /path/to/other/src --out BENCH.json
+
+For each covariance model M1-M4 and N in {200, 500, 1000, 2000} at
+T=100 (t5-scaled errors, null alpha, seed 0), times
+`harness.simulate_panel` and `alpha_tests.run_all_detailed` on
+replication 0, best of 3 after one untimed call (which fills the M1/M3
+root cache; its time is recorded as `first_simulate_ms`).  BLAS runs on
+one thread.  The results go under ``runs[label]`` of the JSON file at
+`--out`, which keeps the runs of other labels, so two checkouts timed by
+the same script sit side by side.  Only numpy and the standard library
+are used besides the package.
+"""
+
+import os
+import sys
+
+BLAS_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import time  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MODELS = ("M1", "M2", "M3", "M4")
+SIZES = (200, 500, 1000, 2000)
+T = 100
+REPEATS = 3
+ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_all_detailed "
+         "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
+         "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
+         "cache); BLAS on one thread; coupled = active rows of the dependence estimate.")
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output")
+    parser.add_argument("--out", required=True, help="JSON file to add the run to")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the alphatest package to time")
+    return parser.parse_args(argv)
+
+
+def best_ms(fn, repeats=REPEATS):
+    """(smallest wall time of `repeats` calls in ms, last result)."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - start)
+    return 1e3 * best, out
+
+
+def environment():
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": BLAS_THREADS,
+        "cpus": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+    }
+
+
+def time_cell(model, n):
+    from alphatest.alpha_tests import run_all_detailed
+    from alphatest.harness import ScenarioConfig, simulate_panel
+
+    scenario = ScenarioConfig(n=n, t=T, cov_model=model, error_dist="t5_scaled", m=0, seed=0)
+    start = time.perf_counter()
+    panel = simulate_panel(scenario, 0, 0)
+    first_ms = 1e3 * (time.perf_counter() - start)
+    simulate_ms, _ = best_ms(lambda: simulate_panel(scenario, 0, 0))
+    tests_ms, (_, diagnostics) = best_ms(lambda: run_all_detailed(panel))
+    return {
+        "model": model,
+        "N": n,
+        "T": T,
+        "first_simulate_ms": round(first_ms, 3),
+        "simulate_ms": round(simulate_ms, 3),
+        "run_all_detailed_ms": round(tests_ms, 3),
+        "coupled": int(diagnostics["coupled"]),
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    start = time.perf_counter()
+    cells = []
+    for n in SIZES:
+        for model in MODELS:
+            cell = time_cell(model, n)
+            cells.append(cell)
+            print(json.dumps(cell), flush=True)
+    wall_s = round(time.perf_counter() - start, 1)
+    run = {"environment": environment(), "wall_s": wall_s, "cells": cells}
+    doc = {"runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out) as handle:
+            doc = json.load(handle)
+    doc["about"] = ABOUT
+    doc["runs"][args.label] = run
+    with open(args.out, "w") as handle:
+        json.dump(doc, handle, indent=1)
+        handle.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

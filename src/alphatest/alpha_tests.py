@@ -181,7 +181,7 @@ def run_all_detailed(
     p_sum = py_p_value(py)
 
     m1 = max_stat(t)
-    m2 = max_stat(dep.standardize(t))
+    m2 = max_stat(dep.root @ t)
     p_max1 = max_p_value(m1, n)
     p_max2 = max_p_value(m2, n)
 
@@ -209,7 +209,7 @@ def run_all_detailed(
         "p": panel.n_factors,
         "v": v,
         "threshold_used": dep.threshold_used,
-        "coupled": dep.active.size,
+        "coupled": dep.root.active.size,
         "repaired": dep.repaired,
         "mt_survivors": mt.survivors,
         "rho_bar_sq": mt.rho_bar_sq,

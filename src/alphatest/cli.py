@@ -129,9 +129,15 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
+def _workers(args) -> int:
+    if args.workers < 1:
+        raise ParseError(f"--workers: expected an integer >= 1, got {args.workers}")
+    return args.workers
+
+
 def cmd_size(args) -> int:
     scenario = _load_scenario(args)
-    table = run_experiment(ExperimentSpec(scenario=scenario), workers=args.workers)
+    table = run_experiment(ExperimentSpec(scenario=scenario), workers=_workers(args))
     write_text_atomic(args.out, table_to_csv(table))
     print(summarize(table))
     return EXIT_OK
@@ -155,7 +161,7 @@ def cmd_power(args) -> int:
     scenario = _load_scenario(args)
     grid = _parse_m_grid(args.m_grid, scenario.n)
     spec = ExperimentSpec(scenario=scenario, m_grid=grid)
-    table = run_power_curve(spec, workers=args.workers)
+    table = run_power_curve(spec, workers=_workers(args))
     write_text_atomic(args.out, table_to_csv(table))
     stem, ext = os.path.splitext(args.out)
     plot_lines = ["m,method,power"]

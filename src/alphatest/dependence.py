@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import NonPositiveDiagonal
-from .linalg import inv_sqrt_psd, psd_repair, spectrum
+from .linalg import BlockDiagonal, inv_sqrt_psd, psd_repair, spectrum
 
 __all__ = [
     "DependenceEstimate",
@@ -56,23 +56,16 @@ EIGEN_FLOOR_FRAC = 0.12
 class DependenceEstimate:
     """Correlation scale and block-form inverse correlation root.
 
-    The root is block diagonal: `root` on the ascending indices `active`,
-    and ``1 / sqrt(max(1, floor))`` on the diagonal of every other row.
+    `root` holds the root on the active rows as its block and
+    ``1 / sqrt(max(1, floor))`` on the diagonal of every other row;
+    ``root @ t`` standardizes the t-ratios.
     """
 
     corr: np.ndarray  # correlation scale of the residual covariance, N x N
-    active: np.ndarray
-    root: np.ndarray
+    root: BlockDiagonal
     floor: float  # eigenvalue floor of the root
     threshold_used: float
     repaired: bool  # PSD repair clipped an eigenvalue
-
-    def standardize(self, t: np.ndarray) -> np.ndarray:
-        """The estimated inverse correlation root times `t`."""
-        t = np.asarray(t, dtype=float)
-        nu = t * (1.0 / np.sqrt(max(1.0, self.floor)))
-        nu[self.active] = self.root @ t[self.active]
-        return nu
 
 
 @dataclass(frozen=True)
@@ -199,10 +192,10 @@ def estimate_dependence(
     if active.size < corr.shape[0]:
         w = np.append(w, 1.0)  # each decoupled row outside is the eigenpair (1, e_i)
     floor = EIGEN_FLOOR_FRAC * w.max()
+    outside = np.full(corr.shape[0], 1.0 / np.sqrt(max(1.0, floor)))
     return DependenceEstimate(
         corr=corr,
-        active=active,
-        root=precision_root(r_hat, floor),
+        root=BlockDiagonal(outside, active, precision_root(r_hat, floor)),
         floor=floor,
         threshold_used=used,
         repaired=not np.array_equal(block, thresholded),

@@ -6,10 +6,12 @@ covariance models under three innovation laws; sparse alpha signals keep
 a fixed total signal strength regardless of sparsity.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefinite
-from .linalg import spectral_map, sym_eigen
+from .linalg import BlockDiagonal, spectral_map, sym_eigen
 from .ols import FactorPanel
 
 __all__ = [
@@ -70,21 +72,22 @@ def gen_factors(
         if zeta.shape != (steps, k):
             raise DimensionError(f"zeta must have shape {(steps, k)}, got {zeta.shape}")
 
-    a, b, c = map(np.asarray, (AR_INTERCEPT, AR_COEF, GARCH_INTERCEPT))
-    d, e = map(np.asarray, (GARCH_PERSISTENCE, ARCH_COEF))
-    f = np.zeros(k)
-    h = np.ones(k)
     out = np.empty((t, k))
-    for step in range(1, steps):
-        h = c + d * h + e * zeta[step - 1] ** 2
-        f = a + b * f + np.sqrt(h) * zeta[step]
-        idx = step - (BURN_IN + 1)
-        if idx >= 0:
-            out[idx] = f
+    params = zip(AR_INTERCEPT, AR_COEF, GARCH_INTERCEPT, GARCH_PERSISTENCE, ARCH_COEF)
+    # one factor at a time on Python floats: the same operations in the
+    # same order as the vector form, without numpy's per-step overhead
+    for j, ((a, b, c, d, e), z) in enumerate(zip(params, zeta.T.tolist())):
+        f, h = 0.0, 1.0
+        path = []
+        for prev, now in zip(z, z[1:]):
+            h = c + d * h + e * (prev * prev)
+            f = a + b * f + math.sqrt(h) * now
+            path.append(f)
+        out[:, j] = path[BURN_IN:]
     return out
 
 
-def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray | BlockDiagonal:
     """Construct an N x N residual covariance matrix for one of the models.
 
     M1: AR(1)-style bands 0.7**|i-j|.  M2: single random spiked factor in
@@ -92,27 +95,31 @@ def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
     M4: rank-one spike plus a rook-form spatial-autoregressive part.
     Every model is positive definite by construction; `cov_sqrt` checks
     the draw.
+
+    M2 is diagonal off its spike positions, so it is returned as a
+    `BlockDiagonal` on them, the others as dense arrays.
     """
     if kind not in COV_MODELS:
         raise ValueError(f"unknown covariance model {kind!r}")
     if n < 2:
         raise DimensionError(f"need N >= 2, got {n}")
-    idx = np.arange(n)
-    dist = np.abs(idx[:, None] - idx[None, :])
-    if kind == "M1":
-        return M1_BASE**dist
-    if kind == "M3":
+    if kind in ("M1", "M3"):
+        idx = np.arange(n)
+        dist = np.abs(idx[:, None] - idx[None, :])
+        if kind == "M1":
+            return M1_BASE**dist
         sigma = np.linalg.inv(M3_BASE**dist)
         return (sigma + sigma.T) / 2.0
     n_spikes = int(n**SPIKE_EXPONENT)
     if kind == "M2":
-        diag = rng.uniform(*DIAG_RANGE, size=n)
-        b = np.zeros(n)
+        root_d = np.sqrt(rng.uniform(*DIAG_RANGE, size=n))
         positions = rng.choice(n, size=n_spikes, replace=False)
-        b[positions] = rng.uniform(*SPIKE_RANGE, size=n_spikes)
-        r = np.eye(n) + np.outer(b, b) - np.diag(b**2)
-        root_d = np.sqrt(diag)
-        return r * np.outer(root_d, root_d)
+        loadings = rng.uniform(*SPIKE_RANGE, size=n_spikes)
+        order = np.argsort(positions)
+        positions, b = positions[order], loadings[order]
+        r = np.eye(n_spikes) + np.outer(b, b) - np.diag(b**2)
+        block = r * np.outer(root_d[positions], root_d[positions])
+        return BlockDiagonal(root_d * root_d, positions, block)
     gamma = np.zeros(n)
     gamma[:n_spikes] = rng.uniform(*SPIKE_RANGE, size=n_spikes)
     # rook weights: 1/2 to each neighbour, 1 to the only neighbour at the ends
@@ -129,18 +136,22 @@ def _positive_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def cov_sqrt(sigma: np.ndarray) -> np.ndarray:
+def cov_sqrt(sigma: np.ndarray | BlockDiagonal) -> np.ndarray | BlockDiagonal:
     """Symmetric positive-definite square root via eigendecomposition.
 
-    Only the coupled block is decomposed (see `linalg`): an M2 draw is
-    diagonal outside its spike positions.  Every eigenvalue, the
-    decoupled diagonal's included, must be positive.
+    Only the coupled block is decomposed (see `linalg`).  A `BlockDiagonal`
+    keeps its form: its block is decomposed and every entry of its `diag`
+    square-rooted.  Every eigenvalue, the decoupled diagonal's included,
+    must be positive.
     """
+    if isinstance(sigma, BlockDiagonal):
+        block = spectral_map(sigma.block, _positive_sqrt, eigen=sym_eigen)
+        return BlockDiagonal(_positive_sqrt(sigma.diag), sigma.active, block)
     return spectral_map(sigma, _positive_sqrt, eigen=sym_eigen)
 
 
 def gen_errors(
-    sigma_root: np.ndarray, dist: str, t: int, rng: np.random.Generator
+    sigma_root: np.ndarray | BlockDiagonal, dist: str, t: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw an N x T error matrix with covariance sigma_root @ sigma_root.
 
@@ -154,11 +165,13 @@ def gen_errors(
     if dist == "normal":
         z = rng.standard_normal((n, t))
     elif dist == "t5_scaled":
-        z = rng.standard_t(5, size=(n, t)) / np.sqrt(5.0 / 3.0)
+        z = rng.standard_t(5, size=(n, t))
+        z /= np.sqrt(5.0 / 3.0)
     else:
         z = rng.standard_normal((n, t))
         wide = rng.random((n, t)) < 0.1
-        z = np.where(wide, 3.0 * z, z) / np.sqrt(1.8)
+        z = np.where(wide, 3.0 * z, z)
+        z /= np.sqrt(1.8)
     return sigma_root @ z
 
 

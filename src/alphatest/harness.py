@@ -7,6 +7,7 @@ the experiment spec regardless of worker count or scheduling.
 
 import functools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -254,11 +255,16 @@ def _rows_from_block(scenario, m, outcomes):
 
 
 def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
-    """Replicate every (m, rep) pair, through one process pool if workers > 1."""
+    """Replicate every (m, rep) pair, through one process pool if workers > 1.
+
+    The pool has at most one process per task and per CPU this process
+    may run on; outputs do not depend on the worker count.
+    """
     scenario, reps = spec.scenario, spec.n_reps
     ms = [m for m in m_values for _ in range(reps)]
     rep_ids = [rep for _ in m_values for rep in range(reps)]
     tasks = ([scenario] * len(ms), ms, rep_ids)  # argument columns of _replicate
+    workers = min(workers, len(ms), len(os.sched_getaffinity(0)))
     if workers <= 1:
         outcomes = list(map(_replicate, *tasks))
     else:

@@ -15,7 +15,8 @@ hard-thresholded correlation or a spiked covariance is mostly diagonal,
 so the block is small or empty; a matrix whose rows are all coupled is
 decomposed whole, with the same LAPACK call on the same values.  Each
 helper makes exactly one eigensolver call, on a 0x0 block too, so call
-counts do not depend on the data.
+counts do not depend on the data.  `BlockDiagonal` holds such a matrix,
+or a function of one, as its diagonal and its block alone.
 
 Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
 matrices (``a == a.T``), as the residual Gram (one syrk), its symmetric
@@ -23,11 +24,14 @@ threshold mask and `spectral_map`'s symmetrized rebuild are.  `sym_eigen`
 symmetrizes its input: it is the entry point for nearly symmetric products.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DimensionError, SingularDesign
 
 __all__ = [
+    "BlockDiagonal",
     "annihilator",
     "sym_eigen",
     "coupled",
@@ -92,6 +96,31 @@ def coupled(a: np.ndarray) -> np.ndarray:
     off = np.asarray(a) != 0
     np.fill_diagonal(off, False)
     return np.flatnonzero(off.any(axis=0) | off.any(axis=1))
+
+
+@dataclass(frozen=True)
+class BlockDiagonal:
+    """N x N matrix held in block form.
+
+    `diag` (length N) on the diagonal and zeros elsewhere, except that the
+    principal submatrix on the ascending indices `active` is `block`;
+    the entries of `diag` on the active rows are not part of the matrix.
+    """
+
+    diag: np.ndarray
+    active: np.ndarray
+    block: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diag.size, self.diag.size)
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The matrix times `x` (N or N x T): ``diag * x``, then `block` on the active rows."""
+        x = np.asarray(x, dtype=float)
+        out = self.diag.reshape((-1,) + (1,) * (x.ndim - 1)) * x
+        out[self.active] = self.block @ x[self.active]
+        return out
 
 
 def spectrum(a: np.ndarray) -> np.ndarray:

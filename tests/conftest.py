@@ -1,5 +1,6 @@
 import pytest
 
+from alphatest import harness
 from alphatest.harness import ScenarioConfig, replicate_details
 
 # master seeds for the frozen Monte Carlo batches
@@ -42,3 +43,26 @@ def m1_null_rejections():
         name: [d[name].reject for d in details]
         for name in ("PY", "MAX1", "MAX2", "FC1", "FC2")
     }
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The `max_workers` of each harness process pool, recorded by a stand-in
+    pool that runs its tasks in this process and starts nothing."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes

@@ -1,18 +1,22 @@
-"""Dense N x N forms of the block-form dependence estimate, for tests.
+"""Dense N x N and vector-loop references of the block-form code, for tests.
 
 `hard_threshold` and `estimate_dependence` hold the thresholded
-correlation and the inverse correlation root on their active rows only.
-`densify`, `thresholded_dense` and `dense_root` rebuild the N x N
-matrices from those blocks.  `dense_oracle` recomputes the estimate
-without the block form: the threshold on the whole correlation scale,
-then PSD repair, diagonal restoration, the eigenvalue floor and the
-precision root on N x N, and the multiple-testing sum over
-`triu_indices`.  `max_stat_standardized` is MAX2 from an N x N root.
+correlation and the inverse correlation root on their active rows only,
+and `build_cov` returns the M2 covariance as a `BlockDiagonal`.
+`densify` and `thresholded_dense` rebuild the N x N matrices from
+those blocks.  `dense_oracle` recomputes the estimate without the block
+form: the threshold on the whole correlation scale, then PSD repair,
+diagonal restoration, the eigenvalue floor and the precision root on
+N x N, and the multiple-testing sum over `triu_indices`.
+`max_stat_standardized` is MAX2 from an N x N root.  `dense_m2_cov`
+draws the M2 covariance as an N x N array and `gen_factors_vector` runs
+the factor recursion on 3-vectors.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
+from alphatest import dgp
 from alphatest.dependence import (
     EIGEN_FLOOR_FRAC,
     PSD_EPS_FRAC,
@@ -23,7 +27,7 @@ from alphatest.dependence import (
     sample_cov,
 )
 from alphatest.errors import DimensionError
-from alphatest.linalg import psd_repair, spectrum
+from alphatest.linalg import BlockDiagonal, psd_repair, spectrum
 
 
 def max_stat_standardized(t, omega_root):
@@ -37,10 +41,10 @@ def max_stat_standardized(t, omega_root):
     return float(np.max((omega_root @ t) ** 2))
 
 
-def densify(block, active, diag):
-    """N x N matrix: `block` on the `active` rows, `diag` on the others' diagonal."""
-    out = np.diag(np.asarray(diag, dtype=float))
-    out[np.ix_(active, active)] = block
+def densify(m):
+    """The N x N array of a `BlockDiagonal`."""
+    out = np.diag(np.asarray(m.diag, dtype=float))
+    out[np.ix_(m.active, m.active)] = m.block
     return out
 
 
@@ -49,14 +53,8 @@ def thresholded_dense(sigma, t, delta):
     matrix, PSD-repaired, and the threshold used."""
     corr = correlation_scale(sigma)
     block, active, used = hard_threshold(corr, t, delta)
-    return psd_repair(densify(block, active, np.diag(corr)), PSD_EPS_FRAC), used
-
-
-def dense_root(dep):
-    """The N x N inverse correlation root of a `DependenceEstimate`."""
-    n = dep.corr.shape[0]
-    outside = 1.0 / np.sqrt(np.maximum(1.0, dep.floor))
-    return densify(dep.root, dep.active, np.full(n, outside))
+    dense = densify(BlockDiagonal(np.diag(corr), active, block))
+    return psd_repair(dense, PSD_EPS_FRAC), used
 
 
 def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
@@ -75,3 +73,31 @@ def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
     c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
     rho_bar_sq = 2.0 / (n * (n - 1)) * float(np.sum(rho[np.sqrt(dof) * np.abs(rho) >= c_n] ** 2))
     return rho_bar_sq, root, repaired
+
+
+def dense_m2_cov(n, rng):
+    """The M2 covariance of `build_cov` as an N x N array, from the same draws."""
+    diag = rng.uniform(*dgp.DIAG_RANGE, size=n)
+    n_spikes = int(n**dgp.SPIKE_EXPONENT)
+    b = np.zeros(n)
+    positions = rng.choice(n, size=n_spikes, replace=False)
+    b[positions] = rng.uniform(*dgp.SPIKE_RANGE, size=n_spikes)
+    r = np.eye(n) + np.outer(b, b) - np.diag(b**2)
+    root_d = np.sqrt(diag)
+    return r * np.outer(root_d, root_d)
+
+
+def gen_factors_vector(t, zeta):
+    """`gen_factors` with the given innovations, all three factors stepped as one vector."""
+    a, b, c = map(np.asarray, (dgp.AR_INTERCEPT, dgp.AR_COEF, dgp.GARCH_INTERCEPT))
+    d, e = map(np.asarray, (dgp.GARCH_PERSISTENCE, dgp.ARCH_COEF))
+    f = np.zeros(3)
+    h = np.ones(3)
+    out = np.empty((t, 3))
+    for step in range(1, dgp.BURN_IN + t + 1):
+        h = c + d * h + e * zeta[step - 1] ** 2
+        f = a + b * f + np.sqrt(h) * zeta[step]
+        idx = step - (dgp.BURN_IN + 1)
+        if idx >= 0:
+            out[idx] = f
+    return out

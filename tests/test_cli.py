@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from alphatest import harness
 from alphatest.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from alphatest.dgp import gen_alpha, gen_betas, gen_errors, gen_factors, assemble_panel
 from alphatest.harness import ScenarioConfig
@@ -221,6 +222,30 @@ class TestCmdSize:
         code = main(["size", "--config", str(config),
                      "--out", str(tmp_path / "t.csv")])
         assert code == EXIT_IO
+
+
+class TestWorkersOption:
+    @pytest.mark.parametrize("command", ["size", "power"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_below_one_exits_io(self, tmp_path, capsys, command, workers):
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=2, seed=12)
+        out = tmp_path / "t.csv"
+        code = main([command, "--config", str(config), "--out", str(out),
+                     "--workers", workers])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: --workers: expected an integer >= 1, got {workers}\n")
+        assert not out.exists()
+
+    def test_pool_is_bounded_by_the_tasks(self, tmp_path, monkeypatch, pool_sizes):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(64)))
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=4, seed=12)
+        code = main(["size", "--config", str(config), "--out", str(tmp_path / "t.csv"),
+                     "--workers", "5000"])
+        assert code == EXIT_OK
+        assert pool_sizes == [4]
 
 
 class TestCmdPower:

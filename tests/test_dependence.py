@@ -26,7 +26,7 @@ from alphatest.linalg import inv_sqrt_psd, psd_repair
 from alphatest.ols import FactorPanel, fit
 from dense_reference import (
     dense_oracle,
-    dense_root,
+    densify,
     max_stat_standardized,
     thresholded_dense,
 )
@@ -175,9 +175,9 @@ class TestEstimateDependence:
         sigma_hat = sample_cov(e, 56)
         thresholded, _ = thresholded_dense(sigma_hat, 60, 3.0)
         r_hat = correlation_from_cov(thresholded)
-        for mat in (sigma_hat, thresholded, r_hat, dense_root(dep), dep.corr):
+        for mat in (sigma_hat, thresholded, r_hat, densify(dep.root), dep.corr):
             assert mat.shape == (12, 12)
-        assert dep.root.shape == (dep.active.size, dep.active.size)
+        assert dep.root.block.shape == (dep.root.active.size, dep.root.active.size)
         assert np.allclose(np.diag(r_hat), 1.0)
         assert dep.threshold_used > 0
 
@@ -185,7 +185,7 @@ class TestEstimateDependence:
         rng = np.random.default_rng(6)
         e = rng.standard_normal((20, 80))
         dep = estimate_dependence(e, 76, 80, 3.0)
-        omega_root = dense_root(dep)
+        omega_root = densify(dep.root)
         assert np.allclose(omega_root, omega_root.T)
 
 
@@ -218,10 +218,10 @@ def test_eigen_call_count_does_not_depend_on_the_block(monkeypatch):
     paired[1] = 0.8 * e[0] + 0.6 * e[1]
     empty, empty_calls = _eigen_calls(monkeypatch, e)
     pair, pair_calls = _eigen_calls(monkeypatch, paired)
-    assert (empty.active.size, pair.active.size) == (0, 2)
+    assert (empty.root.active.size, pair.root.active.size) == (0, 2)
     assert empty_calls == pair_calls == {"eigh": 1, "eigvalsh": 2}
-    assert empty.root.shape == (0, 0) and pair.active.tolist() == [0, 1]
-    np.testing.assert_array_equal(dense_root(empty), np.eye(40))
+    assert empty.root.block.shape == (0, 0) and pair.root.active.tolist() == [0, 1]
+    np.testing.assert_array_equal(densify(empty.root), np.eye(40))
 
 
 def _omega_root_error(n, t, seed):
@@ -314,7 +314,7 @@ def _assert_rel(a, b, rtol=1e-12):
         dep.repaired and not np.array_equal(np.diag(repaired), np.diag(corr)))),
     (_spiked_cov, lambda dep, repaired, corr: dep.floor > 1.0),
     (_low_variance_cov, lambda dep, repaired, corr: (
-        dep.active.tolist() == [3, 9] and not dep.repaired)),
+        dep.root.active.tolist() == [3, 9] and not dep.repaired)),
 ], ids=["restore-fails", "floor-above-one", "low-variance-row"])
 def test_block_matches_dense_on_engineered_cases(make_cov, check):
     n, t, dof = 40, 100, 96
@@ -322,10 +322,10 @@ def test_block_matches_dense_on_engineered_cases(make_cov, check):
     dep = estimate_dependence(e, dof, t, 3.0)
     _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
     assert check(dep, repaired, correlation_scale(sample_cov(e, dof)))
-    assert dep.active.size < n
-    np.testing.assert_array_equal(dense_root(dep), root)
+    assert dep.root.active.size < n
+    np.testing.assert_array_equal(densify(dep.root), root)
     tr = np.random.default_rng(1).standard_normal(n) * 3.0
-    _assert_rel(float(np.max(dep.standardize(tr) ** 2)), max_stat_standardized(tr, root))
+    _assert_rel(float(np.max((dep.root @ tr) ** 2)), max_stat_standardized(tr, root))
 
 
 def test_low_variance_row_is_a_unit_row():
@@ -336,8 +336,8 @@ def test_low_variance_row_is_a_unit_row():
     unit_cov = _low_variance_cov(n)
     unit_cov[7, 7] = 1.0
     unit = estimate_dependence(_residuals_with_cov(unit_cov, dof, t), dof, t, 3.0)
-    np.testing.assert_array_equal(low.active, unit.active)
-    np.testing.assert_array_equal(low.root, unit.root)
+    np.testing.assert_array_equal(low.root.active, unit.root.active)
+    np.testing.assert_array_equal(densify(low.root), densify(unit.root))
     assert (low.floor, low.threshold_used, low.repaired) == \
         (unit.floor, unit.threshold_used, unit.repaired)
     np.testing.assert_allclose(low.corr, unit.corr, rtol=0, atol=1e-15)

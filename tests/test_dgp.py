@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,16 @@ from alphatest.dgp import (
     gen_factors,
 )
 from alphatest.errors import DimensionError, NotPositiveDefinite
+from alphatest.harness import ScenarioConfig, simulate_panel
+from alphatest.linalg import BlockDiagonal
 from alphatest.ols import fit
+from dense_reference import dense_m2_cov, densify, gen_factors_vector
+
+
+def dense_cov(kind, n, rng):
+    """`build_cov` as an N x N array (M2 is drawn in block form)."""
+    sigma = build_cov(kind, n, rng)
+    return densify(sigma) if isinstance(sigma, BlockDiagonal) else sigma
 
 
 class TestFactorProcessParams:
@@ -61,6 +72,19 @@ class TestGenFactors:
         with pytest.raises(ValueError):
             gen_factors(10)
 
+    @pytest.mark.parametrize("t", [1, 60, 100, 120])
+    def test_matches_vector_recursion(self, t):
+        # the per-factor float recursion makes the same draw and the same
+        # operations as the 3-vector loop, so the paths are bit-identical
+        steps = dgp.BURN_IN + t + 1
+        for seed in range(50):
+            zeta = np.random.default_rng(seed).standard_normal((steps, 3))
+            out = gen_factors(t, rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(out, gen_factors_vector(t, zeta))
+        fixed = np.linspace(-4.0, 4.0, 3 * steps).reshape(steps, 3)
+        np.testing.assert_array_equal(gen_factors(t, zeta=fixed),
+                                      gen_factors_vector(t, fixed))
+
 
 class TestBuildCov:
     def test_m1_entries(self):
@@ -75,7 +99,7 @@ class TestBuildCov:
 
     def test_m2_structure(self):
         n = 100
-        sigma = build_cov("M2", n, np.random.default_rng(1))
+        sigma = dense_cov("M2", n, np.random.default_rng(1))
         d = np.diag(sigma)
         assert ((d >= 1.0) & (d <= 2.0)).all()
         corr = sigma / np.sqrt(np.outer(d, d))
@@ -114,7 +138,7 @@ class TestBuildCov:
                 assert np.linalg.eigvalsh(sigma)[0] > 0, (kind, n)
             for kind in ("M2", "M4"):
                 for seed in range(20):
-                    sigma = build_cov(kind, n, np.random.default_rng(seed))
+                    sigma = dense_cov(kind, n, np.random.default_rng(seed))
                     assert np.linalg.eigvalsh(sigma)[0] > 0, (kind, n, seed)
 
     def test_unknown_kind(self):
@@ -141,14 +165,82 @@ class TestCovSqrt:
 
     def test_m2_root_stays_on_the_spikes(self):
         n = 500
-        sigma = build_cov("M2", n, np.random.default_rng(2))
+        sigma = dense_cov("M2", n, np.random.default_rng(2))
         spikes = np.flatnonzero(np.count_nonzero(sigma, axis=1) > 1)
         assert spikes.size == int(n**dgp.SPIKE_EXPONENT)
-        root = cov_sqrt(sigma)
+        root = densify(cov_sqrt(build_cov("M2", n, np.random.default_rng(2))))
         outside = ~np.eye(n, dtype=bool)
         outside[np.ix_(spikes, spikes)] = False
         assert (root[outside] == 0.0).all()
         assert np.abs(root @ root - sigma).max() <= 1e-12 * np.abs(sigma).max()
+
+
+M2_SIZES = [2, 3, 40, 500, 1000]  # N=2 and 3 have one spike, decoupled
+
+
+class TestM2BlockForm:
+    @pytest.mark.parametrize("n", M2_SIZES)
+    def test_draw_matches_dense(self, n):
+        for seed in range(5):
+            block = build_cov("M2", n, np.random.default_rng(seed))
+            dense = dense_m2_cov(n, np.random.default_rng(seed))
+            np.testing.assert_array_equal(densify(block), dense)
+            assert block.active.size == int(n**dgp.SPIKE_EXPONENT)
+
+    @pytest.mark.parametrize("n", M2_SIZES)
+    def test_root_matches_dense_root(self, n):
+        for seed in range(5):
+            sigma = build_cov("M2", n, np.random.default_rng(seed))
+            root = cov_sqrt(sigma)
+            assert isinstance(root, BlockDiagonal)
+            np.testing.assert_array_equal(densify(root), cov_sqrt(densify(sigma)))
+
+    @pytest.mark.parametrize("dist", dgp.ERROR_DISTS)
+    def test_errors_match_dense_product(self, dist):
+        # decoupled rows are one product per entry either way; spike rows
+        # may round differently in the last bits
+        n, t = 500, 100
+        root = cov_sqrt(build_cov("M2", n, np.random.default_rng(6)))
+        block = gen_errors(root, dist, t, np.random.default_rng(7))
+        dense = gen_errors(densify(root), dist, t, np.random.default_rng(7))
+        free = np.delete(np.arange(n), root.active)
+        np.testing.assert_array_equal(block[free], dense[free])
+        spikes = root.active
+        scale = np.abs(dense[spikes]).max()
+        assert np.abs(block[spikes] - dense[spikes]).max() <= 1e-12 * scale
+
+    def test_indefinite_block_raises(self):
+        sigma = BlockDiagonal(np.ones(4), np.array([1, 2]), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotPositiveDefinite):
+            cov_sqrt(sigma)
+
+    def test_nonpositive_diagonal_raises(self):
+        block = np.array([[2.0, 0.5], [0.5, 2.0]])
+        sigma = BlockDiagonal(np.array([2.0, 2.0, -1.0]), np.array([0, 1]), block)
+        with pytest.raises(NotPositiveDefinite):
+            cov_sqrt(sigma)
+
+    def test_large_panel_stays_small(self, monkeypatch):
+        # one N x N array at N=2000 is 32 MB; the eigenproblem is the spike block
+        n = 2000
+        scenario = ScenarioConfig(n=n, t=100, cov_model="M2", error_dist="t5_scaled")
+        widths = []
+        eigh = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        simulate_panel(ScenarioConfig(n=40, t=100, cov_model="M2"), 1, 0)  # warm-up
+        tracemalloc.start()
+        try:
+            simulate_panel(scenario, 3, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert widths and max(widths) <= int(n**dgp.SPIKE_EXPONENT)
 
 
 class TestGenErrors:

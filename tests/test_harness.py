@@ -3,6 +3,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from alphatest import harness
 from alphatest import rng as streams
 from alphatest.alpha_tests import METHODS
 from alphatest.alpha_tests import TestConfig as Config
@@ -114,6 +115,21 @@ class TestRunExperiment:
         other = dataclasses.replace(SMALL, seed=124)
         b = run_experiment(ExperimentSpec(scenario=other, reps=40))
         assert table_to_csv(a) != table_to_csv(b)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize("workers,cpus,sizes", [
+        (5000, 64, [3]),  # one process per task
+        (5000, 2, [2]),  # one per CPU
+        (2, 64, [2]),
+        (5000, 1, []),  # one CPU: serial, no pool
+    ])
+    def test_pool_is_bounded(self, monkeypatch, pool_sizes, workers, cpus, sizes):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec = ExperimentSpec(scenario=SMALL, reps=3)
+        table = run_experiment(spec, workers=workers)
+        assert pool_sizes == sizes
+        assert table_to_csv(table) == table_to_csv(run_experiment(spec, workers=1))
 
 
 class TestRunPowerCurve:

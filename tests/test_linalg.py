@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from alphatest.dependence import EIGEN_FLOOR_FRAC, precision_root
 from alphatest.dgp import cov_sqrt
 from alphatest.errors import DimensionError, SingularDesign
+from dense_reference import densify
 from alphatest.linalg import (
+    BlockDiagonal,
     annihilator,
     coupled,
     inv_sqrt_psd,
@@ -255,3 +257,29 @@ class TestCoupledBlock:
         assert_close(out, with_diag if restored else repaired)
         diag = np.diag(a)[free]
         assert_decoupled_exact(out, free, diag if restored else np.maximum(diag, eps))
+
+
+class TestBlockDiagonal:
+    @pytest.mark.parametrize("active", [[], [2], [0, 3, 4]], ids=["empty", "one", "three"])
+    def test_product_matches_dense(self, active):
+        # the diagonal rows are one product per entry, exact; block rows
+        # are the block's own product
+        rng = np.random.default_rng(1)
+        active = np.array(active, dtype=int)
+        m = BlockDiagonal(rng.uniform(1.0, 2.0, 6), active,
+                          random_symmetric(active.size, 2))
+        assert m.shape == (6, 6)
+        free = np.delete(np.arange(6), active)
+        for x in (rng.standard_normal(6), rng.standard_normal((6, 4))):
+            out = m @ x
+            assert out.shape == x.shape
+            np.testing.assert_array_equal(out[free], (densify(m) @ x)[free])
+            np.testing.assert_array_equal(out[active], m.block @ x[active])
+
+    def test_diag_is_not_read_on_the_active_rows(self):
+        block = np.array([[2.0, 1.0], [1.0, 2.0]])
+        a = BlockDiagonal(np.array([5.0, 7.0, 3.0]), np.array([0, 1]), block)
+        b = BlockDiagonal(np.array([-9.0, 0.0, 3.0]), np.array([0, 1]), block)
+        x = np.array([1.0, -2.0, 4.0])
+        np.testing.assert_array_equal(a @ x, [0.0, -3.0, 12.0])
+        np.testing.assert_array_equal(b @ x, a @ x)
