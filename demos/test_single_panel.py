@@ -33,7 +33,8 @@ print(f"panel: N={diag['N']} T={diag['T']} p={diag['p']} v={diag['v']}")
 support = np.flatnonzero(alpha)
 print(f"true alpha support: {support.tolist()}, magnitude {alpha[support[0]]:.4f}")
 print(f"dependence: threshold {diag['threshold_used']:.4f}, "
-      f"{diag['coupled']} coupled securities, "
+      f"{diag['coupled']} coupled securities in {diag['components']} components "
+      f"(largest {diag['largest_component']}), "
       f"PSD repair {'fired' if diag['repaired'] else 'idle'}, "
       f"{diag['mt_survivors']} MT pairs, rho_bar_sq {diag['rho_bar_sq']:.6f}")
 print()

@@ -210,6 +210,8 @@ def run_all_detailed(
         "v": v,
         "threshold_used": dep.threshold_used,
         "coupled": dep.root.active.size,
+        "components": dep.components,
+        "largest_component": dep.largest_component,
         "repaired": dep.repaired,
         "mt_survivors": mt.survivors,
         "rho_bar_sq": mt.rho_bar_sq,

@@ -18,6 +18,9 @@ Such a decoupled row stays a unit diagonal row through PSD repair,
 diagonal restoration and the root, and its entry in the root has the
 closed form ``1 / sqrt(max(1, floor))``.  So repair and root run on the
 *active* rows only: those with a surviving off-diagonal correlation.
+`linalg` decomposes them one connected component at a time; the repair
+test, the diagonal restoration and the floor stay decisions over all
+components together.
 """
 
 from dataclasses import dataclass
@@ -26,7 +29,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .errors import NonPositiveDiagonal
-from .linalg import BlockDiagonal, inv_sqrt_psd, psd_repair, spectrum
+from .linalg import BlockDiagonal, components, inv_sqrt_psd, psd_repair, spectrum
 
 __all__ = [
     "DependenceEstimate",
@@ -66,6 +69,8 @@ class DependenceEstimate:
     floor: float  # eigenvalue floor of the root
     threshold_used: float
     repaired: bool  # PSD repair clipped an eigenvalue
+    components: int  # connected components of the thresholded correlation's active rows
+    largest_component: int  # rows in the largest of them
 
 
 @dataclass(frozen=True)
@@ -186,6 +191,8 @@ def estimate_dependence(
     """
     corr = correlation_scale(sample_cov(residuals, dof))
     thresholded, active, used = hard_threshold(corr, t, delta)
+    label = components(thresholded)
+    sizes = np.bincount(label[label >= 0])
     block = psd_repair(thresholded, PSD_EPS_FRAC)
     r_hat = correlation_from_cov(block)
     w = spectrum(r_hat)
@@ -199,4 +206,6 @@ def estimate_dependence(
         floor=floor,
         threshold_used=used,
         repaired=not np.array_equal(block, thresholded),
+        components=int(np.count_nonzero(sizes)),
+        largest_component=int(sizes.max(initial=0)),
     )

@@ -194,6 +194,12 @@ def _fixed_cov_root(kind: str, n: int):
     return cov_sqrt(sigma)
 
 
+@functools.lru_cache(maxsize=8)
+def _frozen_cov_root(kind: str, n: int, seed: int, m: int):
+    # the freezeCov covariance is replication 0's draw; cache its root per process
+    return cov_sqrt(build_cov(kind, n, streams.substream(seed, m, 0, streams.COV)))
+
+
 def simulate_panel(scenario: ScenarioConfig, m: int, rep: int) -> FactorPanel:
     """Panel of replication `rep` at sparsity m.
 
@@ -202,13 +208,14 @@ def simulate_panel(scenario: ScenarioConfig, m: int, rep: int) -> FactorPanel:
     support to replication 0's draw.
     """
     seed = scenario.seed
-    cov_rep = 0 if scenario.freeze_cov else rep
     factor_rep = 0 if scenario.shared_factors else rep
     alpha_rep = 0 if scenario.fixed_support else rep
     if scenario.cov_model in ("M1", "M3"):
         sigma_root = _fixed_cov_root(scenario.cov_model, scenario.n)
+    elif scenario.freeze_cov:
+        sigma_root = _frozen_cov_root(scenario.cov_model, scenario.n, seed, m)
     else:
-        cov_rng = streams.substream(seed, m, cov_rep, streams.COV)
+        cov_rng = streams.substream(seed, m, rep, streams.COV)
         sigma_root = cov_sqrt(build_cov(scenario.cov_model, scenario.n, cov_rng))
     factor_rng = streams.substream(seed, m, factor_rep, streams.FACTORS)
     factors = gen_factors(scenario.t, rng=factor_rng)

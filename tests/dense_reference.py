@@ -2,32 +2,35 @@
 
 `hard_threshold` and `estimate_dependence` hold the thresholded
 correlation and the inverse correlation root on their active rows only,
-and `build_cov` returns the M2 covariance as a `BlockDiagonal`.
-`densify` and `thresholded_dense` rebuild the N x N matrices from
-those blocks.  `dense_oracle` recomputes the estimate without the block
-form: the threshold on the whole correlation scale, then PSD repair,
-diagonal restoration, the eigenvalue floor and the precision root on
-N x N, and the multiple-testing sum over `triu_indices`.
-`max_stat_standardized` is MAX2 from an N x N root.  `dense_m2_cov`
-draws the M2 covariance as an N x N array and `gen_factors_vector` runs
-the factor recursion on 3-vectors.
+`linalg` decomposes each connected component of those blocks apart, and
+`build_cov` returns the M2 covariance as a `BlockDiagonal`.  `densify`
+and `thresholded_dense` rebuild the N x N matrices from those blocks.
+`dense_oracle` recomputes the estimate without the block form or the
+component split: the threshold on the whole correlation scale, then PSD
+repair, diagonal restoration, the eigenvalue floor and the precision
+root from plain ``np.linalg.eigh``/``eigvalsh`` calls on N x N matrices,
+and the multiple-testing sum over `triu_indices`.  `dense_statistics`
+computes the five test statistics from it.  `max_stat_standardized` is
+MAX2 from an N x N root.  `dense_m2_cov` draws the M2 covariance as an
+N x N array and `gen_factors_vector` runs the factor recursion on
+3-vectors.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
 from alphatest import dgp
+from alphatest.alpha_tests import fisher_combine, max_p_value, max_stat, py_p_value, py_stat
 from alphatest.dependence import (
     EIGEN_FLOOR_FRAC,
     PSD_EPS_FRAC,
-    correlation_from_cov,
     correlation_scale,
     hard_threshold,
-    precision_root,
     sample_cov,
 )
 from alphatest.errors import DimensionError
-from alphatest.linalg import BlockDiagonal, psd_repair, spectrum
+from alphatest.linalg import BlockDiagonal, psd_repair
+from alphatest.ols import fit
 
 
 def max_stat_standardized(t, omega_root):
@@ -57,6 +60,18 @@ def thresholded_dense(sigma, t, delta):
     return psd_repair(dense, PSD_EPS_FRAC), used
 
 
+def dense_psd_repair(a, epsilon):
+    """`psd_repair` from plain eigensolver calls on the whole matrix."""
+    if np.linalg.eigvalsh(a)[0] >= epsilon:
+        return a
+    w, q = np.linalg.eigh(a)
+    repaired = (q * np.maximum(w, epsilon)) @ q.T
+    repaired = (repaired + repaired.T) / 2.0
+    with_diag = repaired.copy()
+    np.fill_diagonal(with_diag, np.diag(a))
+    return with_diag if np.linalg.eigvalsh(with_diag)[0] >= epsilon / 2.0 else repaired
+
+
 def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
     """(rho_bar_sq, N x N root, thresholded-and-repaired correlation) from
     the dense pipeline; `dof` is also the MT step's v."""
@@ -66,13 +81,35 @@ def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
     corr = sigma / np.outer(d, d)
     keep = np.abs(corr) >= delta * np.sqrt(np.log(n) / t)
     np.fill_diagonal(keep, True)
-    repaired = psd_repair(np.where(keep, corr, 0.0), PSD_EPS_FRAC)
-    r_hat = correlation_from_cov(repaired)
-    root = precision_root(r_hat, EIGEN_FLOOR_FRAC * spectrum(r_hat)[-1])
+    repaired = dense_psd_repair(np.where(keep, corr, 0.0), PSD_EPS_FRAC)
+    sd = np.sqrt(np.diag(repaired))
+    r_hat = repaired / np.outer(sd, sd)
+    np.fill_diagonal(r_hat, 1.0)
+    w, q = np.linalg.eigh(r_hat)
+    root = (q / np.sqrt(np.maximum(w, EIGEN_FLOOR_FRAC * w[-1]))) @ q.T
+    root = (root + root.T) / 2.0
     rho = corr[np.triu_indices(n, k=1)]
     c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
     rho_bar_sq = 2.0 / (n * (n - 1)) * float(np.sum(rho[np.sqrt(dof) * np.abs(rho) >= c_n] ** 2))
     return rho_bar_sq, root, repaired
+
+
+def dense_statistics(panel, config):
+    """{method: statistic} of the five tests, MAX2 and FC2 from `dense_oracle`'s root."""
+    res = fit(panel)
+    rho_bar_sq, root, _ = dense_oracle(res.residuals, res.dof, panel.n_periods,
+                                       config.threshold_delta, config.q_mt, config.delta_mt)
+    n = panel.n_securities
+    py = py_stat(res.t_stats, rho_bar_sq, res.dof)
+    max1, max2 = max_stat(res.t_stats), max_stat_standardized(res.t_stats, root)
+    p_sum = py_p_value(py)
+    return {
+        "PY": py,
+        "MAX1": max1,
+        "MAX2": max2,
+        "FC1": fisher_combine(p_sum, max_p_value(max1, n)),
+        "FC2": fisher_combine(p_sum, max_p_value(max2, n)),
+    }
 
 
 def dense_m2_cov(n, rng):

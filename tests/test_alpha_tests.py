@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from alphatest.alpha_tests import (
     METHODS,
@@ -21,6 +22,7 @@ from alphatest.alpha_tests import (
     run_all_detailed,
 )
 from alphatest.alpha_tests import TestConfig as Config
+from alphatest.dependence import correlation_scale, hard_threshold, sample_cov
 from alphatest.dgp import (
     assemble_panel,
     build_cov,
@@ -31,7 +33,7 @@ from alphatest.dgp import (
 )
 from alphatest.errors import DegenerateDof, DimensionError, NegativeInput
 from alphatest.harness import ScenarioConfig, simulate_panel
-from alphatest.ols import FactorPanel
+from alphatest.ols import FactorPanel, fit
 from dense_reference import max_stat_standardized
 
 
@@ -227,6 +229,18 @@ class TestRunAll:
         assert diag["repaired"] is True
         assert diag["mt_survivors"] == 72
 
+    def test_component_diagnostics(self):
+        # the 12 active rows of this Model 1 panel split into four connected
+        # components, each of scipy's components of the thresholded block
+        panel = _synthetic_panel(5)
+        _, diag = run_all_detailed(panel)
+        assert (diag["coupled"], diag["components"], diag["largest_component"]) == (12, 4, 4)
+        res = fit(panel)
+        corr = correlation_scale(sample_cov(res.residuals, res.dof))
+        block, _, _ = hard_threshold(corr, 60, Config().threshold_delta)
+        count, label = connected_components(block != 0, directed=False)
+        assert (count, np.bincount(label).max()) == (4, 4)
+
     def test_m3_null_block_is_empty(self):
         # at N=200, T=100 no Model 3 correlation clears the threshold 0.691,
         # so the precision root is the identity and MAX2 equals MAX1
@@ -234,6 +248,7 @@ class TestRunAll:
         results, diag = run_all_detailed(simulate_panel(scenario, 0, 0))
         stats = {r.name: r.statistic for r in results}
         assert diag["coupled"] == 0 and diag["repaired"] is False
+        assert diag["components"] == diag["largest_component"] == 0
         assert stats["MAX2"] == stats["MAX1"]
 
     def test_raw_critical_flag(self):

@@ -45,6 +45,9 @@ class TestCmdTest:
         assert report["metadata"]["N"] == 30
         assert report["metadata"]["v"] == 50 - 3 - 1
         assert 0 <= report["metadata"]["coupled"] <= 30
+        meta = report["metadata"]
+        assert 0 <= 2 * meta["components"] <= meta["coupled"]
+        assert (meta["largest_component"] > 0) == (meta["coupled"] > 0)
         assert isinstance(report["metadata"]["repaired"], bool)
         assert 0 <= report["metadata"]["mt_survivors"] <= 30 * 29 // 2
 

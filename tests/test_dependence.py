@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,10 +29,15 @@ from alphatest.linalg import inv_sqrt_psd, psd_repair
 from alphatest.ols import FactorPanel, fit
 from dense_reference import (
     dense_oracle,
+    dense_statistics,
     densify,
     max_stat_standardized,
     thresholded_dense,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from workloads import cli_panel  # noqa: E402  the benchmark's CLI input panels
 
 
 class TestSampleCov:
@@ -224,6 +232,44 @@ def test_eigen_call_count_does_not_depend_on_the_block(monkeypatch):
     np.testing.assert_array_equal(densify(empty.root), np.eye(40))
 
 
+def _many_components_cov(n, chains):
+    # ten pairs of rows at correlation 0.7, each a 2x2 component with
+    # eigenvalues 0.3 and 1.7, which PSD repair leaves alone; then `chains`
+    # copies of `_chain_cov`'s three rows, each a component repair clips
+    cov = np.eye(n)
+    for i in range(0, 20, 2):
+        cov[i, i + 1] = cov[i + 1, i] = 0.7
+    for start in range(20, 20 + 3 * chains, 3):
+        rows = np.ix_(range(start, start + 3), range(start, start + 3))
+        cov[rows] = _chain_cov(3)
+    return cov
+
+
+@pytest.mark.parametrize("chains,repaired,expected", [
+    (0, False, {"eigh": 1, "eigvalsh": 2}),
+    (1, True, {"eigh": 2, "eigvalsh": 3}),
+    (5, True, {"eigh": 2, "eigvalsh": 3}),
+], ids=["idle", "one-chain", "five-chains"])
+def test_eigen_call_count_does_not_depend_on_the_components(
+        monkeypatch, chains, repaired, expected):
+    # whatever the number of components, each eigen step is one stacked call
+    residuals = _residuals_with_cov(_many_components_cov(40, chains), 96, 100)
+    dep, calls = _eigen_calls(monkeypatch, residuals)
+    assert (dep.components, dep.largest_component) == (10 + chains, 3 if chains else 2)
+    assert dep.repaired == repaired
+    assert calls == expected
+
+
+def test_eigen_call_count_on_a_repaired_panel(monkeypatch):
+    # a Model 1 panel at N=200: hard thresholding leaves many short chains
+    # and PSD repair fires
+    res = fit(simulate_panel(ScenarioConfig(n=200, t=100, cov_model="M1", seed=101), 0, 0))
+    calls = _count_solver_calls(monkeypatch)
+    dep = estimate_dependence(res.residuals, res.dof, 100, 3.0)
+    assert dep.repaired and dep.components > 10
+    assert calls == {"eigh": 2, "eigvalsh": 3}
+
+
 def _omega_root_error(n, t, seed):
     """Max-entry error of the estimated inverse correlation root vs truth."""
     sigma = build_cov("M1", n, np.random.default_rng(0))
@@ -323,7 +369,8 @@ def test_block_matches_dense_on_engineered_cases(make_cov, check):
     _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
     assert check(dep, repaired, correlation_scale(sample_cov(e, dof)))
     assert dep.root.active.size < n
-    np.testing.assert_array_equal(densify(dep.root), root)
+    # the oracle decomposes the whole N x N matrix, so it rounds differently
+    assert np.abs(densify(dep.root) - root).max() <= 1e-12 * np.abs(root).max()
     tr = np.random.default_rng(1).standard_normal(n) * 3.0
     _assert_rel(float(np.max((dep.root @ tr) ** 2)), max_stat_standardized(tr, root))
 
@@ -389,3 +436,26 @@ def test_pipeline_exactly_symmetric_on_panels(model, n, m, delta):
                          ids=["restore-fails", "floor-above-one", "low-variance-row"])
 def test_pipeline_exactly_symmetric_on_engineered_cases(make_cov):
     _assert_exactly_symmetric(_residuals_with_cov(make_cov(40), 96, 100), 96, 100, 3.0)
+
+
+def _assert_statistics_match_dense(panel):
+    # all five statistics agree with the oracle that decomposes whole N x N
+    # matrices with plain eigensolver calls, no block form or component split
+    results, diag = run_all_detailed(panel)
+    dense = dense_statistics(panel, Config())
+    for r in results:
+        _assert_rel(r.statistic, dense[r.name])
+    return diag
+
+
+def test_statistics_match_dense_oracle_on_the_cli_reference_panel():
+    # the benchmark's reference panel: AR(1) errors at rho = 0.7, N=1000,
+    # T=120; hundreds of short chains, repair fires
+    diag = _assert_statistics_match_dense(FactorPanel(*cli_panel(0, 0)))
+    assert diag["repaired"] and diag["components"] > 100
+
+
+def test_statistics_match_dense_oracle_on_a_repaired_m1_batch():
+    scenario = ScenarioConfig(n=200, t=100, cov_model="M1", seed=101)
+    for rep in range(8):
+        assert _assert_statistics_match_dense(simulate_panel(scenario, 0, rep))["repaired"]

@@ -200,6 +200,26 @@ class TestStreams:
         assert abs(corr) < 0.01
 
 
+@pytest.mark.parametrize("model", ["M2", "M4"])
+def test_frozen_covariance_is_drawn_once(monkeypatch, model):
+    # five freezeCov replications build the pinned covariance once; each
+    # panel equals the one simulated with an empty root cache
+    scenario = ScenarioConfig(n=40, t=60, cov_model=model, seed=5, freeze_cov=True)
+    harness._frozen_cov_root.cache_clear()
+    calls = []
+    build = harness.build_cov
+    monkeypatch.setattr(harness, "build_cov", lambda *args: calls.append(args) or build(*args))
+    panels = [harness.simulate_panel(scenario, 2, rep) for rep in range(5)]
+    assert len(calls) == 1
+    for rep, panel in enumerate(panels):
+        harness._frozen_cov_root.cache_clear()
+        fresh = harness.simulate_panel(scenario, 2, rep)
+        np.testing.assert_array_equal(panel.returns, fresh.returns)
+        np.testing.assert_array_equal(panel.factors, fresh.factors)
+    assert len(calls) == 6
+    harness._frozen_cov_root.cache_clear()
+
+
 def test_mc_error_halves_when_reps_double():
     spec_a = ExperimentSpec(scenario=SMALL, reps=400)
     spec_b = ExperimentSpec(scenario=SMALL, reps=800)

@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from alphatest.dependence import EIGEN_FLOOR_FRAC, precision_root
 from alphatest.dgp import cov_sqrt
 from alphatest.errors import DimensionError, SingularDesign
 from dense_reference import densify
 from alphatest.linalg import (
+    SMALL_ROWS,
     BlockDiagonal,
     annihilator,
-    coupled,
+    components,
     inv_sqrt_psd,
     psd_repair,
+    spectral_map,
     spectrum,
     sym_eigen,
 )
@@ -133,7 +136,7 @@ class TestPsdRepair:
         solver = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solver(a))
         assert psd_repair(np.empty((0, 0)), 0.1).shape == (0, 0)
-        assert calls == [(0, 0)]
+        assert len(calls) == 1 and np.prod(calls[0]) == 0  # one call, on an empty input
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
@@ -145,31 +148,49 @@ class TestPsdRepair:
 
 @st.composite
 def block_layouts(draw):
-    """(seed, n, decoupled count): a dense block has 0 or at least 2 rows."""
-    n = draw(st.integers(2, 12))
-    size = draw(st.sampled_from([0, *range(2, n + 1)]))
-    return draw(st.integers(0, 2**32 - 1)), n, n - size
+    """(seed, blocks, decoupled count): up to six small blocks of 2-6 rows,
+    at times one block of 12 or 40 rows, each block a (size, chain) pair;
+    at least two rows in all.  Half the layouts have `linalg.SMALL_ROWS` more
+    decoupled rows, which take the matrix past the size up to which the
+    coupled rows are decomposed whole, so their components are labelled."""
+    sizes = draw(st.lists(st.integers(2, 6), max_size=6))
+    sizes += [size for size in [draw(st.sampled_from([0, 0, 12, 40]))] if size]
+    chains = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    n_free = draw(st.integers(max(0, 2 - sum(sizes)), 5))
+    n_free += draw(st.sampled_from([0, SMALL_ROWS]))
+    return draw(st.integers(0, 2**32 - 1)), tuple(zip(sizes, chains)), n_free
 
 
-def permuted_block_diagonal(seed, n, n_free, definite):
-    """Symmetric matrix with one dense block and `n_free` decoupled rows,
-    conjugated by a random permutation; returns it and the decoupled
-    indices.  `definite` makes every eigenvalue at least 0.5, otherwise
-    the block and the decoupled diagonal are indefinite."""
+def permuted_block_diagonal(seed, blocks, n_free, definite):
+    """Symmetric matrix with one block per (size, chain) pair of `blocks`
+    and `n_free` decoupled rows, conjugated by a random permutation.
+
+    A chain block is tridiagonal with nonzero off-diagonal entries (a path
+    of rows, as hard thresholding leaves on banded dependence), any other
+    block dense.  `definite` makes every eigenvalue at least 0.5, otherwise
+    the blocks and the decoupled diagonal are indefinite.  Returns the
+    matrix, the decoupled indices and the row indices of each block.
+    """
     rng = np.random.default_rng(seed)
-    size = n - n_free
-    g = rng.standard_normal((size, size))
-    if definite:
-        block = g @ g.T / max(size, 1) + 0.5 * np.eye(size)
-        diag = rng.uniform(0.5, 2.0, n_free)
-    else:
-        block = (g + g.T) / 2.0
-        diag = rng.uniform(-1.0, 2.0, n_free)
+    n = sum(size for size, _ in blocks) + n_free
     a = np.zeros((n, n))
-    a[:size, :size] = block
-    a[range(size, n), range(size, n)] = diag
+    start = 0
+    for size, chain in blocks:
+        if chain:
+            off = rng.uniform(0.2, 0.7, size - 1) * rng.choice([-1.0, 1.0], size - 1)
+            diag = rng.uniform(2.0, 3.0, size) if definite else rng.uniform(-1.0, 2.0, size)
+            block = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        else:
+            g = rng.standard_normal((size, size))
+            block = g @ g.T / size + 0.5 * np.eye(size) if definite else (g + g.T) / 2.0
+        a[start:start + size, start:start + size] = block
+        start += size
+    a[range(start, n), range(start, n)] = (
+        rng.uniform(0.5, 2.0, n_free) if definite else rng.uniform(-1.0, 2.0, n_free))
     perm = rng.permutation(n)
-    return a[np.ix_(perm, perm)], np.flatnonzero(perm >= size)
+    bounds = np.cumsum([0] + [size for size, _ in blocks])
+    rows = [np.flatnonzero((perm >= lo) & (perm < hi)) for lo, hi in zip(bounds, bounds[1:])]
+    return a[np.ix_(perm, perm)], np.flatnonzero(perm >= start), rows
 
 
 def dense_map(a, f):
@@ -191,18 +212,59 @@ def assert_decoupled_exact(out, free, diag):
     np.testing.assert_array_equal(out[free, free], diag)
 
 
+def assert_same_partition(label, a):
+    """`label` is `components(a)` by scipy's connected components of the
+    nonzero pattern: a decoupled row is -1, any other row carries the
+    smallest index of its component."""
+    _, ref = connected_components(a != 0, directed=False)
+    single = np.bincount(ref)[ref] == 1
+    np.testing.assert_array_equal(label < 0, single)
+    least = {}
+    for row, comp in enumerate(ref):
+        least.setdefault(comp, row)
+    np.testing.assert_array_equal(label[~single], [least[c] for c in ref[~single]])
+
+
 class TestCoupledBlock:
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_coupled_is_the_block(self, layout):
-        seed, n, n_free = layout
-        a, free = permuted_block_diagonal(seed, n, n_free, definite=False)
-        np.testing.assert_array_equal(coupled(a), np.setdiff1d(np.arange(n), free))
+        a, free, blocks = permuted_block_diagonal(*layout, definite=False)
+        label = components(a)
+        np.testing.assert_array_equal(np.flatnonzero(label < 0), free)
+        for rows in blocks:
+            np.testing.assert_array_equal(label[rows], rows.min())
+        assert_same_partition(label, a)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.floats(0.0, 0.2))
+    @settings(max_examples=60, deadline=None)
+    def test_components_match_scipy_on_random_graphs(self, seed, n, density):
+        # random sparse patterns: long paths, cycles and trees in any index order
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((n, n)) < density, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+        a = a + a.T + np.eye(n)
+        assert_same_partition(components(a), a)
+
+    def test_one_stacked_call(self, monkeypatch):
+        # three components of 2, 3 and 4 rows pad to one (3, 4, 4) stack;
+        # below SMALL_ROWS rows the nine coupled rows are one 9 x 9 block
+        blocks = ((2, True), (3, False), (4, True))
+        small, _, _ = permuted_block_diagonal(3, blocks, 2, True)
+        a, _, _ = permuted_block_diagonal(3, blocks, SMALL_ROWS, True)
+        shapes = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda x, _s=solver: shapes.append(x.shape) or _s(x))
+        for x in (a, small):
+            spectrum(x)
+            spectral_map(x, np.sqrt)
+        assert shapes == [(3, 4, 4), (3, 4, 4), (1, 9, 9), (1, 9, 9)]
 
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_spectrum(self, layout):
-        a, free = permuted_block_diagonal(*layout, definite=False)
+        a, free, _ = permuted_block_diagonal(*layout, definite=False)
         w = spectrum(a)
         assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
         assert (np.diff(w) >= 0).all()
@@ -210,8 +272,17 @@ class TestCoupledBlock:
 
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
+    def test_spectral_map(self, layout):
+        a, free, _ = permuted_block_diagonal(*layout, definite=False)
+        cube = lambda w: w**3 - w  # noqa: E731
+        out = spectral_map(a, cube)
+        assert_close(out, dense_map(a, cube))
+        assert_decoupled_exact(out, free, cube(np.diag(a)[free]))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
     def test_inv_sqrt_psd(self, layout):
-        a, free = permuted_block_diagonal(*layout, definite=True)
+        a, free, _ = permuted_block_diagonal(*layout, definite=True)
         floor = 0.8  # clamps part of the spectrum
         out = inv_sqrt_psd(a, floor)
         assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
@@ -220,7 +291,7 @@ class TestCoupledBlock:
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_precision_root(self, layout):
-        a, free = permuted_block_diagonal(*layout, definite=True)
+        a, free, _ = permuted_block_diagonal(*layout, definite=True)
         used = EIGEN_FLOOR_FRAC * spectrum(a)[-1]
         out = precision_root(a, used)
         floor = EIGEN_FLOOR_FRAC * np.linalg.eigvalsh(a)[-1]
@@ -230,7 +301,7 @@ class TestCoupledBlock:
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_cov_sqrt(self, layout):
-        a, free = permuted_block_diagonal(*layout, definite=True)
+        a, free, _ = permuted_block_diagonal(*layout, definite=True)
         out = cov_sqrt(a)
         assert_close(out, dense_map(a, np.sqrt))
         assert_decoupled_exact(out, free, np.sqrt(np.diag(a)[free]))
@@ -238,13 +309,13 @@ class TestCoupledBlock:
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_psd_repair_idle(self, layout):
-        a, _ = permuted_block_diagonal(*layout, definite=True)
+        a, _, _ = permuted_block_diagonal(*layout, definite=True)
         assert np.array_equal(psd_repair(a, 0.5 * np.linalg.eigvalsh(a)[0]), a)
 
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_psd_repair_fires(self, layout):
-        a, free = permuted_block_diagonal(*layout, definite=False)
+        a, free, _ = permuted_block_diagonal(*layout, definite=False)
         eps = 0.3
         if np.linalg.eigvalsh(a)[0] >= eps:  # nothing to repair in this draw
             assert np.array_equal(psd_repair(a, eps), a)
