@@ -1,4 +1,4 @@
-"""Per-replication stage timings of the simulator and the five tests.
+"""Per-replication stage timings of the simulator, the five tests and the CSV reader.
 
     python3 bench/run_bench.py --label HEAD --out BENCH.json
     python3 bench/run_bench.py --label parent --src /path/to/other/src --out BENCH.json
@@ -7,11 +7,13 @@ For each covariance model M1-M4 and N in {200, 500, 1000, 2000} at
 T=100 (t5-scaled errors, null alpha, seed 0), times
 `harness.simulate_panel` and `alpha_tests.run_all_detailed` on
 replication 0, best of 3 after one untimed call (which fills the M1/M3
-root cache; its time is recorded as `first_simulate_ms`).  BLAS runs on
-one thread.  The results go under ``runs[label]`` of the JSON file at
-`--out`, which keeps the runs of other labels, so two checkouts timed by
-the same script sit side by side.  Only numpy and the standard library
-are used besides the package.
+root cache; its time is recorded as `first_simulate_ms`).  For each N it
+also writes that replication's M2 panel once with `panel_io.write_panel`
+to a temporary directory and times `panel_io.load_panel` on it, best of
+3 (`loads`).  BLAS runs on one thread.  The results go under
+``runs[label]`` of the JSON file at `--out`, which keeps the runs of
+other labels, so two checkouts timed by the same script sit side by
+side.  Only numpy and the standard library are used besides the package.
 """
 
 import os
@@ -24,6 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,7 +37,9 @@ REPEATS = 3
 ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_all_detailed "
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
-         "cache); BLAS on one thread; coupled = active rows of the dependence estimate.")
+         "cache); BLAS on one thread; coupled = active rows of the dependence estimate. "
+         "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
+         "panel_io.write_panel, best of 3.")
 
 
 def parse_args(argv):
@@ -92,18 +97,31 @@ def time_cell(model, n):
     }
 
 
+def time_load(n, folder):
+    from alphatest.harness import ScenarioConfig, simulate_panel
+    from alphatest.panel_io import load_panel, write_panel
+
+    scenario = ScenarioConfig(n=n, t=T, cov_model="M2", error_dist="t5_scaled", m=0, seed=0)
+    paths = (os.path.join(folder, f"returns-{n}.csv"), os.path.join(folder, f"factors-{n}.csv"))
+    write_panel(simulate_panel(scenario, 0, 0), *paths)
+    load_ms, _ = best_ms(lambda: load_panel(*paths))
+    return {"N": n, "T": T, "load_panel_ms": round(load_ms, 3)}
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     start = time.perf_counter()
-    cells = []
-    for n in SIZES:
-        for model in MODELS:
-            cell = time_cell(model, n)
-            cells.append(cell)
-            print(json.dumps(cell), flush=True)
+    cells, loads = [], []
+    with tempfile.TemporaryDirectory() as folder:
+        for n in SIZES:
+            for model in MODELS:
+                cells.append(time_cell(model, n))
+                print(json.dumps(cells[-1]), flush=True)
+            loads.append(time_load(n, folder))
+            print(json.dumps(loads[-1]), flush=True)
     wall_s = round(time.perf_counter() - start, 1)
-    run = {"environment": environment(), "wall_s": wall_s, "cells": cells}
+    run = {"environment": environment(), "wall_s": wall_s, "cells": cells, "loads": loads}
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as handle:

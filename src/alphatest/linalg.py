@@ -129,14 +129,26 @@ def components(a: np.ndarray) -> np.ndarray:
 
     Rows joined by a path of nonzero off-diagonal entries (in either
     triangle) share a label, the least row index among them; a row with
-    none is decoupled and labelled -1.  Min-label hooking with pointer
-    jumping over the edge list, O(nnz) per round, until no label changes.
+    none is decoupled and labelled -1.  Where one row is adjacent to every
+    other, as in a dense matrix, all rows are one component, labelled 0;
+    otherwise `_hook` labels them.
     """
     off = np.asarray(a) != 0
     off |= off.T
     np.fill_diagonal(off, False)
-    n = off.shape[0]
     degree = np.count_nonzero(off, axis=1)
+    if degree.size > 1 and degree.max() == degree.size - 1:
+        return np.zeros(degree.size, dtype=int)
+    return _hook(off, degree)
+
+
+def _hook(off: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """`components` of the graph with adjacency `off` and row degrees `degree`.
+
+    Min-label hooking with pointer jumping over the edge list, O(nnz) per
+    round, until no label changes.
+    """
+    n = off.shape[0]
     coupled = np.flatnonzero(degree)
     label = np.full(n, -1)
     if not coupled.size:

@@ -8,6 +8,7 @@ trip reproduces every float bit-exactly.
 
 import csv
 import os
+import secrets
 
 import numpy as np
 
@@ -18,9 +19,33 @@ __all__ = ["load_panel", "write_panel", "write_text_atomic"]
 
 
 def _read_csv_matrix(path: str) -> tuple[list[str], np.ndarray]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
+    """Header and data rows of a CSV file of numbers.
+
+    A file without quotes or blank lines is parsed by numpy's C reader,
+    and that result is kept only if it has one finite number per header
+    cell on every line.  Any other file goes through `csv.reader` and
+    ``float()`` cell by cell, which define what is accepted and name the
+    first bad cell; the C reader accepts a subset of that, with the same
+    values.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            lines = handle.readlines()  # the lines csv.reader reads
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    # loadtxt would skip a blank line, which is a ragged row here
+    blank = ("\n", "\r\n", "\r")
+    if len(lines) >= 2 and not any('"' in line or line in blank for line in lines):
+        header = next(csv.reader(lines[:1]))
+        try:
+            data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None,
+                              ndmin=2, dtype=float)
+        except ValueError:
+            data = None
+        if (data is not None and data.shape == (len(lines) - 1, len(header))
+                and np.isfinite(data).all()):
+            return header, data
+    rows = list(csv.reader(lines))
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")
     header = rows[0]
@@ -85,8 +110,17 @@ def write_panel(panel: FactorPanel, returns_path: str, factors_path: str) -> Non
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so partial files are never left."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Write via a temp file and rename, so partial files are never left.
+
+    The temp file is new and unique, next to `path`; it is removed if
+    anything fails, and the error is raised again.
+    """
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

@@ -80,6 +80,16 @@ class TestCmdTest:
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_IO
 
+    def test_undecodable_csv_exits_io(self, tmp_path, capsys):
+        rpath, fpath = null_panel_files(tmp_path, seed=3)
+        rpath.write_bytes(b"a,b\n1,\xff2\n")
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {rpath}: not UTF-8 text (invalid start byte)\n"
+        assert not out.exists()
+
     def test_collinear_factors_exit_numeric(self, tmp_path):
         rpath, fpath = null_panel_files(tmp_path, seed=4)
         lines = fpath.read_text().splitlines()

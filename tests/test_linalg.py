@@ -11,6 +11,7 @@ from dense_reference import densify
 from alphatest.linalg import (
     SMALL_ROWS,
     BlockDiagonal,
+    _hook,
     annihilator,
     components,
     inv_sqrt_psd,
@@ -244,6 +245,35 @@ class TestCoupledBlock:
         a = np.where(rng.random((n, n)) < density, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
         a = a + a.T + np.eye(n)
         assert_same_partition(components(a), a)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60),
+           st.sampled_from(["dense", "hub", "hub_chain", "hub_one_triangle"]))
+    @settings(max_examples=60, deadline=None)
+    def test_hub_matrix_is_one_component(self, seed, n, layout):
+        # a row adjacent to every other row: labelled without the edge list
+        rng = np.random.default_rng(seed)
+        hub = rng.integers(n)
+        if layout == "dense":
+            a = rng.uniform(0.5, 1.0, (n, n))
+        else:
+            a = np.eye(n)
+            a[hub, :] = rng.uniform(0.5, 1.0, n)
+            if layout == "hub_chain":
+                chain = rng.permutation(n)
+                a[chain[:-1], chain[1:]] = 1.0
+        if layout != "hub_one_triangle":
+            a = a + a.T
+        label = components(a)
+        off = a != 0
+        off |= off.T
+        np.fill_diagonal(off, False)
+        np.testing.assert_array_equal(label, _hook(off, np.count_nonzero(off, axis=1)))
+        np.testing.assert_array_equal(label, np.zeros(n))
+        assert_same_partition(label, a)
+
+    def test_single_row_is_decoupled(self):
+        np.testing.assert_array_equal(components(np.ones((1, 1))), [-1])
+        assert components(np.ones((0, 0))).shape == (0,)
 
     def test_one_stacked_call(self, monkeypatch):
         # three components of 2, 3 and 4 rows pad to one (3, 4, 4) stack;
