@@ -3,11 +3,13 @@
     python3 bench/run_bench.py --label HEAD --out BENCH.json
     python3 bench/run_bench.py --label parent --src /path/to/other/src --out BENCH.json
 
-For each covariance model M1-M4 and N in {200, 500, 1000, 2000} at
-T=100 (t5-scaled errors, null alpha, seed 0), times
+For each covariance model M1-M4 and N in {200, 500, 1000, 2000}, and
+for M2 at N=5000, at T=100 (t5-scaled errors, null alpha, seed 0), times
 `harness.simulate_panel` and `alpha_tests.run_all_detailed` on
 replication 0, best of 3 after one untimed call (which fills the M1/M3
-root cache; its time is recorded as `first_simulate_ms`).  For each N it
+root cache; its time is recorded as `first_simulate_ms`), and records
+the tracemalloc peak of one more `run_all_detailed` call, untimed
+(`run_all_detailed_peak_mb`).  For each N up to 2000 it
 also writes that replication's M2 panel once with `panel_io.write_panel`
 to a temporary directory and times `panel_io.load_panel` on it, best of
 3 (`loads`).  BLAS runs on one thread.  The results go under
@@ -28,16 +30,20 @@ import json  # noqa: E402
 import platform  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODELS = ("M1", "M2", "M3", "M4")
 SIZES = (200, 500, 1000, 2000)
+EXTRA_CELLS = (("M2", 5000),)  # M1, M3 and M4 at N=5000 cost minutes to simulate
 T = 100
 REPEATS = 3
 ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_all_detailed "
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
-         "cache); BLAS on one thread; coupled = active rows of the dependence estimate. "
+         "cache), and M2 at N=5000; run_all_detailed_peak_mb: tracemalloc peak of one "
+         "more run_all_detailed call, in MB (1e6 bytes); BLAS on one thread; "
+         "coupled = active rows of the dependence estimate. "
          "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
          "panel_io.write_panel, best of 3.")
 
@@ -59,6 +65,16 @@ def best_ms(fn, repeats=REPEATS):
         out = fn()
         best = min(best, time.perf_counter() - start)
     return 1e3 * best, out
+
+
+def peak_mb(fn):
+    """Peak traced allocation of one call of `fn` in MB (1e6 bytes)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def environment():
@@ -86,6 +102,7 @@ def time_cell(model, n):
     first_ms = 1e3 * (time.perf_counter() - start)
     simulate_ms, _ = best_ms(lambda: simulate_panel(scenario, 0, 0))
     tests_ms, (_, diagnostics) = best_ms(lambda: run_all_detailed(panel))
+    tests_peak_mb = peak_mb(lambda: run_all_detailed(panel))
     return {
         "model": model,
         "N": n,
@@ -93,6 +110,7 @@ def time_cell(model, n):
         "first_simulate_ms": round(first_ms, 3),
         "simulate_ms": round(simulate_ms, 3),
         "run_all_detailed_ms": round(tests_ms, 3),
+        "run_all_detailed_peak_mb": round(tests_peak_mb, 2),
         "coupled": int(diagnostics["coupled"]),
     }
 
@@ -120,6 +138,9 @@ def main(argv=None) -> int:
                 print(json.dumps(cells[-1]), flush=True)
             loads.append(time_load(n, folder))
             print(json.dumps(loads[-1]), flush=True)
+    for model, n in EXTRA_CELLS:
+        cells.append(time_cell(model, n))
+        print(json.dumps(cells[-1]), flush=True)
     wall_s = round(time.perf_counter() - start, 1)
     run = {"environment": environment(), "wall_s": wall_s, "cells": cells, "loads": loads}
     doc = {"runs": {}}

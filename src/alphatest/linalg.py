@@ -7,25 +7,28 @@ single code path also handles indefinite inputs produced by hard
 thresholding.
 
 Component rule: rows of a symmetric matrix joined by a path of nonzero
-off-diagonal entries form a connected component (`components`); a row
-with no such entry is decoupled, and ``(a_ii, e_i)`` is an exact
-eigenpair.  `spectrum` and `spectral_map` make one eigensolver call on a
-``(c, m, m)`` stack of the c components, each padded to the largest size
-m with decoupled rows whose diagonal sentinel lies above every
-Gershgorin bound, so each component's eigenpairs come first in its
-slice; the decoupled rows' eigenvalues are read off the diagonal.  Where
-padding would cost more than decomposing the k coupled rows whole
-(``c * m**3 >= k**3``), or the matrix has at most `SMALL_ROWS` rows and
-labelling would cost more than the eigenproblem, they form one
-component: a dense matrix is one, decomposed with the same LAPACK call
-on the same values as a 2-D call.  Each helper makes exactly one
+off-diagonal entries form a connected component (`components`, or
+`edge_components` from a list of those entries); a row with no such
+entry is decoupled, and ``(a_ii, e_i)`` is an exact eigenpair.  The
+eigen helpers below take the labels as `label` where the caller has
+them, and otherwise label the matrix themselves.  `spectrum` and
+`spectral_map` make one eigensolver call on a ``(c, m, m)`` stack of the
+c components, each padded to the largest size m with decoupled rows
+whose diagonal sentinel lies above every Gershgorin bound, so each
+component's eigenpairs come first in its slice; the decoupled rows'
+eigenvalues are read off the diagonal.  Where padding would cost more
+than decomposing the k coupled rows whole (``c * m**3 >= k**3``), or the
+matrix has at most `SMALL_ROWS` rows and labelling would cost more than
+the eigenproblem, they form one component: a dense matrix is one,
+decomposed with the same LAPACK call on the same values as a 2-D call.  Each helper makes exactly one
 eigensolver call, on an empty stack too, so call counts do not depend on
 the data.  `BlockDiagonal` holds a matrix, or a function of one, as its
 diagonal and its coupled block.
 
 Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
-matrices (``a == a.T``), as the residual Gram (one syrk), its symmetric
-threshold mask and `spectral_map`'s symmetrized rebuild are.  `sym_eigen`
+matrices (``a == a.T``), as the residual Gram (one syrk), the
+thresholded block (each surviving pair written to both triangles) and
+`spectral_map`'s symmetrized rebuild are.  `sym_eigen`
 symmetrizes its input: it is the entry point for nearly symmetric products.
 """
 
@@ -40,6 +43,7 @@ __all__ = [
     "annihilator",
     "sym_eigen",
     "components",
+    "edge_components",
     "spectrum",
     "spectral_map",
     "inv_sqrt_psd",
@@ -131,30 +135,32 @@ def components(a: np.ndarray) -> np.ndarray:
     triangle) share a label, the least row index among them; a row with
     none is decoupled and labelled -1.  Where one row is adjacent to every
     other, as in a dense matrix, all rows are one component, labelled 0;
-    otherwise `_hook` labels them.
+    otherwise `edge_components` labels them.
     """
     off = np.asarray(a) != 0
     off |= off.T
     np.fill_diagonal(off, False)
-    degree = np.count_nonzero(off, axis=1)
-    if degree.size > 1 and degree.max() == degree.size - 1:
-        return np.zeros(degree.size, dtype=int)
-    return _hook(off, degree)
-
-
-def _hook(off: np.ndarray, degree: np.ndarray) -> np.ndarray:
-    """`components` of the graph with adjacency `off` and row degrees `degree`.
-
-    Min-label hooking with pointer jumping over the edge list, O(nnz) per
-    round, until no label changes.
-    """
     n = off.shape[0]
+    if n > 1 and np.count_nonzero(off, axis=1).max() == n - 1:
+        return np.zeros(n, dtype=int)
+    return edge_components(n, *np.nonzero(np.triu(off)))
+
+
+def edge_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """`components` of the graph on `n` rows with the edges ``(i[e], j[e])``.
+
+    Each edge joins two distinct rows and may be listed once or in both
+    directions.  Min-label hooking with pointer jumping over the edges
+    grouped by row, O(edges) per round, until no label changes.
+    """
+    ends = np.concatenate([i, j])
+    col = np.concatenate([j, i])[np.argsort(ends, kind="stable")]  # edges, by row
+    degree = np.bincount(ends, minlength=n)
     coupled = np.flatnonzero(degree)
     label = np.full(n, -1)
     if not coupled.size:
         return label
     first = (np.cumsum(degree) - degree)[coupled]  # each coupled row's first edge
-    col = np.flatnonzero(off) - np.repeat(np.arange(n) * n, degree)  # edges, by row
     root = np.arange(n)
     while True:
         low = np.minimum.reduceat(root[col], first)  # each row's least neighbouring label
@@ -168,13 +174,14 @@ def _hook(off: np.ndarray, degree: np.ndarray) -> np.ndarray:
     return label
 
 
-def _partition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _partition(a: np.ndarray, label=None) -> tuple[np.ndarray, np.ndarray]:
     """The components of `a` as one (c, m) array of rows, and the decoupled rows.
 
-    Row j of the array lists component j's rows ascending, then N (the
-    size of `a`) in each padding slot.  It has one row, all k coupled
-    rows, where c * m**3 >= k**3, an empty `a` included, or where `a` has
-    at most `SMALL_ROWS` rows: one eigenproblem that small costs less than
+    `label` is `components(a)`, computed here when not given.  Row j of
+    the array lists component j's rows ascending, then N (the size of `a`)
+    in each padding slot.  It has one row, all k coupled rows, where
+    c * m**3 >= k**3, an empty `a` included, or where `a` has at most
+    `SMALL_ROWS` rows: one eigenproblem that small costs less than
     labelling the components (at 32 rows, ``eigh`` about 35 us and
     `components` about 60 us on one core of a 2-core x86 VM).
     """
@@ -184,7 +191,8 @@ def _partition(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.fill_diagonal(off, False)
         coupled = off.any(axis=0) | off.any(axis=1)
         return np.flatnonzero(coupled)[None], np.flatnonzero(~coupled)
-    label = components(a)
+    if label is None:
+        label = components(a)
     order = np.argsort(label, kind="stable")  # decoupled rows, then each component's
     k = n - np.count_nonzero(label < 0)
     rows = order[n - k:]
@@ -240,17 +248,18 @@ def _spectral_map(a: np.ndarray, f, eigen, partition) -> np.ndarray:
     return out
 
 
-def spectrum(a: np.ndarray) -> np.ndarray:
+def spectrum(a: np.ndarray, label=None) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     One ``eigvalsh`` on the stacked components; the decoupled diagonal
-    entries are the remaining eigenvalues, exactly.
+    entries are the remaining eigenvalues, exactly.  `label`, when given,
+    is `components(a)`, as in the functions below.
     """
     a = np.asarray(a, dtype=float)
-    return _spectrum(a, _partition(a))
+    return _spectrum(a, _partition(a, label))
 
 
-def spectral_map(a: np.ndarray, f, eigen=None) -> np.ndarray:
+def spectral_map(a: np.ndarray, f, eigen=None, label=None) -> np.ndarray:
     """f(A) for a (nearly) symmetric A, `f` acting on its eigenvalues.
 
     Each component is ``q f(w) q'`` from one call of `eigen` (default
@@ -260,10 +269,10 @@ def spectral_map(a: np.ndarray, f, eigen=None) -> np.ndarray:
     array of the same shape and may raise to reject them.
     """
     a = np.asarray(a, dtype=float)
-    return _spectral_map(a, f, eigen or sym_eigen, _partition(a))
+    return _spectral_map(a, f, eigen or sym_eigen, _partition(a, label))
 
 
-def inv_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
+def inv_sqrt_psd(a: np.ndarray, floor: float, label=None) -> np.ndarray:
     """Symmetric inverse square root with an eigenvalue floor.
 
     Eigenvalues below `floor` are clamped to it before inversion, so the
@@ -272,19 +281,19 @@ def inv_sqrt_psd(a: np.ndarray, floor: float) -> np.ndarray:
     """
     if floor <= 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    return spectral_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor)))
+    return spectral_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor)), label=label)
 
 
-def psd_repair(a: np.ndarray, epsilon: float) -> np.ndarray:
+def psd_repair(a: np.ndarray, epsilon: float, label=None) -> np.ndarray:
     """Clip eigenvalues up to `epsilon`, preserving the diagonal when safe.
 
     Returns `a`, which must be exactly symmetric, unchanged when it is
     already sufficiently positive definite.  After clipping, the original
     diagonal is restored only if doing so keeps the smallest eigenvalue at
-    or above epsilon / 2.
+    or above epsilon / 2.  The result has the components of `a`.
     """
     a = np.asarray(a, dtype=float)
-    partition = _partition(a)  # a spectral map of `a` keeps every component
+    partition = _partition(a, label)  # a spectral map of `a` keeps every component
     w = _spectrum(a, partition)
     if not w.size or w[0] >= epsilon:
         return a

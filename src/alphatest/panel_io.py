@@ -36,7 +36,7 @@ def _read_csv_matrix(path: str) -> tuple[list[str], np.ndarray]:
     # loadtxt would skip a blank line, which is a ragged row here
     blank = ("\n", "\r\n", "\r")
     if len(lines) >= 2 and not any('"' in line or line in blank for line in lines):
-        header = next(csv.reader(lines[:1]))
+        header = _csv_rows(path, lines[:1])[0]
         try:
             data = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None,
                               ndmin=2, dtype=float)
@@ -45,7 +45,7 @@ def _read_csv_matrix(path: str) -> tuple[list[str], np.ndarray]:
         if (data is not None and data.shape == (len(lines) - 1, len(header))
                 and np.isfinite(data).all()):
             return header, data
-    rows = list(csv.reader(lines))
+    rows = _csv_rows(path, lines)
     if len(rows) < 2:
         raise ParseError(f"{path}: need a header row and at least one data row")
     header = rows[0]
@@ -57,6 +57,14 @@ def _read_csv_matrix(path: str) -> tuple[list[str], np.ndarray]:
     if data is None or data.shape[1:] != (len(header),) or not np.isfinite(data).all():
         _raise_first_bad_cell(path, header, rows)
     return header, data
+
+
+def _csv_rows(path: str, lines: list[str]) -> list[list[str]]:
+    """`csv.reader`'s rows of `lines`; a cell over its field limit is a ParseError."""
+    try:
+        return list(csv.reader(lines))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _raise_first_bad_cell(path: str, header: list[str], rows: list[list[str]]) -> None:

@@ -1,7 +1,12 @@
 """Dense N x N and vector-loop references of the block-form code, for tests.
 
-`hard_threshold` and `estimate_dependence` hold the thresholded
-correlation and the inverse correlation root on their active rows only,
+`dependence.correlation_pairs` keeps only the correlations that clear a
+cut, and `dependence.hard_threshold` and `dependence.mt_rho_bar_sq` read
+those pairs; `correlation_scale`, `hard_threshold` and `mt_rho_bar_sq`
+here are the dense pipeline they replace, on the whole N x N correlation
+scale, and `upper_pairs` lists its upper-triangle survivors.
+Both thresholds hold the thresholded correlation on its active rows
+only, as `estimate_dependence` holds the inverse correlation root;
 `linalg` decomposes each connected component of those blocks apart, and
 `build_cov` returns the M2 covariance as a `BlockDiagonal`.  `densify`
 and `thresholded_dense` rebuild the N x N matrices from those blocks.
@@ -21,16 +26,71 @@ from scipy.special import ndtri
 
 from alphatest import dgp
 from alphatest.alpha_tests import fisher_combine, max_p_value, max_stat, py_p_value, py_stat
-from alphatest.dependence import (
-    EIGEN_FLOOR_FRAC,
-    PSD_EPS_FRAC,
-    correlation_scale,
-    hard_threshold,
-    sample_cov,
-)
+from alphatest.dependence import EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, MtCorrelation, sample_cov
 from alphatest.errors import DimensionError
 from alphatest.linalg import BlockDiagonal, psd_repair
 from alphatest.ols import fit
+
+
+def correlation_scale(sigma):
+    """``sigma_ij / sqrt(sigma_ii * sigma_jj)`` for every pair, diagonal included."""
+    s = np.asarray(sigma, dtype=float)
+    d = np.sqrt(np.diag(s))
+    scale = np.outer(d, d)
+    return np.divide(s, scale, out=scale)
+
+
+def hard_threshold(corr, t, delta):
+    """`dependence.hard_threshold` on the N x N correlation scale `corr`.
+
+    An off-diagonal entry survives iff its magnitude is at least
+    ``delta * sqrt(log(N) / t)``; the diagonal is untouched.  Returns the
+    thresholded correlation on the active rows (those with a survivor),
+    the ascending active indices, and the threshold that was used.
+    """
+    corr = np.asarray(corr, dtype=float)
+    n = corr.shape[0]
+    threshold = delta * np.sqrt(np.log(n) / t)
+    keep = corr >= threshold  # |corr| >= threshold, without an N x N |corr|
+    keep |= corr <= -threshold
+    np.fill_diagonal(keep, False)
+    active = np.flatnonzero(keep.any(axis=1))
+    block = np.ix_(active, active)
+    keep = keep[block]
+    np.fill_diagonal(keep, True)
+    return np.where(keep, corr[block], 0.0), active, threshold
+
+
+def mt_rho_bar_sq(corr, v, q_mt, delta_mt):
+    """`dependence.mt_rho_bar_sq` on the N x N correlation scale `corr`.
+
+    A correlation survives iff ``sqrt(v) * |rho_ij| >= c_n``; candidates
+    clear a cut a relative 1e-9 below ``c_n / sqrt(v)``, and the exact test
+    runs on them in row-major order over the upper triangle.
+    """
+    c = np.asarray(corr, dtype=float)
+    n = c.shape[0]
+    c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
+    cut = c_n / np.sqrt(v) * (1.0 - 1e-9)
+    candidate = c >= cut
+    candidate |= c <= -cut
+    np.fill_diagonal(candidate, False)
+    rows = np.flatnonzero(candidate.any(axis=1))
+    i, j = np.nonzero(candidate[rows])
+    i = rows[i]
+    upper = j > i  # row-major order over the upper triangle, as `triu_indices`
+    rho = c[i[upper], j[upper]]
+    rho = rho[np.sqrt(v) * np.abs(rho) >= c_n]
+    rho_bar_sq = 2.0 / (n * (n - 1)) * float(np.sum(rho**2))
+    return MtCorrelation(rho_bar_sq=rho_bar_sq, survivors=rho.size, mt_threshold=c_n)
+
+
+def upper_pairs(corr, cut):
+    """(i, j, rho) of the upper-triangle entries of `corr` with |rho| >= cut,
+    row-major, from `triu_indices`: the `correlation_pairs` reference."""
+    i, j = np.triu_indices(corr.shape[0], k=1)
+    keep = np.abs(corr[i, j]) >= cut
+    return i[keep], j[keep], corr[i, j][keep]
 
 
 def max_stat_standardized(t, omega_root):

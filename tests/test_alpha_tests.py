@@ -22,7 +22,7 @@ from alphatest.alpha_tests import (
     run_all_detailed,
 )
 from alphatest.alpha_tests import TestConfig as Config
-from alphatest.dependence import correlation_scale, hard_threshold, sample_cov
+from alphatest.dependence import sample_cov
 from alphatest.dgp import (
     assemble_panel,
     build_cov,
@@ -34,7 +34,7 @@ from alphatest.dgp import (
 from alphatest.errors import DegenerateDof, DimensionError, NegativeInput
 from alphatest.harness import ScenarioConfig, simulate_panel
 from alphatest.ols import FactorPanel, fit
-from dense_reference import max_stat_standardized
+from dense_reference import correlation_scale, hard_threshold, max_stat_standardized
 
 
 class TestMaxStat:

@@ -90,6 +90,18 @@ class TestCmdTest:
         assert capsys.readouterr().err == f"error: {rpath}: not UTF-8 text (invalid start byte)\n"
         assert not out.exists()
 
+    def test_cell_over_csv_field_limit_exits_io(self, tmp_path, capsys):
+        # a quoted cell longer than the csv module's 131072-character limit
+        rpath, fpath = null_panel_files(tmp_path, seed=3)
+        rpath.write_text('a,b\n"' + "1" * 200_000 + '",2\n')
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"error: {rpath}: field larger than field limit (131072)\n")
+        assert not out.exists()
+
     def test_collinear_factors_exit_numeric(self, tmp_path):
         rpath, fpath = null_panel_files(tmp_path, seed=4)
         lines = fpath.read_text().splitlines()

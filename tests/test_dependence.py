@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from alphatest.alpha_tests import (
     TestConfig as Config,
@@ -12,27 +13,31 @@ from alphatest.alpha_tests import (
     py_stat,
     run_all_detailed,
 )
+from alphatest import dependence, linalg
 from alphatest.dependence import (
     PSD_EPS_FRAC,
+    TILE_ROWS,
     correlation_from_cov,
-    correlation_scale,
+    correlation_pairs,
     estimate_dependence,
-    hard_threshold,
-    mt_rho_bar_sq,
     precision_root,
     sample_cov,
 )
 from alphatest.dgp import build_cov, cov_sqrt, gen_errors
 from alphatest.errors import NonPositiveDiagonal
 from alphatest.harness import ScenarioConfig, simulate_panel
-from alphatest.linalg import inv_sqrt_psd, psd_repair
+from alphatest.linalg import components, edge_components, inv_sqrt_psd, psd_repair
 from alphatest.ols import FactorPanel, fit
 from dense_reference import (
+    correlation_scale,
     dense_oracle,
     dense_statistics,
     densify,
+    hard_threshold,
     max_stat_standardized,
+    mt_rho_bar_sq,
     thresholded_dense,
+    upper_pairs,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -175,24 +180,128 @@ class TestMtRhoBarSq:
         assert np.isclose(a, b, rtol=1e-9)
 
 
+def _sigma_with_pairs_at_the_cut(n, seed, cut):
+    """A covariance whose correlation scale has entries exactly at +cut and
+    at -cut (at +cut only for N=2): on a unit diagonal, ``d_i = 1`` and the
+    scale is `sigma` itself."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (n, n))
+    sigma = (a + a.T) / 2.0
+    np.fill_diagonal(sigma, 1.0)
+    i, j = np.triu_indices(n, k=1)
+    at = rng.choice(i.size, size=min(2, i.size), replace=False)
+    sigma[i[at], j[at]] = sigma[j[at], i[at]] = [cut, -cut][:at.size]
+    return sigma
+
+
+class TestCorrelationPairs:
+    @given(st.sampled_from([2, 127, 128, 129, 259]), st.integers(0, 2**32 - 1),
+           st.sampled_from(["scaled", "gram", "gram_at_entry", "unit_at_cut"]))
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_match_the_dense_upper_triangle(self, n, seed, kind):
+        # index, order and value bits of the survivors of the whole N x N
+        # correlation scale, read row by row from `triu_indices`
+        rng = np.random.default_rng(seed)
+        cut = float(rng.uniform(0.0, 0.8))
+        if kind == "unit_at_cut":
+            sigma = _sigma_with_pairs_at_the_cut(n, seed, cut)
+        else:
+            e = rng.standard_normal((n, 20)) * rng.uniform(0.1, 10.0, (n, 1))
+            sigma = sample_cov(e, 16)
+            if kind == "gram_at_entry":  # a cut exactly at one entry's magnitude
+                i, j = rng.choice(n, size=2, replace=False)
+                cut = float(abs(correlation_scale(sigma)[i, j]))
+            elif kind == "scaled":  # a symmetric matrix with diagonal 3
+                sigma = _sigma_with_pairs_at_the_cut(n, seed, 0.5) * 3.0
+        corr = correlation_scale(sigma)
+        pairs = correlation_pairs(sigma, cut)
+        i, j, rho = upper_pairs(corr, cut)
+        np.testing.assert_array_equal(pairs.i, i)
+        np.testing.assert_array_equal(pairs.j, j)
+        assert pairs.rho.tobytes() == rho.tobytes()
+        assert pairs.diag.tobytes() == np.diag(corr).tobytes()
+        assert pairs.cut == cut
+        if kind == "unit_at_cut":
+            assert {cut, -cut if n > 2 else cut} <= set(pairs.rho.tolist())
+
+    def test_tile_boundaries(self):
+        # every pair survives a zero cut, across and inside the tiles
+        n = 2 * TILE_ROWS + 3
+        e = np.random.default_rng(9).standard_normal((n, 30))
+        pairs = correlation_pairs(sample_cov(e, 26), 0.0)
+        i, j = np.triu_indices(n, k=1)
+        np.testing.assert_array_equal(pairs.i, i)
+        np.testing.assert_array_equal(pairs.j, j)
+
+    def test_empty_and_single_row(self):
+        for n in (0, 1):
+            pairs = correlation_pairs(np.eye(n), 0.0)
+            assert pairs.i.size == pairs.j.size == pairs.rho.size == 0
+            assert pairs.diag.size == n
+
+    def test_threshold_below_the_cut_raises(self):
+        pairs = correlation_pairs(np.eye(3), 0.5)
+        with pytest.raises(ValueError):
+            dependence.hard_threshold(pairs, 0.4)
+
+    def test_mt_cut_above_the_candidates_raises(self):
+        pairs = correlation_pairs(np.eye(3), 0.9)
+        with pytest.raises(ValueError):
+            dependence.mt_rho_bar_sq(pairs, 50, 0.05, 1.0)
+
+    @given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_mt_matches_dense(self, n, seed, fraction):
+        # on any pair list at or below the candidates' cut, the MT estimate
+        # is the dense one, bit for bit
+        e = np.random.default_rng(seed).standard_normal((n, 30))
+        sigma = sample_cov(e, 26)
+        want = mt_rho_bar_sq(correlation_scale(sigma), 26, 0.05, 1.0)
+        cut = fraction * want.mt_threshold / np.sqrt(26) * (1.0 - 1e-9)
+        assert dependence.mt_rho_bar_sq(correlation_pairs(sigma, cut), 26, 0.05, 1.0) == want
+
+
+def test_estimate_labels_components_once(monkeypatch):
+    # the active block is labelled once, from the surviving pairs; repair,
+    # the floor's spectrum and the root reuse that labelling
+    res = fit(simulate_panel(ScenarioConfig(n=200, t=100, cov_model="M1", seed=101), 0, 0))
+    calls = {"edge_components": 0, "components": 0}
+    for module, name in ((dependence, "edge_components"), (linalg, "edge_components"),
+                         (linalg, "components")):
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    dep = estimate_dependence(res.residuals, res.dof, 100, 3.0, 0.05, 1.0)
+    assert dep.repaired and dep.root.active.size > linalg.SMALL_ROWS
+    assert calls == {"edge_components": 1, "components": 0}
+
+
 class TestEstimateDependence:
     def test_pipeline_shapes(self):
         rng = np.random.default_rng(5)
         e = rng.standard_normal((12, 60))
-        dep = estimate_dependence(e, 56, 60, 3.0)
+        dep = estimate_dependence(e, 56, 60, 3.0, 0.05, 1.0)
         sigma_hat = sample_cov(e, 56)
         thresholded, _ = thresholded_dense(sigma_hat, 60, 3.0)
         r_hat = correlation_from_cov(thresholded)
-        for mat in (sigma_hat, thresholded, r_hat, densify(dep.root), dep.corr):
+        corr = correlation_scale(sigma_hat)
+        for mat in (sigma_hat, thresholded, r_hat, densify(dep.root), corr):
             assert mat.shape == (12, 12)
         assert dep.root.block.shape == (dep.root.active.size, dep.root.active.size)
+        # the pairs are the correlation scale's upper-triangle entries at the cut
+        assert (dep.pairs.i < dep.pairs.j).all()
+        assert dep.pairs.rho.tobytes() == corr[dep.pairs.i, dep.pairs.j].tobytes()
+        assert dep.pairs.diag.tobytes() == np.diag(corr).tobytes()
+        assert (np.abs(dep.pairs.rho) >= dep.pairs.cut).all()
         assert np.allclose(np.diag(r_hat), 1.0)
         assert dep.threshold_used > 0
 
     def test_omega_root_symmetric(self):
         rng = np.random.default_rng(6)
         e = rng.standard_normal((20, 80))
-        dep = estimate_dependence(e, 76, 80, 3.0)
+        dep = estimate_dependence(e, 76, 80, 3.0, 0.05, 1.0)
         omega_root = densify(dep.root)
         assert np.allclose(omega_root, omega_root.T)
 
@@ -212,7 +321,7 @@ def _count_solver_calls(monkeypatch):
 def _eigen_calls(monkeypatch, residuals):
     """estimate_dependence of `residuals` and its numpy eigensolver calls."""
     calls = _count_solver_calls(monkeypatch)
-    dep = estimate_dependence(residuals, 96, 100, 3.0)
+    dep = estimate_dependence(residuals, 96, 100, 3.0, 0.05, 1.0)
     monkeypatch.undo()
     return dep, calls
 
@@ -265,7 +374,7 @@ def test_eigen_call_count_on_a_repaired_panel(monkeypatch):
     # and PSD repair fires
     res = fit(simulate_panel(ScenarioConfig(n=200, t=100, cov_model="M1", seed=101), 0, 0))
     calls = _count_solver_calls(monkeypatch)
-    dep = estimate_dependence(res.residuals, res.dof, 100, 3.0)
+    dep = estimate_dependence(res.residuals, res.dof, 100, 3.0, 0.05, 1.0)
     assert dep.repaired and dep.components > 10
     assert calls == {"eigh": 2, "eigvalsh": 3}
 
@@ -365,7 +474,7 @@ def _assert_rel(a, b, rtol=1e-12):
 def test_block_matches_dense_on_engineered_cases(make_cov, check):
     n, t, dof = 40, 100, 96
     e = _residuals_with_cov(make_cov(n), dof, t)
-    dep = estimate_dependence(e, dof, t, 3.0)
+    dep = estimate_dependence(e, dof, t, 3.0, 0.05, 1.0)
     _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
     assert check(dep, repaired, correlation_scale(sample_cov(e, dof)))
     assert dep.root.active.size < n
@@ -379,15 +488,21 @@ def test_low_variance_row_is_a_unit_row():
     # the estimate for the panel with row 7 at variance 0.1 is the one for
     # the same panel with row 7 at unit variance
     n, t, dof = 40, 100, 96
-    low = estimate_dependence(_residuals_with_cov(_low_variance_cov(n), dof, t), dof, t, 3.0)
+    low_e = _residuals_with_cov(_low_variance_cov(n), dof, t)
+    low = estimate_dependence(low_e, dof, t, 3.0, 0.05, 1.0)
     unit_cov = _low_variance_cov(n)
     unit_cov[7, 7] = 1.0
-    unit = estimate_dependence(_residuals_with_cov(unit_cov, dof, t), dof, t, 3.0)
+    unit_e = _residuals_with_cov(unit_cov, dof, t)
+    unit = estimate_dependence(unit_e, dof, t, 3.0, 0.05, 1.0)
     np.testing.assert_array_equal(low.root.active, unit.root.active)
     np.testing.assert_array_equal(densify(low.root), densify(unit.root))
     assert (low.floor, low.threshold_used, low.repaired) == \
         (unit.floor, unit.threshold_used, unit.repaired)
-    np.testing.assert_allclose(low.corr, unit.corr, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(correlation_scale(sample_cov(low_e, dof)),
+                               correlation_scale(sample_cov(unit_e, dof)), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(low.pairs.i, unit.pairs.i)
+    np.testing.assert_array_equal(low.pairs.j, unit.pairs.j)
+    np.testing.assert_allclose(low.pairs.rho, unit.pairs.rho, rtol=0, atol=1e-15)
 
 
 BLOCK_PANELS = [(model, n, m, delta) for model in ("M1", "M2", "M3", "M4")
@@ -395,17 +510,24 @@ BLOCK_PANELS = [(model, n, m, delta) for model in ("M1", "M2", "M3", "M4")
 BLOCK_PANELS += [("M2", 500, 3, 3.0), ("M1", 500, 0, 1.0)]
 
 
-@pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS)
+def _block_panel(model, n, m):
+    """Panel of a `BLOCK_PANELS` entry; model "AR1" is a benchmark CLI panel:
+    AR(1) errors across securities at rho = 0.7, T=120."""
+    if model == "AR1":
+        return FactorPanel(*cli_panel(1, 0, n=n))
+    return simulate_panel(ScenarioConfig(n=n, t=100, cov_model=model, m=m, seed=31), m, 0)
+
+
+@pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS + [("AR1", 1000, 0, 3.0)])
 def test_block_matches_dense_pipeline(model, n, m, delta):
     # MAX2 from the block-form root and PY from the MT step agree with the
     # dense oracle, and so do their decisions
-    scenario = ScenarioConfig(n=n, t=100, cov_model=model, m=m, seed=31)
     config = Config(threshold_delta=delta)
-    panel = simulate_panel(scenario, m, 0)
+    panel = _block_panel(model, n, m)
     results, diag = run_all_detailed(panel, config)
     stats = {r.name: r for r in results}
     res = fit(panel)
-    rho_bar_sq, root, _ = dense_oracle(res.residuals, res.dof, 100, delta,
+    rho_bar_sq, root, _ = dense_oracle(res.residuals, res.dof, panel.n_periods, delta,
                                        config.q_mt, config.delta_mt)
     assert diag["rho_bar_sq"] == rho_bar_sq
     max2 = max_stat_standardized(res.t_stats, root)
@@ -419,17 +541,43 @@ def _assert_exactly_symmetric(residuals, dof, t, delta):
     # psd_repair and correlation_from_cov do not symmetrize their input:
     # each stage must hand the next an exactly symmetric matrix
     corr = correlation_scale(sample_cov(residuals, dof))
-    block, _, _ = hard_threshold(corr, t, delta)
+    block, _, used = hard_threshold(corr, t, delta)
+    pairs_block, _, _ = dependence.hard_threshold(
+        correlation_pairs(sample_cov(residuals, dof), used), used)
     repaired = psd_repair(block, PSD_EPS_FRAC)
-    for x in (corr, block, repaired, correlation_from_cov(repaired)):
+    for x in (corr, block, pairs_block, repaired, correlation_from_cov(repaired)):
         assert np.array_equal(x, x.T)
 
 
 @pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS)
 def test_pipeline_exactly_symmetric_on_panels(model, n, m, delta):
-    scenario = ScenarioConfig(n=n, t=100, cov_model=model, m=m, seed=31)
-    res = fit(simulate_panel(scenario, m, 0))
+    res = fit(_block_panel(model, n, m))
     _assert_exactly_symmetric(res.residuals, res.dof, 100, delta)
+
+
+@pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS + [("AR1", 1000, 0, 3.0)])
+def test_pair_pipeline_matches_dense_threshold_and_mt(model, n, m, delta):
+    # the block, active rows and MT estimate from the pairs are bit for bit
+    # those of the dense pipeline on the whole correlation scale, and the
+    # labels from the surviving pairs are the block's components
+    panel = _block_panel(model, n, m)
+    res = fit(panel)
+    sigma = sample_cov(res.residuals, res.dof)
+    corr = correlation_scale(sigma)
+    dense_block, dense_active, used = hard_threshold(corr, panel.n_periods, delta)
+    dep = estimate_dependence(res.residuals, res.dof, panel.n_periods, delta, 0.05, 1.0)
+    block, active, edges = dependence.hard_threshold(dep.pairs, used)
+    assert dep.threshold_used == used
+    np.testing.assert_array_equal(active, dense_active)
+    np.testing.assert_array_equal(dep.root.active, dense_active)
+    assert block.tobytes() == dense_block.tobytes()
+    label = edge_components(active.size, *edges)
+    np.testing.assert_array_equal(label, components(block))
+    _, ref = connected_components(block != 0, directed=False)
+    pairs_of_labels = np.unique(np.stack([label, ref]), axis=1).shape[1]
+    assert pairs_of_labels == np.unique(label).size == np.unique(ref).size  # one partition
+    assert dependence.mt_rho_bar_sq(dep.pairs, res.dof, 0.05, 1.0) == \
+        mt_rho_bar_sq(corr, res.dof, 0.05, 1.0)
 
 
 @pytest.mark.parametrize("make_cov", [_chain_cov, _spiked_cov, _low_variance_cov],

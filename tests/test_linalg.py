@@ -11,9 +11,9 @@ from dense_reference import densify
 from alphatest.linalg import (
     SMALL_ROWS,
     BlockDiagonal,
-    _hook,
     annihilator,
     components,
+    edge_components,
     inv_sqrt_psd,
     psd_repair,
     spectral_map,
@@ -246,6 +246,29 @@ class TestCoupledBlock:
         a = a + a.T + np.eye(n)
         assert_same_partition(components(a), a)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 60), st.floats(0.0, 0.2),
+           st.sampled_from(["upper", "lower", "both", "shuffled"]))
+    @settings(max_examples=60, deadline=None)
+    def test_edge_components_match_the_dense_labels(self, seed, n, density, order):
+        # the labels from an edge list, each edge once in either direction or
+        # twice, in any order, are `components` of the matrix and scipy's
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((n, n)) < density, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+        a = a + a.T + np.eye(n)
+        i, j = np.nonzero(np.triu(a, 1))
+        if order == "lower":
+            i, j = j, i
+        elif order == "both":
+            i, j = np.concatenate([i, j]), np.concatenate([j, i])
+        elif order == "shuffled":
+            flip = rng.random(i.size) < 0.5
+            i, j = np.where(flip, j, i), np.where(flip, i, j)
+            perm = rng.permutation(i.size)
+            i, j = i[perm], j[perm]
+        label = edge_components(n, i, j)
+        np.testing.assert_array_equal(label, components(a))
+        assert_same_partition(label, a)
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 60),
            st.sampled_from(["dense", "hub", "hub_chain", "hub_one_triangle"]))
     @settings(max_examples=60, deadline=None)
@@ -267,7 +290,7 @@ class TestCoupledBlock:
         off = a != 0
         off |= off.T
         np.fill_diagonal(off, False)
-        np.testing.assert_array_equal(label, _hook(off, np.count_nonzero(off, axis=1)))
+        np.testing.assert_array_equal(label, edge_components(n, *np.nonzero(off)))
         np.testing.assert_array_equal(label, np.zeros(n))
         assert_same_partition(label, a)
 
