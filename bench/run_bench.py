@@ -12,7 +12,8 @@ the tracemalloc peak of one more `run_all_detailed` call, untimed
 (`run_all_detailed_peak_mb`).  For each N up to 2000 it
 also writes that replication's M2 panel once with `panel_io.write_panel`
 to a temporary directory and times `panel_io.load_panel` on it, best of
-3 (`loads`).  BLAS runs on one thread.  The results go under
+3 (`loads`).  Each run also records `src_lines`, the line count of the
+timed tree's `alphatest/*.py`.  BLAS runs on one thread.  The results go under
 ``runs[label]`` of the JSON file at `--out`, which keeps the runs of
 other labels, so two checkouts timed by the same script sit side by
 side.  Only numpy and the standard library are used besides the package.
@@ -45,7 +46,8 @@ ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_
          "more run_all_detailed call, in MB (1e6 bytes); BLAS on one thread; "
          "coupled = active rows of the dependence estimate. "
          "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
-         "panel_io.write_panel, best of 3.")
+         "panel_io.write_panel, best of 3. "
+         "src_lines: lines of the timed tree's alphatest/*.py, as wc -l counts them.")
 
 
 def parse_args(argv):
@@ -75,6 +77,17 @@ def peak_mb(fn):
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def src_lines(src):
+    """Newlines in the `alphatest/*.py` files under `src`, as ``wc -l`` counts them."""
+    folder = os.path.join(src, "alphatest")
+    total = 0
+    for name in os.listdir(folder):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), "rb") as handle:
+                total += handle.read().count(b"\n")
+    return total
 
 
 def environment():
@@ -142,7 +155,8 @@ def main(argv=None) -> int:
         cells.append(time_cell(model, n))
         print(json.dumps(cells[-1]), flush=True)
     wall_s = round(time.perf_counter() - start, 1)
-    run = {"environment": environment(), "wall_s": wall_s, "cells": cells, "loads": loads}
+    run = {"environment": environment(), "src_lines": src_lines(args.src), "wall_s": wall_s,
+           "cells": cells, "loads": loads}
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as handle:

@@ -51,6 +51,12 @@ class TestConfig:
     delta_mt: float = 1.0
     use_adjusted_critical: bool = True
 
+    def __post_init__(self):
+        for name in ("threshold_delta", "q_mt", "delta_mt"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class TestResult:

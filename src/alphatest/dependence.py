@@ -189,8 +189,8 @@ def correlation_from_cov(sigma: np.ndarray) -> np.ndarray:
 
 def precision_root(r_hat: np.ndarray, floor: float, label=None) -> np.ndarray:
     """Symmetric inverse square root of a correlation matrix, eigenvalues
-    floored at `floor` (`estimate_dependence` sets it); `label`, when
-    given, is `linalg.components(r_hat)`."""
+    floored at `floor` (`estimate_dependence` sets it); `label` holds the
+    component labels of `r_hat`, as `linalg.edge_components` gives them."""
     return inv_sqrt_psd(r_hat, floor, label)
 
 
@@ -199,9 +199,13 @@ def _mt_cuts(n: int, v: int, q_mt: float, delta_mt: float) -> tuple[float, float
 
     Candidates clear a cut a relative 1e-9 below c_n / sqrt(v), more than
     the rounding of either side, so they include every pair that passes
-    the exact test ``sqrt(v) * |rho_ij| >= c_n``.
+    the exact test ``sqrt(v) * |rho_ij| >= c_n``.  A c_n that is not finite,
+    as when ``q_mt <= 0`` or ``q_mt / N**delta_mt >= 2``, is a ValueError.
     """
     c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
+    if not np.isfinite(c_n):
+        raise ValueError(f"q_mt={q_mt} and delta_mt={delta_mt} give the multiple-testing "
+                         f"critical value {c_n} at N={n}")
     return c_n, c_n / np.sqrt(v) * (1.0 - 1e-9)
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefinite
-from .linalg import BlockDiagonal, spectral_map, sym_eigen
+from .linalg import BlockDiagonal, sym_eigen
 from .ols import FactorPanel
 
 __all__ = [
@@ -48,30 +48,17 @@ DIAG_RANGE = (1.0, 2.0)
 ROOK_RHO = 0.5
 
 
-def gen_factors(
-    t: int, rng: np.random.Generator | None = None, zeta: np.ndarray | None = None
-) -> np.ndarray:
+def gen_factors(t: int, rng: np.random.Generator) -> np.ndarray:
     """Simulate T rows of the three-factor AR-GARCH process.
 
     The recursion starts BURN_IN periods before the sample with f = 0 and
     h = 1; only the final T rows are returned.  At each step the variance
     is updated from the previous innovation first, then the new
-    innovation is drawn.
-
-    `zeta` overrides the innovations with a given (BURN_IN + T + 1) x 3
-    array; used by tests to force deterministic paths.
+    innovation is drawn.  The innovations are one
+    ``rng.standard_normal((BURN_IN + T + 1, 3))`` draw.
     """
     k = len(AR_INTERCEPT)
-    steps = BURN_IN + t + 1
-    if zeta is None:
-        if rng is None:
-            raise ValueError("either rng or zeta must be provided")
-        zeta = rng.standard_normal((steps, k))
-    else:
-        zeta = np.asarray(zeta, dtype=float)
-        if zeta.shape != (steps, k):
-            raise DimensionError(f"zeta must have shape {(steps, k)}, got {zeta.shape}")
-
+    zeta = rng.standard_normal((BURN_IN + t + 1, k))
     out = np.empty((t, k))
     params = zip(AR_INTERCEPT, AR_COEF, GARCH_INTERCEPT, GARCH_PERSISTENCE, ARCH_COEF)
     # one factor at a time on Python floats: the same operations in the
@@ -136,18 +123,23 @@ def _positive_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
+def _root(a: np.ndarray) -> np.ndarray:
+    w, q = sym_eigen(a)
+    root = (q * _positive_sqrt(w)) @ q.T
+    return (root + root.T) / 2.0
+
+
 def cov_sqrt(sigma: np.ndarray | BlockDiagonal) -> np.ndarray | BlockDiagonal:
     """Symmetric positive-definite square root via eigendecomposition.
 
-    Only the coupled block is decomposed (see `linalg`).  A `BlockDiagonal`
-    keeps its form: its block is decomposed and every entry of its `diag`
-    square-rooted.  Every eigenvalue, the decoupled diagonal's included,
-    must be positive.
+    One `sym_eigen` of the whole matrix, rebuilt as ``q sqrt(w) q'`` and
+    symmetrized.  A `BlockDiagonal` keeps its form: its block is rooted
+    that way and every entry of its `diag` square-rooted.  Every eigenvalue,
+    and every entry of that `diag`, must be positive.
     """
     if isinstance(sigma, BlockDiagonal):
-        block = spectral_map(sigma.block, _positive_sqrt, eigen=sym_eigen)
-        return BlockDiagonal(_positive_sqrt(sigma.diag), sigma.active, block)
-    return spectral_map(sigma, _positive_sqrt, eigen=sym_eigen)
+        return BlockDiagonal(_positive_sqrt(sigma.diag), sigma.active, _root(sigma.block))
+    return _root(sigma)
 
 
 def gen_errors(

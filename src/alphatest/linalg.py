@@ -7,23 +7,20 @@ single code path also handles indefinite inputs produced by hard
 thresholding.
 
 Component rule: rows of a symmetric matrix joined by a path of nonzero
-off-diagonal entries form a connected component (`components`, or
-`edge_components` from a list of those entries); a row with no such
-entry is decoupled, and ``(a_ii, e_i)`` is an exact eigenpair.  The
-eigen helpers below take the labels as `label` where the caller has
-them, and otherwise label the matrix themselves.  `spectrum` and
-`spectral_map` make one eigensolver call on a ``(c, m, m)`` stack of the
-c components, each padded to the largest size m with decoupled rows
-whose diagonal sentinel lies above every Gershgorin bound, so each
-component's eigenpairs come first in its slice; the decoupled rows'
-eigenvalues are read off the diagonal.  Where padding would cost more
-than decomposing the k coupled rows whole (``c * m**3 >= k**3``), or the
-matrix has at most `SMALL_ROWS` rows and labelling would cost more than
-the eigenproblem, they form one component: a dense matrix is one,
-decomposed with the same LAPACK call on the same values as a 2-D call.  Each helper makes exactly one
-eigensolver call, on an empty stack too, so call counts do not depend on
-the data.  `BlockDiagonal` holds a matrix, or a function of one, as its
-diagonal and its coupled block.
+off-diagonal entries form a connected component, which `edge_components`
+labels from a list of those entries; a row with no such entry is
+decoupled, and ``(a_ii, e_i)`` is an exact eigenpair.  The eigen helpers
+below take the labels as `label`; without them the whole matrix is one
+component.  `spectrum` and `spectral_map` make one eigensolver call on a
+``(c, m, m)`` stack of the c components, each padded to the largest size
+m with decoupled rows whose diagonal sentinel lies above every
+Gershgorin bound, so each component's eigenpairs come first in its
+slice; the decoupled rows' eigenvalues are read off the diagonal.  Where
+padding would cost more than decomposing the k coupled rows whole
+(``c * m**3 >= k**3``), they form one component.  Each helper makes
+exactly one eigensolver call, on an empty stack too, so call counts do
+not depend on the data.  `BlockDiagonal` holds a matrix, or a function
+of one, as its diagonal and its coupled block.
 
 Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
 matrices (``a == a.T``), as the residual Gram (one syrk), the
@@ -42,16 +39,12 @@ __all__ = [
     "BlockDiagonal",
     "annihilator",
     "sym_eigen",
-    "components",
     "edge_components",
     "spectrum",
     "spectral_map",
     "inv_sqrt_psd",
     "psd_repair",
 ]
-
-
-SMALL_ROWS = 32  # matrix size up to which `_partition` does not label components
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -128,28 +121,12 @@ class BlockDiagonal:
         return out
 
 
-def components(a: np.ndarray) -> np.ndarray:
-    """Connected-component label of each row of a square matrix.
-
-    Rows joined by a path of nonzero off-diagonal entries (in either
-    triangle) share a label, the least row index among them; a row with
-    none is decoupled and labelled -1.  Where one row is adjacent to every
-    other, as in a dense matrix, all rows are one component, labelled 0;
-    otherwise `edge_components` labels them.
-    """
-    off = np.asarray(a) != 0
-    off |= off.T
-    np.fill_diagonal(off, False)
-    n = off.shape[0]
-    if n > 1 and np.count_nonzero(off, axis=1).max() == n - 1:
-        return np.zeros(n, dtype=int)
-    return edge_components(n, *np.nonzero(np.triu(off)))
-
-
 def edge_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """`components` of the graph on `n` rows with the edges ``(i[e], j[e])``.
+    """Connected-component label of each of `n` rows joined by the edges ``(i[e], j[e])``.
 
-    Each edge joins two distinct rows and may be listed once or in both
+    Rows joined by a path of edges share a label, the least row index
+    among them; a row with no edge is decoupled and labelled -1.  Each
+    edge joins two distinct rows and may be listed once or in both
     directions.  Min-label hooking with pointer jumping over the edges
     grouped by row, O(edges) per round, until no label changes.
     """
@@ -174,25 +151,16 @@ def edge_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return label
 
 
-def _partition(a: np.ndarray, label=None) -> tuple[np.ndarray, np.ndarray]:
-    """The components of `a` as one (c, m) array of rows, and the decoupled rows.
+def _partition(n: int, label=None) -> tuple[np.ndarray, np.ndarray]:
+    """The components of an n-row matrix as one (c, m) array of rows, and the decoupled rows.
 
-    `label` is `components(a)`, computed here when not given.  Row j of
-    the array lists component j's rows ascending, then N (the size of `a`)
-    in each padding slot.  It has one row, all k coupled rows, where
-    c * m**3 >= k**3, an empty `a` included, or where `a` has at most
-    `SMALL_ROWS` rows: one eigenproblem that small costs less than
-    labelling the components (at 32 rows, ``eigh`` about 35 us and
-    `components` about 60 us on one core of a 2-core x86 VM).
+    `label` holds each row's component label, -1 where it is decoupled, as
+    `edge_components` gives them; None makes all n rows one component.
+    Row j of the array lists component j's rows ascending, then n in each
+    padding slot.  It has one row, all k coupled rows, where
+    c * m**3 >= k**3, an empty matrix included.
     """
-    n = a.shape[0]
-    if n <= SMALL_ROWS:
-        off = a != 0
-        np.fill_diagonal(off, False)
-        coupled = off.any(axis=0) | off.any(axis=1)
-        return np.flatnonzero(coupled)[None], np.flatnonzero(~coupled)
-    if label is None:
-        label = components(a)
+    label = np.zeros(n, dtype=int) if label is None else label
     order = np.argsort(label, kind="stable")  # decoupled rows, then each component's
     k = n - np.count_nonzero(label < 0)
     rows = order[n - k:]
@@ -224,16 +192,32 @@ def _stack(a: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _spectrum(a: np.ndarray, partition) -> np.ndarray:
-    slots, free = partition
+def spectrum(a: np.ndarray, label=None) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending.
+
+    One ``eigvalsh`` on the stacked components of `label` (see
+    `_partition`), as in the functions below; the decoupled diagonal
+    entries are the remaining eigenvalues, exactly.
+    """
+    a = np.asarray(a, dtype=float)
+    slots, free = _partition(a.shape[0], label)
     w = np.linalg.eigvalsh(_stack(a, slots))  # ascending: the padding's sentinels last
     return np.sort(np.concatenate([w[slots < a.shape[0]], np.diag(a)[free]]))
 
 
-def _spectral_map(a: np.ndarray, f, eigen, partition) -> np.ndarray:
-    slots, free = partition
+def spectral_map(a: np.ndarray, f, label=None) -> np.ndarray:
+    """f(A) for a (nearly) symmetric A, `f` acting on its eigenvalues.
+
+    Each component is ``q f(w) q'`` from one `sym_eigen` call on the
+    stacked components; each decoupled row holds ``f(a_ii)`` on the
+    diagonal and exact zeros elsewhere, as does every entry joining two
+    components.  `f` maps an array of eigenvalues to an array of the same
+    shape and may raise to reject them.
+    """
+    a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    w, q = eigen(_stack(a, slots))
+    slots, free = _partition(n, label)
+    w, q = sym_eigen(_stack(a, slots))
     pad = slots == n
     real = ~pad[:, ::-1]  # descending: the padding's sentinels first
     fw = np.zeros_like(w)
@@ -246,30 +230,6 @@ def _spectral_map(a: np.ndarray, f, eigen, partition) -> np.ndarray:
     out = out[:-1].reshape(n, n)
     out[free, free] = f(a[free, free])
     return out
-
-
-def spectrum(a: np.ndarray, label=None) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    One ``eigvalsh`` on the stacked components; the decoupled diagonal
-    entries are the remaining eigenvalues, exactly.  `label`, when given,
-    is `components(a)`, as in the functions below.
-    """
-    a = np.asarray(a, dtype=float)
-    return _spectrum(a, _partition(a, label))
-
-
-def spectral_map(a: np.ndarray, f, eigen=None, label=None) -> np.ndarray:
-    """f(A) for a (nearly) symmetric A, `f` acting on its eigenvalues.
-
-    Each component is ``q f(w) q'`` from one call of `eigen` (default
-    `sym_eigen`) on the stacked components; each decoupled row holds
-    ``f(a_ii)`` on the diagonal and exact zeros elsewhere, as does every
-    entry joining two components.  `f` maps an array of eigenvalues to an
-    array of the same shape and may raise to reject them.
-    """
-    a = np.asarray(a, dtype=float)
-    return _spectral_map(a, f, eigen or sym_eigen, _partition(a, label))
 
 
 def inv_sqrt_psd(a: np.ndarray, floor: float, label=None) -> np.ndarray:
@@ -290,16 +250,16 @@ def psd_repair(a: np.ndarray, epsilon: float, label=None) -> np.ndarray:
     Returns `a`, which must be exactly symmetric, unchanged when it is
     already sufficiently positive definite.  After clipping, the original
     diagonal is restored only if doing so keeps the smallest eigenvalue at
-    or above epsilon / 2.  The result has the components of `a`.
+    or above epsilon / 2.  The result has the components of `a`, so
+    `label` serves all three eigen steps.
     """
     a = np.asarray(a, dtype=float)
-    partition = _partition(a, label)  # a spectral map of `a` keeps every component
-    w = _spectrum(a, partition)
+    w = spectrum(a, label)
     if not w.size or w[0] >= epsilon:
         return a
-    repaired = _spectral_map(a, lambda w: np.maximum(w, epsilon), sym_eigen, partition)
+    repaired = spectral_map(a, lambda w: np.maximum(w, epsilon), label)
     with_diag = repaired.copy()
     np.fill_diagonal(with_diag, np.diag(a))
-    if _spectrum(with_diag, partition)[0] >= epsilon / 2.0:
+    if spectrum(with_diag, label)[0] >= epsilon / 2.0:
         return with_diag
     return repaired

@@ -18,7 +18,8 @@ and the multiple-testing sum over `triu_indices`.  `dense_statistics`
 computes the five test statistics from it.  `max_stat_standardized` is
 MAX2 from an N x N root.  `dense_m2_cov` draws the M2 covariance as an
 N x N array and `gen_factors_vector` runs the factor recursion on
-3-vectors.
+3-vectors.  `components` labels a dense matrix's components, for
+calling the `linalg` eigen helpers on it.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from alphatest import dgp
 from alphatest.alpha_tests import fisher_combine, max_p_value, max_stat, py_p_value, py_stat
 from alphatest.dependence import EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, MtCorrelation, sample_cov
 from alphatest.errors import DimensionError
-from alphatest.linalg import BlockDiagonal, psd_repair
+from alphatest.linalg import BlockDiagonal, edge_components, psd_repair
 from alphatest.ols import fit
 
 
@@ -117,7 +118,7 @@ def thresholded_dense(sigma, t, delta):
     corr = correlation_scale(sigma)
     block, active, used = hard_threshold(corr, t, delta)
     dense = densify(BlockDiagonal(np.diag(corr), active, block))
-    return psd_repair(dense, PSD_EPS_FRAC), used
+    return psd_repair(dense, PSD_EPS_FRAC, components(dense)), used
 
 
 def dense_psd_repair(a, epsilon):
@@ -198,3 +199,10 @@ def gen_factors_vector(t, zeta):
         if idx >= 0:
             out[idx] = f
     return out
+
+
+def components(a):
+    """`linalg.edge_components` of the nonzero off-diagonal entries of a square matrix."""
+    off = np.asarray(a) != 0
+    np.fill_diagonal(off, False)
+    return edge_components(off.shape[0], *np.nonzero(off))

@@ -260,6 +260,15 @@ class TestRunAll:
         assert np.isclose(raw["FC2"].statistic, adj["FC2"].statistic)
 
 
+class TestConfigKnobs:
+    @pytest.mark.parametrize("field", ["threshold_delta", "q_mt", "delta_mt"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_knob_raises(self, field, value):
+        # a NaN threshold would keep no pair, silently
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Config(**{field: value})
+
+
 @pytest.mark.slow
 def test_null_rejection_rates(m3_null_details):
     # simulated global null: each test's rejection rate at 5% within [2%, 8%]

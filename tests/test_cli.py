@@ -131,6 +131,25 @@ class TestCmdTest:
         assert err.startswith("numeric error: exact fit") and err.endswith("[3]\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,knob", [
+        ("--qmt", "nan", "q_mt"),
+        ("--qmt", "0", "q_mt"),
+        ("--qmt", "-1", "q_mt"),
+        ("--deltamt", "nan", "delta_mt"),
+        ("--deltamt", "-50", "delta_mt"),
+        ("--delta", "nan", "threshold_delta"),
+    ])
+    def test_bad_threshold_knob_exits_numeric(self, tmp_path, capsys, flag, value, knob):
+        # each would silently empty the multiple-testing step, or write a NaN threshold
+        rpath, fpath = null_panel_files(tmp_path, seed=7)
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out), flag, value])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and knob in err
+        assert not out.exists()
+
     def test_eigensolver_failure_exits_numeric(self, tmp_path, monkeypatch, capsys):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -239,6 +258,15 @@ class TestCmdSize:
                      "--reps", "0"])
         assert code == EXIT_NUMERIC
         assert "replication" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_qmt_scenario_exits_numeric(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text('{"N": 20, "T": 40, "reps": 2, "qMt": NaN}')
+        out = tmp_path / "t.csv"
+        code = main(["size", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "q_mt must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_json_exits_io(self, tmp_path):

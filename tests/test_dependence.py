@@ -26,9 +26,10 @@ from alphatest.dependence import (
 from alphatest.dgp import build_cov, cov_sqrt, gen_errors
 from alphatest.errors import NonPositiveDiagonal
 from alphatest.harness import ScenarioConfig, simulate_panel
-from alphatest.linalg import components, edge_components, inv_sqrt_psd, psd_repair
+from alphatest.linalg import edge_components, inv_sqrt_psd, psd_repair
 from alphatest.ols import FactorPanel, fit
 from dense_reference import (
+    components,
     correlation_scale,
     dense_oracle,
     dense_statistics,
@@ -168,6 +169,15 @@ class TestMtRhoBarSq:
         mt = mt_rho_bar_sq(np.eye(4), v=50, q_mt=0.05, delta_mt=1.0)
         assert np.isclose(mt.mt_threshold, ndtri(1.0 - 0.05 / 8.0))
 
+    @pytest.mark.parametrize("q_mt,delta_mt", [(0.0, 1.0), (-1.0, 1.0), (0.05, -50.0)])
+    def test_non_finite_critical_value_raises(self, q_mt, delta_mt):
+        # c_n = +inf keeps no pair, NaN none either: both would zero the correction
+        pairs = correlation_pairs(np.eye(4), 0.0)
+        with pytest.raises(ValueError, match="critical value"):
+            dependence.mt_rho_bar_sq(pairs, 50, q_mt, delta_mt)
+        with pytest.raises(ValueError, match="critical value"):
+            estimate_dependence(np.eye(4, 10), 6, 10, 3.0, q_mt, delta_mt)
+
     @given(st.integers(0, 500), st.floats(0.1, 10.0))
     @settings(max_examples=25, deadline=None)
     def test_row_rescaling_invariance(self, seed, scale):
@@ -265,17 +275,16 @@ def test_estimate_labels_components_once(monkeypatch):
     # the active block is labelled once, from the surviving pairs; repair,
     # the floor's spectrum and the root reuse that labelling
     res = fit(simulate_panel(ScenarioConfig(n=200, t=100, cov_model="M1", seed=101), 0, 0))
-    calls = {"edge_components": 0, "components": 0}
-    for module, name in ((dependence, "edge_components"), (linalg, "edge_components"),
-                         (linalg, "components")):
-        def counted(*args, _name=name, _fn=getattr(module, name)):
-            calls[_name] += 1
+    calls = []
+    for module in (dependence, linalg):
+        def counted(*args, _fn=module.edge_components):
+            calls.append(args[0])
             return _fn(*args)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, "edge_components", counted)
     dep = estimate_dependence(res.residuals, res.dof, 100, 3.0, 0.05, 1.0)
-    assert dep.repaired and dep.root.active.size > linalg.SMALL_ROWS
-    assert calls == {"edge_components": 1, "components": 0}
+    assert dep.repaired and dep.root.active.size > 32
+    assert calls == [dep.root.active.size]
 
 
 class TestEstimateDependence:

@@ -15,15 +15,26 @@ from alphatest.dgp import (
 )
 from alphatest.errors import DimensionError, NotPositiveDefinite
 from alphatest.harness import ScenarioConfig, simulate_panel
-from alphatest.linalg import BlockDiagonal
+from alphatest.linalg import BlockDiagonal, spectral_map, sym_eigen
 from alphatest.ols import fit
-from dense_reference import dense_m2_cov, densify, gen_factors_vector
+from dense_reference import components, dense_m2_cov, densify, gen_factors_vector
 
 
 def dense_cov(kind, n, rng):
     """`build_cov` as an N x N array (M2 is drawn in block form)."""
     sigma = build_cov(kind, n, rng)
     return densify(sigma) if isinstance(sigma, BlockDiagonal) else sigma
+
+
+class FixedNormals:
+    """Stands in for a generator: `standard_normal` returns the given draws."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z
 
 
 class TestFactorProcessParams:
@@ -45,7 +56,7 @@ class TestGenFactors:
         # with zeta = 0: h -> c/(1-d), f -> a/(1-b)
         t = 200
         zeta = np.zeros((dgp.BURN_IN + t + 1, 3))
-        out = gen_factors(t, zeta=zeta)
+        out = gen_factors(t, FixedNormals(zeta))
         assert out.shape == (t, 3)
         expect = np.array([0.53 / 0.94, 0.19 / 0.81, 0.19 / 0.95])
         assert np.abs(out[-1] - expect).max() < 1e-6
@@ -64,14 +75,6 @@ class TestGenFactors:
         se = f1.std() / np.sqrt(t)
         assert abs(f1.mean() - 0.53 / 0.94) < 3.0 * se + 0.01
 
-    def test_bad_zeta_shape(self):
-        with pytest.raises(DimensionError):
-            gen_factors(10, zeta=np.zeros((5, 3)))
-
-    def test_needs_rng_or_zeta(self):
-        with pytest.raises(ValueError):
-            gen_factors(10)
-
     @pytest.mark.parametrize("t", [1, 60, 100, 120])
     def test_matches_vector_recursion(self, t):
         # the per-factor float recursion makes the same draw and the same
@@ -82,7 +85,7 @@ class TestGenFactors:
             out = gen_factors(t, rng=np.random.default_rng(seed))
             np.testing.assert_array_equal(out, gen_factors_vector(t, zeta))
         fixed = np.linspace(-4.0, 4.0, 3 * steps).reshape(steps, 3)
-        np.testing.assert_array_equal(gen_factors(t, zeta=fixed),
+        np.testing.assert_array_equal(gen_factors(t, FixedNormals(fixed)),
                                       gen_factors_vector(t, fixed))
 
 
@@ -159,9 +162,26 @@ class TestCovSqrt:
             cov_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_decoupled_nonpositive_variance_raises(self):
-        # the check covers the decoupled diagonal, not only the coupled block
+        # the check covers a decoupled row's eigenvalue too
         with pytest.raises(NotPositiveDefinite):
             cov_sqrt(np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.0], [0.0, 0.0, -1.0]]))
+
+    @pytest.mark.parametrize("kind", dgp.COV_MODELS)
+    @pytest.mark.parametrize("n", [2, 3, 10, 11, 32, 33, 200])
+    def test_one_whole_eigh(self, monkeypatch, kind, n):
+        # one eigh of the whole covariance (M2: of its block), rebuilt as
+        # q sqrt(w) q' and symmetrized, bit for bit
+        sigma = build_cov(kind, n, np.random.default_rng(n))
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        root = cov_sqrt(sigma)
+        monkeypatch.undo()
+        dense = sigma.block if kind == "M2" else sigma
+        w, q = sym_eigen(dense)
+        want = (q * np.sqrt(w)) @ q.T
+        np.testing.assert_array_equal(root.block if kind == "M2" else root, (want + want.T) / 2.0)
+        assert calls == [dense.shape]
 
     def test_m2_root_stays_on_the_spikes(self):
         n = 500
@@ -193,7 +213,9 @@ class TestM2BlockForm:
             sigma = build_cov("M2", n, np.random.default_rng(seed))
             root = cov_sqrt(sigma)
             assert isinstance(root, BlockDiagonal)
-            np.testing.assert_array_equal(densify(root), cov_sqrt(densify(sigma)))
+            dense = densify(sigma)
+            want = spectral_map(dense, np.sqrt, components(dense))
+            np.testing.assert_array_equal(densify(root), want)
 
     @pytest.mark.parametrize("dist", dgp.ERROR_DISTS)
     def test_errors_match_dense_product(self, dist):

@@ -7,12 +7,10 @@ from scipy.sparse.csgraph import connected_components
 from alphatest.dependence import EIGEN_FLOOR_FRAC, precision_root
 from alphatest.dgp import cov_sqrt
 from alphatest.errors import DimensionError, SingularDesign
-from dense_reference import densify
+from dense_reference import components, densify
 from alphatest.linalg import (
-    SMALL_ROWS,
     BlockDiagonal,
     annihilator,
-    components,
     edge_components,
     inv_sqrt_psd,
     psd_repair,
@@ -151,14 +149,12 @@ class TestPsdRepair:
 def block_layouts(draw):
     """(seed, blocks, decoupled count): up to six small blocks of 2-6 rows,
     at times one block of 12 or 40 rows, each block a (size, chain) pair;
-    at least two rows in all.  Half the layouts have `linalg.SMALL_ROWS` more
-    decoupled rows, which take the matrix past the size up to which the
-    coupled rows are decomposed whole, so their components are labelled."""
+    at least two rows in all.  Half the layouts have 32 more decoupled rows."""
     sizes = draw(st.lists(st.integers(2, 6), max_size=6))
     sizes += [size for size in [draw(st.sampled_from([0, 0, 12, 40]))] if size]
     chains = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
     n_free = draw(st.integers(max(0, 2 - sum(sizes)), 5))
-    n_free += draw(st.sampled_from([0, SMALL_ROWS]))
+    n_free += draw(st.sampled_from([0, 32]))
     return draw(st.integers(0, 2**32 - 1)), tuple(zip(sizes, chains)), n_free
 
 
@@ -214,8 +210,8 @@ def assert_decoupled_exact(out, free, diag):
 
 
 def assert_same_partition(label, a):
-    """`label` is `components(a)` by scipy's connected components of the
-    nonzero pattern: a decoupled row is -1, any other row carries the
+    """`label` labels the components of `a` as scipy's connected components
+    of the nonzero pattern do: a decoupled row is -1, any other row carries the
     smallest index of its component."""
     _, ref = connected_components(a != 0, directed=False)
     single = np.bincount(ref)[ref] == 1
@@ -224,6 +220,16 @@ def assert_same_partition(label, a):
     for row, comp in enumerate(ref):
         least.setdefault(comp, row)
     np.testing.assert_array_equal(label[~single], [least[c] for c in ref[~single]])
+
+
+@pytest.fixture
+def solver_shapes(monkeypatch):
+    """The argument shape of each ``np.linalg.eigh``/``eigvalsh`` call, in order."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda x, _s=solver: shapes.append(x.shape) or _s(x))
+    return shapes
 
 
 class TestCoupledBlock:
@@ -273,7 +279,7 @@ class TestCoupledBlock:
            st.sampled_from(["dense", "hub", "hub_chain", "hub_one_triangle"]))
     @settings(max_examples=60, deadline=None)
     def test_hub_matrix_is_one_component(self, seed, n, layout):
-        # a row adjacent to every other row: labelled without the edge list
+        # a row adjacent to every other row, its edges listed in either triangle
         rng = np.random.default_rng(seed)
         hub = rng.integers(n)
         if layout == "dense":
@@ -286,11 +292,9 @@ class TestCoupledBlock:
                 a[chain[:-1], chain[1:]] = 1.0
         if layout != "hub_one_triangle":
             a = a + a.T
-        label = components(a)
         off = a != 0
-        off |= off.T
         np.fill_diagonal(off, False)
-        np.testing.assert_array_equal(label, edge_components(n, *np.nonzero(off)))
+        label = edge_components(n, *np.nonzero(off))
         np.testing.assert_array_equal(label, np.zeros(n))
         assert_same_partition(label, a)
 
@@ -298,27 +302,34 @@ class TestCoupledBlock:
         np.testing.assert_array_equal(components(np.ones((1, 1))), [-1])
         assert components(np.ones((0, 0))).shape == (0,)
 
-    def test_one_stacked_call(self, monkeypatch):
-        # three components of 2, 3 and 4 rows pad to one (3, 4, 4) stack;
-        # below SMALL_ROWS rows the nine coupled rows are one 9 x 9 block
+    def test_one_stacked_call(self, solver_shapes):
+        # three components of 2, 3 and 4 rows pad to one (3, 4, 4) stack,
+        # with 2 decoupled rows and with 32
         blocks = ((2, True), (3, False), (4, True))
         small, _, _ = permuted_block_diagonal(3, blocks, 2, True)
-        a, _, _ = permuted_block_diagonal(3, blocks, SMALL_ROWS, True)
-        shapes = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda x, _s=solver: shapes.append(x.shape) or _s(x))
+        a, _, _ = permuted_block_diagonal(3, blocks, 32, True)
         for x in (a, small):
-            spectrum(x)
-            spectral_map(x, np.sqrt)
-        assert shapes == [(3, 4, 4), (3, 4, 4), (1, 9, 9), (1, 9, 9)]
+            spectrum(x, components(x))
+            spectral_map(x, np.sqrt, components(x))
+        assert solver_shapes == [(3, 4, 4)] * 4
+
+    @pytest.mark.parametrize("n_free", [0, 1, 32])
+    def test_no_label_is_one_component(self, solver_shapes, n_free):
+        # without labels the whole matrix is one (1, n, n) eigenproblem,
+        # its decoupled rows included
+        a, _, _ = permuted_block_diagonal(5, ((2, True), (3, False)), n_free, True)
+        n = a.shape[0]
+        w = spectrum(a)
+        out = spectral_map(a, np.sqrt)
+        assert solver_shapes == [(1, n, n)] * 2
+        assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
+        assert_close(out, dense_map(a, np.sqrt))
 
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_spectrum(self, layout):
         a, free, _ = permuted_block_diagonal(*layout, definite=False)
-        w = spectrum(a)
+        w = spectrum(a, components(a))
         assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
         assert (np.diff(w) >= 0).all()
         assert np.isin(np.diag(a)[free], w).all()
@@ -328,7 +339,7 @@ class TestCoupledBlock:
     def test_spectral_map(self, layout):
         a, free, _ = permuted_block_diagonal(*layout, definite=False)
         cube = lambda w: w**3 - w  # noqa: E731
-        out = spectral_map(a, cube)
+        out = spectral_map(a, cube, components(a))
         assert_close(out, dense_map(a, cube))
         assert_decoupled_exact(out, free, cube(np.diag(a)[free]))
 
@@ -337,7 +348,7 @@ class TestCoupledBlock:
     def test_inv_sqrt_psd(self, layout):
         a, free, _ = permuted_block_diagonal(*layout, definite=True)
         floor = 0.8  # clamps part of the spectrum
-        out = inv_sqrt_psd(a, floor)
+        out = inv_sqrt_psd(a, floor, components(a))
         assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
         assert_decoupled_exact(out, free, 1.0 / np.sqrt(np.maximum(np.diag(a)[free], floor)))
 
@@ -345,8 +356,9 @@ class TestCoupledBlock:
     @settings(max_examples=40, deadline=None)
     def test_precision_root(self, layout):
         a, free, _ = permuted_block_diagonal(*layout, definite=True)
-        used = EIGEN_FLOOR_FRAC * spectrum(a)[-1]
-        out = precision_root(a, used)
+        label = components(a)
+        used = EIGEN_FLOOR_FRAC * spectrum(a, label)[-1]
+        out = precision_root(a, used, label)
         floor = EIGEN_FLOOR_FRAC * np.linalg.eigvalsh(a)[-1]
         assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
         assert_decoupled_exact(out, free, 1.0 / np.sqrt(np.maximum(np.diag(a)[free], used)))
@@ -354,26 +366,26 @@ class TestCoupledBlock:
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_cov_sqrt(self, layout):
-        a, free, _ = permuted_block_diagonal(*layout, definite=True)
-        out = cov_sqrt(a)
-        assert_close(out, dense_map(a, np.sqrt))
-        assert_decoupled_exact(out, free, np.sqrt(np.diag(a)[free]))
+        # one eigenproblem of the whole matrix, so decoupled rows are not exact
+        a, _, _ = permuted_block_diagonal(*layout, definite=True)
+        assert_close(cov_sqrt(a), dense_map(a, np.sqrt))
 
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_psd_repair_idle(self, layout):
         a, _, _ = permuted_block_diagonal(*layout, definite=True)
-        assert np.array_equal(psd_repair(a, 0.5 * np.linalg.eigvalsh(a)[0]), a)
+        assert np.array_equal(psd_repair(a, 0.5 * np.linalg.eigvalsh(a)[0], components(a)), a)
 
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
     def test_psd_repair_fires(self, layout):
         a, free, _ = permuted_block_diagonal(*layout, definite=False)
         eps = 0.3
+        label = components(a)
         if np.linalg.eigvalsh(a)[0] >= eps:  # nothing to repair in this draw
-            assert np.array_equal(psd_repair(a, eps), a)
+            assert np.array_equal(psd_repair(a, eps, label), a)
             return
-        out = psd_repair(a, eps)
+        out = psd_repair(a, eps, label)
         repaired = dense_map(a, lambda w: np.maximum(w, eps))
         with_diag = repaired.copy()
         np.fill_diagonal(with_diag, np.diag(a))
