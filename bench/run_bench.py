@@ -4,8 +4,8 @@
     python3 bench/run_bench.py --label parent --src /path/to/other/src --out BENCH.json
 
 For each covariance model M1-M4 and N in {200, 500, 1000, 2000}, and
-for M2 at N=5000, at T=100 (t5-scaled errors, null alpha, seed 0), times
-`harness.simulate_panel` and `alpha_tests.run_all_detailed` on
+for M1, M2 and M3 at N=5000, at T=100 (t5-scaled errors, null alpha,
+seed 0), times `harness.simulate_panel` and `alpha_tests.run_all_detailed` on
 replication 0, best of 3 after one untimed call (which fills the M1/M3
 root cache; its time is recorded as `first_simulate_ms`), and records
 the tracemalloc peak of one more `run_all_detailed` call, untimed
@@ -36,14 +36,15 @@ import tracemalloc  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODELS = ("M1", "M2", "M3", "M4")
 SIZES = (200, 500, 1000, 2000)
-EXTRA_CELLS = (("M2", 5000),)  # M1, M3 and M4 at N=5000 cost minutes to simulate
+# M4 stays out: each M4 replication at N=5000 roots a fresh dense 5000 x 5000 covariance
+EXTRA_CELLS = (("M2", 5000), ("M3", 5000), ("M1", 5000))
 T = 100
 REPEATS = 3
 ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_all_detailed "
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
-         "cache), and M2 at N=5000; run_all_detailed_peak_mb: tracemalloc peak of one "
-         "more run_all_detailed call, in MB (1e6 bytes); BLAS on one thread; "
+         "cache), and M1, M2 and M3 at N=5000; run_all_detailed_peak_mb: tracemalloc peak "
+         "of one more run_all_detailed call, in MB (1e6 bytes); BLAS on one thread; "
          "coupled = active rows of the dependence estimate. "
          "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
          "panel_io.write_panel, best of 3. "

@@ -56,6 +56,8 @@ class TestConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.threshold_delta <= 0:
+            raise ValueError(f"threshold_delta must be positive, got {self.threshold_delta}")
 
 
 @dataclass(frozen=True)

@@ -78,7 +78,8 @@ def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray | Block
     """Construct an N x N residual covariance matrix for one of the models.
 
     M1: AR(1)-style bands 0.7**|i-j|.  M2: single random spiked factor in
-    the correlation, random U(1,2) variances.  M3: inverse of 0.6**|i-j|.
+    the correlation, random U(1,2) variances.  M3: inverse of 0.6**|i-j|,
+    in its closed tridiagonal form.
     M4: rank-one spike plus a rook-form spatial-autoregressive part.
     Every model is positive definite by construction; `cov_sqrt` checks
     the draw.
@@ -90,13 +91,13 @@ def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray | Block
         raise ValueError(f"unknown covariance model {kind!r}")
     if n < 2:
         raise DimensionError(f"need N >= 2, got {n}")
-    if kind in ("M1", "M3"):
+    if kind == "M1":
         idx = np.arange(n)
-        dist = np.abs(idx[:, None] - idx[None, :])
-        if kind == "M1":
-            return M1_BASE**dist
-        sigma = np.linalg.inv(M3_BASE**dist)
-        return (sigma + sigma.T) / 2.0
+        return M1_BASE ** np.abs(idx[:, None] - idx[None, :])
+    if kind == "M3":  # Kac-Murdock-Szego: the inverse of rho**|i-j| is tridiagonal
+        sigma = (1.0 + M3_BASE**2) * np.eye(n) - M3_BASE * (np.eye(n, k=1) + np.eye(n, k=-1))
+        sigma[0, 0] = sigma[n - 1, n - 1] = 1.0
+        return sigma / (1.0 - M3_BASE**2)
     n_spikes = int(n**SPIKE_EXPONENT)
     if kind == "M2":
         root_d = np.sqrt(rng.uniform(*DIAG_RANGE, size=n))
@@ -113,8 +114,7 @@ def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray | Block
     w = 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
     w[0, 1] = w[n - 1, n - 2] = 1.0
     inv = np.linalg.inv(np.eye(n) - ROOK_RHO * w)
-    sigma = np.outer(gamma, gamma) + inv @ inv.T
-    return (sigma + sigma.T) / 2.0
+    return np.outer(gamma, gamma) + inv @ inv.T  # one syrk: exactly symmetric
 
 
 def _positive_sqrt(w: np.ndarray) -> np.ndarray:

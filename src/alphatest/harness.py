@@ -188,15 +188,9 @@ class SizePowerTable:
 
 
 @functools.lru_cache(maxsize=8)
-def _fixed_cov_root(kind: str, n: int):
-    # M1 and M3 covariances are deterministic; cache their roots per process
-    sigma = build_cov(kind, n, np.random.default_rng(0))
-    return cov_sqrt(sigma)
-
-
-@functools.lru_cache(maxsize=8)
 def _frozen_cov_root(kind: str, n: int, seed: int, m: int):
-    # the freezeCov covariance is replication 0's draw; cache its root per process
+    # the root of a covariance every replication shares, cached per process:
+    # the freezeCov draw of replication 0, or M1's or M3's, which draw nothing
     return cov_sqrt(build_cov(kind, n, streams.substream(seed, m, 0, streams.COV)))
 
 
@@ -211,7 +205,7 @@ def simulate_panel(scenario: ScenarioConfig, m: int, rep: int) -> FactorPanel:
     factor_rep = 0 if scenario.shared_factors else rep
     alpha_rep = 0 if scenario.fixed_support else rep
     if scenario.cov_model in ("M1", "M3"):
-        sigma_root = _fixed_cov_root(scenario.cov_model, scenario.n)
+        sigma_root = _frozen_cov_root(scenario.cov_model, scenario.n, 0, 0)
     elif scenario.freeze_cov:
         sigma_root = _frozen_cov_root(scenario.cov_model, scenario.n, seed, m)
     else:

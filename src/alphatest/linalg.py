@@ -211,25 +211,24 @@ def spectral_map(a: np.ndarray, f, label=None) -> np.ndarray:
     Each component is ``q f(w) q'`` from one `sym_eigen` call on the
     stacked components; each decoupled row holds ``f(a_ii)`` on the
     diagonal and exact zeros elsewhere, as does every entry joining two
-    components.  `f` maps an array of eigenvalues to an array of the same
+    components.  The rebuilt stack is written into an (n+1) x (n+1) zero
+    buffer at the rows and columns of its slots, so the padding's entries
+    land in the spare last row and column, and the leading n x n view is
+    returned.  `f` maps an array of eigenvalues to an array of the same
     shape and may raise to reject them.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     slots, free = _partition(n, label)
     w, q = sym_eigen(_stack(a, slots))
-    pad = slots == n
-    real = ~pad[:, ::-1]  # descending: the padding's sentinels first
+    real = (slots < n)[:, ::-1]  # descending: the padding's sentinels first
     fw = np.zeros_like(w)
     fw[real] = f(w[real])
-    # flat index into `a` of each stack entry; the padding's goes one past the end
-    flat = slots[:, :, None] * n + slots[:, None, :]
-    flat[pad[:, :, None] | pad[:, None, :]] = n * n
-    out = np.zeros(n * n + 1)
-    out[flat] = _symmetrize((q * fw[:, None, :]) @ np.swapaxes(q, -1, -2))
-    out = out[:-1].reshape(n, n)
+    out = np.zeros((n + 1, n + 1))
+    out[slots[:, :, None], slots[:, None, :]] = _symmetrize(
+        (q * fw[:, None, :]) @ np.swapaxes(q, -1, -2))
     out[free, free] = f(a[free, free])
-    return out
+    return out[:n, :n]
 
 
 def inv_sqrt_psd(a: np.ndarray, floor: float, label=None) -> np.ndarray:

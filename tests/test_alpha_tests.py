@@ -268,6 +268,12 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             Config(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_non_positive_threshold_raises(self, value):
+        # every pair would survive a threshold at or below zero
+        with pytest.raises(ValueError, match="threshold_delta must be positive"):
+            Config(threshold_delta=value)
+
 
 @pytest.mark.slow
 def test_null_rejection_rates(m3_null_details):

@@ -138,6 +138,8 @@ class TestCmdTest:
         ("--deltamt", "nan", "delta_mt"),
         ("--deltamt", "-50", "delta_mt"),
         ("--delta", "nan", "threshold_delta"),
+        ("--delta", "0", "threshold_delta"),
+        ("--delta", "-1", "threshold_delta"),
     ])
     def test_bad_threshold_knob_exits_numeric(self, tmp_path, capsys, flag, value, knob):
         # each would silently empty the multiple-testing step, or write a NaN threshold
@@ -267,6 +269,15 @@ class TestCmdSize:
         code = main(["size", "--config", str(config), "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert "q_mt must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_threshold_scenario_exits_numeric(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text('{"N": 20, "T": 40, "reps": 2, "thresholdDelta": 0}')
+        out = tmp_path / "t.csv"
+        code = main(["size", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert "threshold_delta must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_json_exits_io(self, tmp_path):

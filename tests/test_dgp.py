@@ -100,6 +100,25 @@ class TestBuildCov:
         expect = np.array([[1.5625, -0.9375], [-0.9375, 1.5625]])
         assert np.abs(sigma - expect).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 40, 200, 1000])
+    def test_m3_closed_form(self, n):
+        # the Kac-Murdock-Szego inverse of 0.6**|i-j|: exactly symmetric and
+        # tridiagonal, the dense inverse up to roundoff
+        sigma = build_cov("M3", n, np.random.default_rng(0))
+        idx = np.arange(n)
+        dist = np.abs(idx[:, None] - idx[None, :])
+        assert np.array_equal(sigma, sigma.T)
+        assert (sigma[dist > 1] == 0.0).all()
+        scale = np.abs(sigma).max()
+        assert np.abs(sigma - np.linalg.inv(0.6**dist)).max() <= 1e-15 * scale
+        assert np.abs(sigma @ 0.6**dist - np.eye(n)).max() <= 1e-13
+
+    @pytest.mark.parametrize("kind", dgp.COV_MODELS)
+    @pytest.mark.parametrize("n", [2, 3, 40, 200])
+    def test_exactly_symmetric(self, kind, n):
+        sigma = dense_cov(kind, n, np.random.default_rng(n))
+        assert np.array_equal(sigma, sigma.T)
+
     def test_m2_structure(self):
         n = 100
         sigma = dense_cov("M2", n, np.random.default_rng(1))

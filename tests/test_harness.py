@@ -1,3 +1,4 @@
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -200,23 +201,28 @@ class TestStreams:
         assert abs(corr) < 0.01
 
 
-@pytest.mark.parametrize("model", ["M2", "M4"])
+@pytest.mark.parametrize("model", ["M1", "M2", "M3", "M4"])
 def test_frozen_covariance_is_drawn_once(monkeypatch, model):
-    # five freezeCov replications build the pinned covariance once; each
-    # panel equals the one simulated with an empty root cache
-    scenario = ScenarioConfig(n=40, t=60, cov_model=model, seed=5, freeze_cov=True)
+    # five freezeCov replications at each of two seeds and two values of m
+    # build the pinned covariance once per (seed, m) for M2 and M4, and
+    # once in all for M1 and M3, which draw nothing; each panel equals the
+    # one simulated with an empty root cache
+    keys = [(seed, m) for seed in (5, 6) for m in (0, 2)]
+    scenario = ScenarioConfig(n=40, t=60, cov_model=model, freeze_cov=True)
     harness._frozen_cov_root.cache_clear()
     calls = []
     build = harness.build_cov
     monkeypatch.setattr(harness, "build_cov", lambda *args: calls.append(args) or build(*args))
-    panels = [harness.simulate_panel(scenario, 2, rep) for rep in range(5)]
-    assert len(calls) == 1
-    for rep, panel in enumerate(panels):
+    panels = {(seed, m, rep): harness.simulate_panel(replace(scenario, seed=seed), m, rep)
+              for seed, m in keys for rep in range(5)}
+    drawn = 1 if model in ("M1", "M3") else len(keys)
+    assert len(calls) == drawn
+    for (seed, m, rep), panel in panels.items():
         harness._frozen_cov_root.cache_clear()
-        fresh = harness.simulate_panel(scenario, 2, rep)
+        fresh = harness.simulate_panel(replace(scenario, seed=seed), m, rep)
         np.testing.assert_array_equal(panel.returns, fresh.returns)
         np.testing.assert_array_equal(panel.factors, fresh.factors)
-    assert len(calls) == 6
+    assert len(calls) == drawn + len(panels)
     harness._frozen_cov_root.cache_clear()
 
 
