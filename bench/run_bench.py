@@ -7,8 +7,10 @@ For each covariance model M1-M4 and N in {200, 500, 1000, 2000}, and
 for M1, M2 and M3 at N=5000, at T=100 (t5-scaled errors, null alpha,
 seed 0), times `harness.simulate_panel` and `alpha_tests.run_all_detailed` on
 replication 0, best of 3 after one untimed call (which fills the M1/M3
-root cache; its time is recorded as `first_simulate_ms`), and records
-the tracemalloc peak of one more `run_all_detailed` call, untimed
+root cache; its time is recorded as `first_simulate_ms`), counts the
+minor page faults of the timed `run_all_detailed` calls, per call
+(`run_all_detailed_minflt`, from ``getrusage``), and records the
+tracemalloc peak of one more `run_all_detailed` call, untimed
 (`run_all_detailed_peak_mb`).  For each N up to 2000 it
 also writes that replication's M2 panel once with `panel_io.write_panel`
 to a temporary directory and times `panel_io.load_panel` on it, best of
@@ -29,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -44,7 +47,9 @@ ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
          "cache), and M1, M2 and M3 at N=5000; run_all_detailed_peak_mb: tracemalloc peak "
-         "of one more run_all_detailed call, in MB (1e6 bytes); BLAS on one thread; "
+         "of one more run_all_detailed call, in MB (1e6 bytes); run_all_detailed_minflt: "
+         "minor page faults (getrusage ru_minflt) per timed run_all_detailed call; "
+         "BLAS on one thread; "
          "coupled = active rows of the dependence estimate. "
          "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
          "panel_io.write_panel, best of 3. "
@@ -115,7 +120,9 @@ def time_cell(model, n):
     panel = simulate_panel(scenario, 0, 0)
     first_ms = 1e3 * (time.perf_counter() - start)
     simulate_ms, _ = best_ms(lambda: simulate_panel(scenario, 0, 0))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     tests_ms, (_, diagnostics) = best_ms(lambda: run_all_detailed(panel))
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / REPEATS
     tests_peak_mb = peak_mb(lambda: run_all_detailed(panel))
     return {
         "model": model,
@@ -124,6 +131,7 @@ def time_cell(model, n):
         "first_simulate_ms": round(first_ms, 3),
         "simulate_ms": round(simulate_ms, 3),
         "run_all_detailed_ms": round(tests_ms, 3),
+        "run_all_detailed_minflt": round(faults, 1),
         "run_all_detailed_peak_mb": round(tests_peak_mb, 2),
         "coupled": int(diagnostics["coupled"]),
     }

@@ -169,13 +169,8 @@ def gen_errors(
 
 def gen_betas(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw factor loadings: U(0.2,2), U(-1,1.5) and U(-1.5,1.5) columns."""
-    return np.column_stack(
-        [
-            rng.uniform(0.2, 2.0, size=n),
-            rng.uniform(-1.0, 1.5, size=n),
-            rng.uniform(-1.5, 1.5, size=n),
-        ]
-    )
+    ranges = ((0.2, 2.0), (-1.0, 1.5), (-1.5, 1.5))
+    return np.column_stack([rng.uniform(lo, hi, size=n) for lo, hi in ranges])
 
 
 def gen_alpha(

@@ -23,10 +23,10 @@ not depend on the data.  `BlockDiagonal` holds a matrix, or a function
 of one, as its diagonal and its coupled block.
 
 Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
-matrices (``a == a.T``), as the residual Gram (one syrk), the
-thresholded block (each surviving pair written to both triangles) and
-`spectral_map`'s symmetrized rebuild are.  `sym_eigen`
-symmetrizes its input: it is the entry point for nearly symmetric products.
+matrices (``a == a.T``), as the thresholded correlation block (a unit
+diagonal, each surviving pair written to both triangles) and
+`spectral_map`'s symmetrized rebuild are.  `sym_eigen` symmetrizes its
+input: it is the entry point for nearly symmetric products.
 """
 
 from dataclasses import dataclass

@@ -92,6 +92,9 @@ def fit(panel: FactorPanel) -> OlsFit:
     ------
     DegenerateDesign
         If the intercept is numerically collinear with the factors.
+    DimensionError
+        If a security's mean squared return, or its residual sum of squares
+        short of an exact fit, is not a finite normal double.
     ZeroResidualVariance
         If a security is fitted exactly: its residual variance is at most
         `EXACT_FIT_FRAC` of its mean squared return, so it has no t-ratio.
@@ -108,8 +111,16 @@ def fit(panel: FactorPanel) -> OlsFit:
         raise DegenerateDesign("intercept is collinear with the factor columns")
     alpha = (y @ m_ones) / leverage
     resid = (y - alpha[:, None]) @ m
-    sigma = np.einsum("ij,ij->i", resid, resid) / v
-    exact = sigma <= EXACT_FIT_FRAC * np.einsum("ij,ij->i", y, y) / t
+    mean_sq = np.einsum("ij,ij->i", y, y) / t  # einsum overflows to inf without a warning
+    rss = np.einsum("ij,ij->i", resid, resid)
+    sigma = rss / v
+    exact = sigma <= EXACT_FIT_FRAC * mean_sq
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    normal = (tiny <= mean_sq) & (mean_sq <= huge) & (rss <= huge) & ((rss >= tiny) | exact)
+    for cause, side in (("overflow", mean_sq > 1.0), ("underflow", mean_sq <= 1.0)):
+        if (bad := side & ~normal & y.any(axis=1)).any():
+            raise DimensionError(f"squared returns or residuals {cause} double precision for "
+                                 f"securities {np.flatnonzero(bad).tolist()}; rescale them")
     if exact.any():
         raise ZeroResidualVariance(
             f"exact fit (residual variance at most {EXACT_FIT_FRAC:g} of the mean "

@@ -101,20 +101,13 @@ def load_panel(returns_path: str, factors_path: str) -> FactorPanel:
     return FactorPanel(returns=returns_tm.T.copy(), factors=factors_tm)
 
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.17g}" for v in values)
-
-
 def write_panel(panel: FactorPanel, returns_path: str, factors_path: str) -> None:
     """Write a panel as a time-major returns/factors CSV pair."""
-    n = panel.n_securities
-    p = panel.n_factors
-    returns_lines = [",".join(f"sec{i + 1}" for i in range(n))]
-    returns_lines += [_format_row(row) for row in panel.returns.T]
-    write_text_atomic(returns_path, "\n".join(returns_lines) + "\n")
-    factors_lines = [",".join(f"factor{k + 1}" for k in range(p))]
-    factors_lines += [_format_row(row) for row in panel.factors]
-    write_text_atomic(factors_path, "\n".join(factors_lines) + "\n")
+    for path, label, matrix in ((returns_path, "sec", panel.returns.T),
+                                (factors_path, "factor", panel.factors)):
+        lines = [",".join(f"{label}{k + 1}" for k in range(matrix.shape[1]))]
+        lines += [",".join(f"{v:.17g}" for v in row) for row in matrix]
+        write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -5,6 +5,12 @@ cut, and `dependence.hard_threshold` and `dependence.mt_rho_bar_sq` read
 those pairs; `correlation_scale`, `hard_threshold` and `mt_rho_bar_sq`
 here are the dense pipeline they replace, on the whole N x N correlation
 scale, and `upper_pairs` lists its upper-triangle survivors.
+`tiled_correlation` is the N x N residual correlation with the
+arithmetic of `correlation_pairs` (unit-norm rows, `TILE_ROWS` gemm
+tiles, the upper triangle mirrored, a unit diagonal), so the dense
+pipeline on it matches the pairs' bit for bit;
+``correlation_scale(sample_cov(e, dof))`` is the same matrix from the
+covariance, equal to it up to rounding.
 Both thresholds hold the thresholded correlation on its active rows
 only, as `estimate_dependence` holds the inverse correlation root;
 `linalg` decomposes each connected component of those blocks apart, and
@@ -27,7 +33,7 @@ from scipy.special import ndtri
 
 from alphatest import dgp
 from alphatest.alpha_tests import fisher_combine, max_p_value, max_stat, py_p_value, py_stat
-from alphatest.dependence import EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, MtCorrelation, sample_cov
+from alphatest.dependence import EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, TILE_ROWS, MtCorrelation
 from alphatest.errors import DimensionError
 from alphatest.linalg import BlockDiagonal, edge_components, psd_repair
 from alphatest.ols import fit
@@ -39,6 +45,21 @@ def correlation_scale(sigma):
     d = np.sqrt(np.diag(s))
     scale = np.outer(d, d)
     return np.divide(s, scale, out=scale)
+
+
+def tiled_correlation(residuals):
+    """N x N correlation of the residual rows, tile by tile as `correlation_pairs`
+    computes it: each tile ``u[lo:hi] @ u[lo:].T`` of the unit-norm rows `u`
+    is one gemm (a single ``u @ u.T`` would be one syrk, which rounds
+    differently), its upper triangle is mirrored and the diagonal is 1."""
+    e = np.asarray(residuals, dtype=float)
+    n = e.shape[0]
+    u = e / np.sqrt(np.einsum("ij,ij->i", e, e))[:, None]
+    corr = np.empty((n, n))
+    for lo in range(0, n, TILE_ROWS):
+        corr[lo:lo + TILE_ROWS, lo:] = u[lo:lo + TILE_ROWS] @ u[lo:].T
+    upper = np.triu(corr, 1)
+    return upper + upper.T + np.eye(n)
 
 
 def hard_threshold(corr, t, delta):
@@ -136,10 +157,8 @@ def dense_psd_repair(a, epsilon):
 def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
     """(rho_bar_sq, N x N root, thresholded-and-repaired correlation) from
     the dense pipeline; `dof` is also the MT step's v."""
-    sigma = sample_cov(residuals, dof)
-    n = sigma.shape[0]
-    d = np.sqrt(np.diag(sigma))
-    corr = sigma / np.outer(d, d)
+    corr = tiled_correlation(residuals)
+    n = corr.shape[0]
     keep = np.abs(corr) >= delta * np.sqrt(np.log(n) / t)
     np.fill_diagonal(keep, True)
     repaired = dense_psd_repair(np.where(keep, corr, 0.0), PSD_EPS_FRAC)

@@ -22,7 +22,6 @@ from alphatest.alpha_tests import (
     run_all_detailed,
 )
 from alphatest.alpha_tests import TestConfig as Config
-from alphatest.dependence import sample_cov
 from alphatest.dgp import (
     assemble_panel,
     build_cov,
@@ -34,7 +33,7 @@ from alphatest.dgp import (
 from alphatest.errors import DegenerateDof, DimensionError, NegativeInput
 from alphatest.harness import ScenarioConfig, simulate_panel
 from alphatest.ols import FactorPanel, fit
-from dense_reference import correlation_scale, hard_threshold, max_stat_standardized
+from dense_reference import hard_threshold, max_stat_standardized, tiled_correlation
 
 
 class TestMaxStat:
@@ -236,7 +235,7 @@ class TestRunAll:
         _, diag = run_all_detailed(panel)
         assert (diag["coupled"], diag["components"], diag["largest_component"]) == (12, 4, 4)
         res = fit(panel)
-        corr = correlation_scale(sample_cov(res.residuals, res.dof))
+        corr = tiled_correlation(res.residuals)
         block, _, _ = hard_threshold(corr, 60, Config().threshold_delta)
         count, label = connected_components(block != 0, directed=False)
         assert (count, np.bincount(label).max()) == (4, 4)

@@ -1,8 +1,13 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import alphatest
 from alphatest import harness
 from alphatest.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from alphatest.dgp import gen_alpha, gen_betas, gen_errors, gen_factors, assemble_panel
@@ -30,6 +35,26 @@ def null_panel_files(tmp_path, n=30, t=50, seed=0, alpha=None):
     return rpath, fpath
 
 
+# Runs `alphatest test`, then frees eight 1 MiB temporaries at a time, ten
+# times, and prints the minor page faults of those ten rounds.
+CHURN_AFTER_MAIN = """
+import resource, sys
+import numpy as np
+from alphatest.cli import main
+
+def churn():
+    blocks = [np.ones(1 << 17) for _ in range(8)]
+    del blocks
+
+assert main(sys.argv[1:]) == 0
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestCmdTest:
     def test_null_panel_report(self, tmp_path):
         rpath, fpath = null_panel_files(tmp_path)
@@ -50,6 +75,19 @@ class TestCmdTest:
         assert (meta["largest_component"] > 0) == (meta["coupled"] > 0)
         assert isinstance(report["metadata"]["repaired"], bool)
         assert 0 <= report["metadata"]["mt_survivors"] <= 30 * 29 // 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc malloc only")
+    def test_freed_temporaries_are_reused(self, tmp_path):
+        # glibc's own thresholds would trim the heap after each round and
+        # fault in 8 MiB (2048 pages) again in the next
+        rpath, fpath = null_panel_files(tmp_path)
+        src = os.path.dirname(os.path.dirname(alphatest.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", CHURN_AFTER_MAIN, "test", "--returns", str(rpath),
+             "--factors", str(fpath), "--out", str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, check=True)
+        assert int(done.stdout) < 256
 
     def test_planted_alpha_rejected(self, tmp_path):
         n, t = 50, 60
@@ -129,6 +167,23 @@ class TestCmdTest:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric error: exact fit") and err.endswith("[3]\n")
+        assert not out.exists()
+
+    def test_underflowing_security_exits_numeric(self, tmp_path, capsys):
+        rpath, fpath = null_panel_files(tmp_path, seed=6)
+        lines = rpath.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows:
+            row[2] = f"{float(row[2]) * 1e-170!r}"  # its squares underflow to 0
+        rpath.write_text("\n".join(
+            [lines[0]] + [",".join(row) for row in rows]) + "\n")
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: squared returns or residuals underflow")
+        assert "for securities [2]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,knob", [

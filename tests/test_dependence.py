@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from dense_reference import (
     max_stat_standardized,
     mt_rho_bar_sq,
     thresholded_dense,
+    tiled_correlation,
     upper_pairs,
 )
 
@@ -172,7 +174,7 @@ class TestMtRhoBarSq:
     @pytest.mark.parametrize("q_mt,delta_mt", [(0.0, 1.0), (-1.0, 1.0), (0.05, -50.0)])
     def test_non_finite_critical_value_raises(self, q_mt, delta_mt):
         # c_n = +inf keeps no pair, NaN none either: both would zero the correction
-        pairs = correlation_pairs(np.eye(4), 0.0)
+        pairs = correlation_pairs(np.eye(4, 10), 0.0)
         with pytest.raises(ValueError, match="critical value"):
             dependence.mt_rho_bar_sq(pairs, 50, q_mt, delta_mt)
         with pytest.raises(ValueError, match="critical value"):
@@ -190,72 +192,55 @@ class TestMtRhoBarSq:
         assert np.isclose(a, b, rtol=1e-9)
 
 
-def _sigma_with_pairs_at_the_cut(n, seed, cut):
-    """A covariance whose correlation scale has entries exactly at +cut and
-    at -cut (at +cut only for N=2): on a unit diagonal, ``d_i = 1`` and the
-    scale is `sigma` itself."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-1.0, 1.0, (n, n))
-    sigma = (a + a.T) / 2.0
-    np.fill_diagonal(sigma, 1.0)
-    i, j = np.triu_indices(n, k=1)
-    at = rng.choice(i.size, size=min(2, i.size), replace=False)
-    sigma[i[at], j[at]] = sigma[j[at], i[at]] = [cut, -cut][:at.size]
-    return sigma
-
-
 class TestCorrelationPairs:
     @given(st.sampled_from([2, 127, 128, 129, 259]), st.integers(0, 2**32 - 1),
-           st.sampled_from(["scaled", "gram", "gram_at_entry", "unit_at_cut"]))
+           st.sampled_from(["uniform_cut", "cut_at_positive_entry", "cut_at_negative_entry"]))
     @settings(max_examples=60, deadline=None)
     def test_pairs_match_the_dense_upper_triangle(self, n, seed, kind):
         # index, order and value bits of the survivors of the whole N x N
-        # correlation scale, read row by row from `triu_indices`
+        # correlation, read row by row from `triu_indices`, on rows of
+        # mixed scales; a cut exactly at an entry's magnitude keeps it
         rng = np.random.default_rng(seed)
+        e = rng.standard_normal((n, 20)) * rng.uniform(0.1, 10.0, (n, 1))
         cut = float(rng.uniform(0.0, 0.8))
-        if kind == "unit_at_cut":
-            sigma = _sigma_with_pairs_at_the_cut(n, seed, cut)
-        else:
-            e = rng.standard_normal((n, 20)) * rng.uniform(0.1, 10.0, (n, 1))
-            sigma = sample_cov(e, 16)
-            if kind == "gram_at_entry":  # a cut exactly at one entry's magnitude
-                i, j = rng.choice(n, size=2, replace=False)
-                cut = float(abs(correlation_scale(sigma)[i, j]))
-            elif kind == "scaled":  # a symmetric matrix with diagonal 3
-                sigma = _sigma_with_pairs_at_the_cut(n, seed, 0.5) * 3.0
-        corr = correlation_scale(sigma)
-        pairs = correlation_pairs(sigma, cut)
+        a, b = np.sort(rng.choice(n, size=2, replace=False))
+        sign = {"cut_at_positive_entry": 1.0, "cut_at_negative_entry": -1.0}.get(kind)
+        if sign is not None and np.sign(tiled_correlation(e)[a, b]) != sign:
+            e[b] = -e[b]
+        corr = tiled_correlation(e)
+        if sign is not None:
+            cut = float(abs(corr[a, b]))
+        pairs = correlation_pairs(e, cut)
         i, j, rho = upper_pairs(corr, cut)
         np.testing.assert_array_equal(pairs.i, i)
         np.testing.assert_array_equal(pairs.j, j)
         assert pairs.rho.tobytes() == rho.tobytes()
-        assert pairs.diag.tobytes() == np.diag(corr).tobytes()
-        assert pairs.cut == cut
-        if kind == "unit_at_cut":
-            assert {cut, -cut if n > 2 else cut} <= set(pairs.rho.tolist())
+        assert (pairs.n, pairs.cut) == (n, cut)
+        if sign is not None:
+            assert sign * cut in pairs.rho[(pairs.i == a) & (pairs.j == b)]
 
     def test_tile_boundaries(self):
         # every pair survives a zero cut, across and inside the tiles
         n = 2 * TILE_ROWS + 3
         e = np.random.default_rng(9).standard_normal((n, 30))
-        pairs = correlation_pairs(sample_cov(e, 26), 0.0)
+        pairs = correlation_pairs(e, 0.0)
         i, j = np.triu_indices(n, k=1)
         np.testing.assert_array_equal(pairs.i, i)
         np.testing.assert_array_equal(pairs.j, j)
 
     def test_empty_and_single_row(self):
         for n in (0, 1):
-            pairs = correlation_pairs(np.eye(n), 0.0)
+            pairs = correlation_pairs(np.ones((n, 5)), 0.0)
             assert pairs.i.size == pairs.j.size == pairs.rho.size == 0
-            assert pairs.diag.size == n
+            assert pairs.n == n
 
     def test_threshold_below_the_cut_raises(self):
-        pairs = correlation_pairs(np.eye(3), 0.5)
+        pairs = correlation_pairs(np.eye(3, 5), 0.5)
         with pytest.raises(ValueError):
             dependence.hard_threshold(pairs, 0.4)
 
     def test_mt_cut_above_the_candidates_raises(self):
-        pairs = correlation_pairs(np.eye(3), 0.9)
+        pairs = correlation_pairs(np.eye(3, 5), 0.9)
         with pytest.raises(ValueError):
             dependence.mt_rho_bar_sq(pairs, 50, 0.05, 1.0)
 
@@ -265,10 +250,9 @@ class TestCorrelationPairs:
         # on any pair list at or below the candidates' cut, the MT estimate
         # is the dense one, bit for bit
         e = np.random.default_rng(seed).standard_normal((n, 30))
-        sigma = sample_cov(e, 26)
-        want = mt_rho_bar_sq(correlation_scale(sigma), 26, 0.05, 1.0)
+        want = mt_rho_bar_sq(tiled_correlation(e), 26, 0.05, 1.0)
         cut = fraction * want.mt_threshold / np.sqrt(26) * (1.0 - 1e-9)
-        assert dependence.mt_rho_bar_sq(correlation_pairs(sigma, cut), 26, 0.05, 1.0) == want
+        assert dependence.mt_rho_bar_sq(correlation_pairs(e, cut), 26, 0.05, 1.0) == want
 
 
 def test_estimate_labels_components_once(monkeypatch):
@@ -295,14 +279,14 @@ class TestEstimateDependence:
         sigma_hat = sample_cov(e, 56)
         thresholded, _ = thresholded_dense(sigma_hat, 60, 3.0)
         r_hat = correlation_from_cov(thresholded)
-        corr = correlation_scale(sigma_hat)
+        corr = tiled_correlation(e)
         for mat in (sigma_hat, thresholded, r_hat, densify(dep.root), corr):
             assert mat.shape == (12, 12)
         assert dep.root.block.shape == (dep.root.active.size, dep.root.active.size)
         # the pairs are the correlation scale's upper-triangle entries at the cut
         assert (dep.pairs.i < dep.pairs.j).all()
         assert dep.pairs.rho.tobytes() == corr[dep.pairs.i, dep.pairs.j].tobytes()
-        assert dep.pairs.diag.tobytes() == np.diag(corr).tobytes()
+        assert dep.pairs.n == 12
         assert (np.abs(dep.pairs.rho) >= dep.pairs.cut).all()
         assert np.allclose(np.diag(r_hat), 1.0)
         assert dep.threshold_used > 0
@@ -485,7 +469,7 @@ def test_block_matches_dense_on_engineered_cases(make_cov, check):
     e = _residuals_with_cov(make_cov(n), dof, t)
     dep = estimate_dependence(e, dof, t, 3.0, 0.05, 1.0)
     _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
-    assert check(dep, repaired, correlation_scale(sample_cov(e, dof)))
+    assert check(dep, repaired, tiled_correlation(e))
     assert dep.root.active.size < n
     # the oracle decomposes the whole N x N matrix, so it rounds differently
     assert np.abs(densify(dep.root) - root).max() <= 1e-12 * np.abs(root).max()
@@ -507,8 +491,8 @@ def test_low_variance_row_is_a_unit_row():
     np.testing.assert_array_equal(densify(low.root), densify(unit.root))
     assert (low.floor, low.threshold_used, low.repaired) == \
         (unit.floor, unit.threshold_used, unit.repaired)
-    np.testing.assert_allclose(correlation_scale(sample_cov(low_e, dof)),
-                               correlation_scale(sample_cov(unit_e, dof)), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(tiled_correlation(low_e), tiled_correlation(unit_e),
+                               rtol=0, atol=1e-15)
     np.testing.assert_array_equal(low.pairs.i, unit.pairs.i)
     np.testing.assert_array_equal(low.pairs.j, unit.pairs.j)
     np.testing.assert_allclose(low.pairs.rho, unit.pairs.rho, rtol=0, atol=1e-15)
@@ -546,13 +530,12 @@ def test_block_matches_dense_pipeline(model, n, m, delta):
     assert stats["PY"].statistic == py
 
 
-def _assert_exactly_symmetric(residuals, dof, t, delta):
+def _assert_exactly_symmetric(residuals, t, delta):
     # psd_repair and correlation_from_cov do not symmetrize their input:
     # each stage must hand the next an exactly symmetric matrix
-    corr = correlation_scale(sample_cov(residuals, dof))
+    corr = tiled_correlation(residuals)
     block, _, used = hard_threshold(corr, t, delta)
-    pairs_block, _, _ = dependence.hard_threshold(
-        correlation_pairs(sample_cov(residuals, dof), used), used)
+    pairs_block, _, _ = dependence.hard_threshold(correlation_pairs(residuals, used), used)
     repaired = psd_repair(block, PSD_EPS_FRAC)
     for x in (corr, block, pairs_block, repaired, correlation_from_cov(repaired)):
         assert np.array_equal(x, x.T)
@@ -561,7 +544,7 @@ def _assert_exactly_symmetric(residuals, dof, t, delta):
 @pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS)
 def test_pipeline_exactly_symmetric_on_panels(model, n, m, delta):
     res = fit(_block_panel(model, n, m))
-    _assert_exactly_symmetric(res.residuals, res.dof, 100, delta)
+    _assert_exactly_symmetric(res.residuals, 100, delta)
 
 
 @pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS + [("AR1", 1000, 0, 3.0)])
@@ -571,8 +554,7 @@ def test_pair_pipeline_matches_dense_threshold_and_mt(model, n, m, delta):
     # labels from the surviving pairs are the block's components
     panel = _block_panel(model, n, m)
     res = fit(panel)
-    sigma = sample_cov(res.residuals, res.dof)
-    corr = correlation_scale(sigma)
+    corr = tiled_correlation(res.residuals)
     dense_block, dense_active, used = hard_threshold(corr, panel.n_periods, delta)
     dep = estimate_dependence(res.residuals, res.dof, panel.n_periods, delta, 0.05, 1.0)
     block, active, edges = dependence.hard_threshold(dep.pairs, used)
@@ -589,10 +571,36 @@ def test_pair_pipeline_matches_dense_threshold_and_mt(model, n, m, delta):
         mt_rho_bar_sq(corr, res.dof, 0.05, 1.0)
 
 
+@pytest.mark.parametrize("model,n,m", sorted({entry[:3] for entry in BLOCK_PANELS})
+                         + [("AR1", 1000, 0)])
+def test_tiled_correlation_matches_the_covariance_scale(model, n, m):
+    # the unit-norm tiles the screen reads are the covariance's
+    # correlation scale up to rounding
+    res = fit(_block_panel(model, n, m))
+    want = correlation_scale(sample_cov(res.residuals, res.dof))
+    assert np.abs(tiled_correlation(res.residuals) - want).max() <= 1e-14
+
+
+def test_estimate_forms_no_n_by_n_array():
+    # N=3000 AR(1) residuals: a quarter of one N x N array of doubles bounds
+    # the estimate's traced peak (the covariance alone took all of it); at
+    # threshold constant 2.7 hundreds of rows are active and repair fires
+    n = 3000
+    res = fit(FactorPanel(*cli_panel(2, 0, n=n, t=100)))
+    tracemalloc.start()
+    try:
+        dep = estimate_dependence(res.residuals, res.dof, 100, 2.7, 0.05, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dep.root.active.size > 100 and dep.repaired
+    assert peak < n * n * 8 / 4
+
+
 @pytest.mark.parametrize("make_cov", [_chain_cov, _spiked_cov, _low_variance_cov],
                          ids=["restore-fails", "floor-above-one", "low-variance-row"])
 def test_pipeline_exactly_symmetric_on_engineered_cases(make_cov):
-    _assert_exactly_symmetric(_residuals_with_cov(make_cov(40), 96, 100), 96, 100, 3.0)
+    _assert_exactly_symmetric(_residuals_with_cov(make_cov(40), 96, 100), 100, 3.0)
 
 
 def _assert_statistics_match_dense(panel):

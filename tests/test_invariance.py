@@ -60,6 +60,15 @@ def test_rescaling_each_security(panel, draw):
 
 
 @given(panels, draws)
+@settings(max_examples=10, deadline=None)
+def test_rescaling_securities_by_1e150(panel, draw):
+    # the squares stay normal doubles at either end of the double range
+    scale = 10.0 ** (150.0 * np.random.default_rng(draw).choice([-1, 0, 1], panel.n_securities))
+    _assert_same(panel, FactorPanel(returns=scale[:, None] * panel.returns,
+                                    factors=panel.factors))
+
+
+@given(panels, draws)
 @settings(max_examples=20, deadline=None)
 def test_reparametrising_factors(panel, draw):
     # A = U diag(s) V' with singular values spread over at most 1e3

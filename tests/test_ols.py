@@ -102,6 +102,19 @@ class TestFit:
         with np.errstate(all="raise"), pytest.raises(ZeroResidualVariance):
             fit(FactorPanel(returns=y, factors=rng.standard_normal((20, 2))))
 
+    @pytest.mark.parametrize("scale,cause", [(1e154, "overflow"), (1e-160, "underflow"),
+                                             (1e-170, "underflow")])
+    def test_squares_outside_the_normal_doubles_raise(self, scale, cause):
+        # at 1e154 the squares overflow to inf and at 1e-170 underflow to 0,
+        # which is not an exact fit; at 1e-160 subnormal sums lose digits
+        rng = np.random.default_rng(15)
+        f = rng.standard_normal((100, 3))
+        y = 0.5 + 4.0 * rng.standard_normal((50, 100))
+        y[[4, 9]] *= scale
+        message = rf"{cause} double precision for securities \[4, 9\]"
+        with pytest.raises(DimensionError, match=message):
+            fit(FactorPanel(returns=y, factors=f))
+
     def test_tiny_noise_is_not_an_exact_fit(self):
         # residual noise at 1e-8 of the RMS return is a fit with a t-ratio
         rng = np.random.default_rng(14)
