@@ -11,7 +11,8 @@ Subcommands:
 * ``alphatest gen`` - write a synthetic panel to CSV for round-tripping.
 
 Exit codes: 0 success, 2 I/O or parse failure, 3 numeric failure.  The
-``ALPHATEST_SEED`` environment variable overrides the scenario seed.
+``ALPHATEST_SEED`` environment variable overrides the scenario JSON's
+seed, and ``--seed`` overrides both.
 """
 
 import argparse
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 
-from .alpha_tests import TestConfig, run_all_detailed
+from .alpha_tests import run_all_detailed
 from .errors import AlphatestError, ParseError, ShapeMismatch, TooFewObservations
 from .harness import (
     ExperimentSpec,
@@ -40,7 +41,7 @@ EXIT_NUMERIC = 3
 
 # Override options: (flag, ScenarioConfig field path, argparse keywords).
 # `test` takes TEST_OPTIONS, `size` and `power` both tables.  Each defaults
-# to None, keeping the value from the scenario JSON or TestConfig.
+# to None, keeping the value from the scenario JSON or the defaults.
 TEST_OPTIONS = (
     ("--gamma", "test.gamma", {"type": float, "help": "test level"}),
     ("--delta", "test.threshold_delta", {"type": float, "help": "threshold constant"}),
@@ -109,21 +110,22 @@ def _overrides(args) -> dict:
 
 
 def _load_scenario(args) -> ScenarioConfig:
+    """The scenario JSON, then ALPHATEST_SEED, then the override options."""
     with open(args.config) as handle:
-        scenario = ScenarioConfig.from_json(handle.read()).updated(_overrides(args))
+        scenario = ScenarioConfig.from_json(handle.read())
     seed = os.environ.get("ALPHATEST_SEED")
-    if seed is None:
-        return scenario
-    try:
-        return scenario.updated({"seed": seed})
-    except ParseError:
-        raise ParseError(f"ALPHATEST_SEED: expected int, got {seed!r}") from None
+    if seed is not None:
+        try:
+            scenario = scenario.updated({"seed": seed})
+        except ParseError:
+            raise ParseError(f"ALPHATEST_SEED: expected int, got {seed!r}") from None
+    return scenario.updated(_overrides(args))
 
 
 def cmd_test(args) -> int:
     panel = load_panel(args.returns, args.factors)
-    knobs = {path.removeprefix("test."): v for path, v in _overrides(args).items()}
-    results, diagnostics = run_all_detailed(panel, TestConfig(**knobs))
+    config = ScenarioConfig().updated(_overrides(args)).test
+    results, diagnostics = run_all_detailed(panel, config)
     fields = ("statistic", "p_value", "reject", "critical_value")
     tests = {r.name: {name: getattr(r, name) for name in fields} for r in results}
     report = {"tests": tests, "metadata": diagnostics}

@@ -171,11 +171,6 @@ class ExperimentSpec:
 @dataclass(frozen=True)
 class TableRow:
     method: str
-    scenario_id: str
-    model: str
-    error_dist: str
-    n: int
-    t: int
     m: int
     reps: int
     rate: float
@@ -184,7 +179,8 @@ class TableRow:
 
 @dataclass(frozen=True)
 class SizePowerTable:
-    rows: tuple
+    scenario: ScenarioConfig
+    rows: tuple  # TableRows by METHODS, then by m
 
 
 @functools.lru_cache(maxsize=8)
@@ -204,10 +200,10 @@ def simulate_panel(scenario: ScenarioConfig, m: int, rep: int) -> FactorPanel:
     seed = scenario.seed
     factor_rep = 0 if scenario.shared_factors else rep
     alpha_rep = 0 if scenario.fixed_support else rep
-    if scenario.cov_model in ("M1", "M3"):
-        sigma_root = _frozen_cov_root(scenario.cov_model, scenario.n, 0, 0)
-    elif scenario.freeze_cov:
-        sigma_root = _frozen_cov_root(scenario.cov_model, scenario.n, seed, m)
+    drawless = scenario.cov_model in ("M1", "M3")  # one covariance per N
+    if drawless or scenario.freeze_cov:
+        key = (0, 0) if drawless else (seed, m)
+        sigma_root = _frozen_cov_root(scenario.cov_model, scenario.n, *key)
     else:
         cov_rng = streams.substream(seed, m, rep, streams.COV)
         sigma_root = cov_sqrt(build_cov(scenario.cov_model, scenario.n, cov_rng))
@@ -232,29 +228,6 @@ def replicate_details(scenario: ScenarioConfig, m: int, reps: int) -> list:
     return [_replicate(scenario, m, rep) for rep in range(reps)]
 
 
-def _rows_from_block(scenario, m, outcomes):
-    reps = len(outcomes)
-    rows = []
-    for method in METHODS:
-        rate = sum(o[method].reject for o in outcomes) / reps
-        se = float(np.sqrt(rate * (1.0 - rate) / reps))
-        rows.append(
-            TableRow(
-                method=method,
-                scenario_id=scenario.scenario_id,
-                model=scenario.cov_model,
-                error_dist=scenario.error_dist,
-                n=scenario.n,
-                t=scenario.t,
-                m=m,
-                reps=reps,
-                rate=rate,
-                se=se,
-            )
-        )
-    return rows
-
-
 def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
     """Replicate every (m, rep) pair, through one process pool if workers > 1.
 
@@ -265,19 +238,25 @@ def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
     ms = [m for m in m_values for _ in range(reps)]
     rep_ids = [rep for _ in m_values for rep in range(reps)]
     tasks = ([scenario] * len(ms), ms, rep_ids)  # argument columns of _replicate
-    workers = min(workers, len(ms), len(os.sched_getaffinity(0)))
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, len(ms), cpus)
     if workers <= 1:
         outcomes = list(map(_replicate, *tasks))
     else:
         chunk = max(1, len(ms) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replicate, *tasks, chunksize=chunk))
+    # (m, its replications) per grid entry, sorted stably by m
+    blocks = [(m, outcomes[i * reps:(i + 1) * reps]) for i, m in enumerate(m_values)]
+    blocks.sort(key=lambda block: block[0])
     rows = []
-    for block, m in enumerate(m_values):
-        block_outcomes = outcomes[block * reps:(block + 1) * reps]
-        rows.extend(_rows_from_block(scenario, m, block_outcomes))
-    ordered = sorted(rows, key=lambda r: (METHODS.index(r.method), r.m))
-    return SizePowerTable(rows=tuple(ordered))
+    for method in METHODS:
+        for m, block in blocks:
+            rate = sum(o[method].reject for o in block) / reps
+            se = float(np.sqrt(rate * (1.0 - rate) / reps))
+            rows.append(TableRow(method=method, m=m, reps=reps, rate=rate, se=se))
+    return SizePowerTable(scenario=scenario, rows=tuple(rows))
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> SizePowerTable:
@@ -298,21 +277,22 @@ def summarize(table: SizePowerTable) -> str:
         raise EmptyTable("no rows to summarize")
     header = f"{'method':<8}{'scenario':<28}{'m':>4}  {'rate':>12}  {'reps':>6}"
     lines = [header, "-" * len(header)]
+    scenario_id = table.scenario.scenario_id
     for row in table.rows:
         cell = f"{100 * row.rate:.1f} (±{100 * row.se:.1f})"
         lines.append(
-            f"{row.method:<8}{row.scenario_id:<28}{row.m:>4}  {cell:>12}  {row.reps:>6}"
+            f"{row.method:<8}{scenario_id:<28}{row.m:>4}  {cell:>12}  {row.reps:>6}"
         )
     return "\n".join(lines) + "\n"
 
 
 def table_to_csv(table: SizePowerTable) -> str:
-    """Deterministic CSV serialization (method order, then m)."""
-    rows = sorted(table.rows, key=lambda r: (METHODS.index(r.method), r.m))
+    """Deterministic CSV serialization, one line per row in table order."""
+    s = table.scenario
     lines = ["method,model,error_dist,N,T,m,reps,rate,se"]
-    for r in rows:
+    for r in table.rows:
         lines.append(
-            f"{r.method},{r.model},{r.error_dist},{r.n},{r.t},{r.m},"
+            f"{r.method},{s.cov_model},{s.error_dist},{s.n},{s.t},{r.m},"
             f"{r.reps},{r.rate:.6f},{r.se:.6f}"
         )
     return "\n".join(lines) + "\n"

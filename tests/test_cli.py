@@ -3,15 +3,18 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import alphatest
 from alphatest import harness
+from alphatest.alpha_tests import TestConfig as Config
+from alphatest.alpha_tests import run_all_detailed
 from alphatest.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, main
 from alphatest.dgp import gen_alpha, gen_betas, gen_errors, gen_factors, assemble_panel
-from alphatest.harness import ScenarioConfig
+from alphatest.harness import ExperimentSpec, ScenarioConfig, run_experiment, table_to_csv
 from alphatest.panel_io import load_panel, write_panel
 
 
@@ -75,6 +78,24 @@ class TestCmdTest:
         assert (meta["largest_component"] > 0) == (meta["coupled"] > 0)
         assert isinstance(report["metadata"]["repaired"], bool)
         assert 0 <= report["metadata"]["mt_survivors"] <= 30 * 29 // 2
+
+    def test_overrides_reach_the_tests(self, tmp_path):
+        rpath, fpath = null_panel_files(tmp_path, seed=3)
+        reports = []
+        for name, flags in (("default", []), ("overridden", [
+                "--gamma", "0.1", "--qmt", "0.1", "--deltamt", "0.5", "--raw-critical"])):
+            out = tmp_path / f"{name}.json"
+            assert main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                         "--out", str(out), *flags]) == EXIT_OK
+            reports.append(json.loads(out.read_text()))
+        config = Config(gamma=0.1, q_mt=0.1, delta_mt=0.5, use_adjusted_critical=False)
+        results, diagnostics = run_all_detailed(load_panel(rpath, fpath), config)
+        assert reports[1] != reports[0]
+        assert reports[1]["metadata"] == json.loads(json.dumps(diagnostics))
+        for r in results:
+            assert reports[1]["tests"][r.name] == {
+                "statistic": r.statistic, "p_value": r.p_value, "reject": r.reject,
+                "critical_value": r.critical_value}
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc malloc only")
     def test_freed_temporaries_are_reused(self, tmp_path):
@@ -250,6 +271,27 @@ class TestCmdSize:
         monkeypatch.setenv("ALPHATEST_SEED", "10")
         assert main(["size", "--config", str(config), "--out", str(out_b)]) == EXIT_OK
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_seed_flag_beats_seed_env(self, tmp_path, monkeypatch):
+        # scenario JSON < ALPHATEST_SEED < --seed
+        config = tmp_path / "scenario.json"
+        scenario = write_scenario(config, n=20, t=40, reps=20, seed=9)
+        monkeypatch.setenv("ALPHATEST_SEED", "10")
+        for flags, seed in (([], 10), (["--seed", "11"], 11)):
+            out = tmp_path / f"seed{seed}.csv"
+            assert main(["size", "--config", str(config), "--out", str(out), *flags]) == EXIT_OK
+            spec = ExperimentSpec(scenario=replace(scenario, seed=seed))
+            assert out.read_text() == table_to_csv(run_experiment(spec))
+
+    def test_flag_overrides_reach_the_scenario(self, tmp_path):
+        config = tmp_path / "scenario.json"
+        scenario = write_scenario(config, n=20, t=40, cov_model="M2", m=2, reps=6, seed=4)
+        out = tmp_path / "t.csv"
+        assert main(["size", "--config", str(config), "--out", str(out), "--freeze-cov",
+                     "--fixed-support", "--raw-critical", "--gamma", "0.1"]) == EXIT_OK
+        expected = replace(scenario, freeze_cov=True, fixed_support=True,
+                           test=Config(gamma=0.1, use_adjusted_critical=False))
+        assert out.read_text() == table_to_csv(run_experiment(ExperimentSpec(expected)))
 
     def test_bad_seed_env_names_the_variable(self, tmp_path, monkeypatch, capsys):
         config = tmp_path / "scenario.json"

@@ -15,7 +15,6 @@ from alphatest.harness import (
     ScenarioConfig,
     SizePowerTable,
     TableRow,
-    _rows_from_block,
     replicate_details,
     run_experiment,
     run_power_curve,
@@ -76,16 +75,18 @@ class TestExperimentSpec:
 
 
 class TestAggregation:
-    def test_always_reject_stub(self):
-        kept = [{m: Outcome(True) for m in METHODS}] * 8
-        rows = _rows_from_block(SMALL, 0, kept)
+    def test_always_reject_stub(self, monkeypatch):
+        monkeypatch.setattr(harness, "_replicate",
+                            lambda scenario, m, rep: {k: Outcome(True) for k in METHODS})
+        rows = run_experiment(ExperimentSpec(scenario=SMALL, reps=8)).rows
         for row in rows:
             assert row.rate == 1.0
             assert row.se == 0.0
 
-    def test_se_formula(self):
-        kept = [{m: Outcome(i < 3) for m in METHODS} for i in range(10)]
-        row = _rows_from_block(SMALL, 0, kept)[0]
+    def test_se_formula(self, monkeypatch):
+        monkeypatch.setattr(harness, "_replicate",
+                            lambda scenario, m, rep: {k: Outcome(rep < 3) for k in METHODS})
+        row = run_experiment(ExperimentSpec(scenario=SMALL, reps=10)).rows[0]
         assert row.rate == 0.3
         assert np.isclose(row.se, np.sqrt(0.3 * 0.7 / 10))
 
@@ -132,6 +133,17 @@ class TestPoolSize:
         assert pool_sizes == sizes
         assert table_to_csv(table) == table_to_csv(run_experiment(spec, workers=1))
 
+    @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (None, [])])
+    def test_cpu_count_without_affinity(self, monkeypatch, pool_sizes, cpus, sizes):
+        # macOS and Windows have no sched_getaffinity; an unknown CPU count runs serially
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        spec = ExperimentSpec(scenario=SMALL, reps=3)
+        serial = run_experiment(spec, workers=1)
+        assert pool_sizes == []
+        assert table_to_csv(run_experiment(spec, workers=5000)) == table_to_csv(serial)
+        assert pool_sizes == sizes
+
 
 class TestRunPowerCurve:
     def test_rows_ordered(self):
@@ -139,6 +151,15 @@ class TestRunPowerCurve:
         table = run_power_curve(spec)
         keys = [(r.method, r.m) for r in table.rows if r.method in ("PY", "MAX1")]
         assert keys == [("PY", 1), ("PY", 2), ("MAX1", 1), ("MAX1", 2)]
+
+    def test_duplicate_grid_entries_stay(self):
+        # stable by m within each method: both m=2 blocks keep a row
+        spec = ExperimentSpec(scenario=SMALL, reps=3, m_grid=(2, 1, 2))
+        table = run_power_curve(spec)
+        assert [(r.method, r.m) for r in table.rows] == [
+            (method, m) for method in METHODS for m in (1, 2, 2)]
+        assert table.rows[1] == table.rows[2]
+        assert table.scenario == SMALL
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
@@ -154,15 +175,16 @@ class TestRunPowerCurve:
 
 class TestSummarize:
     def test_worked_example(self):
-        row = TableRow(method="PY", scenario_id="M3/normal/N200/T100", model="M3",
-                       error_dist="normal", n=200, t=100, m=0, reps=1000,
+        scenario = ScenarioConfig(n=200, t=100, cov_model="M3")
+        row = TableRow(method="PY", m=0, reps=1000,
                        rate=0.054, se=float(np.sqrt(0.054 * 0.946 / 1000)))
-        text = summarize(SizePowerTable(rows=(row,)))
+        text = summarize(SizePowerTable(scenario=scenario, rows=(row,)))
+        assert "PY      M3/normal/N200/T100" in text
         assert "5.4 (±0.7)" in text
 
     def test_empty_raises(self):
         with pytest.raises(EmptyTable):
-            summarize(SizePowerTable(rows=()))
+            summarize(SizePowerTable(scenario=SMALL, rows=()))
 
     def test_roundtrip_at_one_decimal(self):
         table = run_experiment(ExperimentSpec(scenario=SMALL))
