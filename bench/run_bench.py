@@ -100,11 +100,12 @@ def environment():
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     return {
         "blas": blas.get("name"),
         "blas_version": blas.get("version"),
         "blas_threads": BLAS_THREADS,
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": len(affinity(0)) if affinity else os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),

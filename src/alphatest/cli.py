@@ -117,8 +117,8 @@ def _load_scenario(args) -> ScenarioConfig:
     if seed is not None:
         try:
             scenario = scenario.updated({"seed": seed})
-        except ParseError:
-            raise ParseError(f"ALPHATEST_SEED: expected int, got {seed!r}") from None
+        except ParseError as exc:  # the message names the variable, not the key
+            raise ParseError(f"ALPHATEST_SEED{str(exc).removeprefix('seed')}") from None
     return scenario.updated(_overrides(args))
 
 

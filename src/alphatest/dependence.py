@@ -16,8 +16,9 @@ depend on any security's units, and it forms no N x N array.
 Block form: thresholding leaves most rows with no off-diagonal survivor.
 Such a decoupled row stays a unit diagonal row through PSD repair,
 diagonal restoration and the root, and its entry in the root has the
-closed form ``1 / sqrt(max(1, floor))``.  So repair and root run on the
-*active* rows only: those with a surviving off-diagonal correlation.
+closed form ``1 / sqrt(max(1, floor))``; the root's `BlockDiagonal`
+diagonal is the only place it lives.  Repair and root run on the
+*active* rows alone: those with a surviving off-diagonal correlation.
 Their connected components are labelled once, from the surviving pairs,
 and `linalg` decomposes them one component at a time; the repair test,
 the diagonal restoration and the floor stay decisions over all
@@ -247,13 +248,11 @@ def estimate_dependence(
     pairs = correlation_pairs(residuals, cut)
     thresholded, active, edges = hard_threshold(pairs, threshold)
     label = edge_components(active.size, *edges)
-    sizes = np.bincount(label[label >= 0])
+    sizes = np.bincount(label)
     block = psd_repair(thresholded, PSD_EPS_FRAC, label)
     r_hat = correlation_from_cov(block)
-    w = spectrum(r_hat, label)
-    if active.size < n:
-        w = np.append(w, 1.0)  # each decoupled row outside is the eigenpair (1, e_i)
-    floor = EIGEN_FLOOR_FRAC * w.max()
+    # a decoupled row's eigenvalue 1 is below the largest of a non-empty block
+    floor = EIGEN_FLOOR_FRAC * spectrum(r_hat, label).max(initial=1.0)
     outside = np.full(n, 1.0 / np.sqrt(max(1.0, floor)))
     return DependenceEstimate(
         pairs=pairs,

@@ -45,9 +45,9 @@ class ParseError(AlphatestError):
     """A CSV cell could not be parsed; the message names the location."""
 
 
-class ShapeMismatch(AlphatestError):
-    """Returns and factor files disagree on the number of time periods."""
+class ShapeMismatch(DimensionError):
+    """A panel's returns and factors disagree on the number of time periods."""
 
 
-class TooFewObservations(AlphatestError):
-    """Too few time periods relative to the number of factors."""
+class TooFewObservations(DimensionError):
+    """A panel has too few time periods for its number of factors."""

@@ -65,6 +65,8 @@ JSON_KEYS = {
 FIELD_KEYS = {path: key for key, path in JSON_KEYS.items()}
 # field path -> the values it may take
 CHOICES = {"cov_model": COV_MODELS, "error_dist": ERROR_DISTS}
+# field path -> the least value it may take; m may also be at most N
+MINIMA = {"n": 3, "m": 0, "reps": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,9 @@ class ScenarioConfig:
 
         A bool field takes only true or false; any other field rejects a
         bool, and an int field a non-integral number.  The covariance
-        model and error law must be one of `CHOICES`.  A ParseError names
-        the scenario JSON key of the field.
+        model and error law must be one of `CHOICES`.  In the copy, N, m,
+        reps and seed must be at least their `MINIMA`, and m at most N.  A
+        ParseError names the scenario JSON key of the field.
         """
         own, test = {}, {}
         for path, value in values.items():
@@ -110,7 +113,13 @@ class ScenarioConfig:
             if allowed and target[name] not in allowed:
                 message = f"{key}: expected one of {', '.join(allowed)}, got {value!r}"
                 raise ParseError(message)
-        return replace(self, test=replace(self.test, **test), **own)
+        new = replace(self, test=replace(self.test, **test), **own)
+        for name, low in MINIMA.items():
+            if (value := getattr(new, name)) < low:
+                raise ParseError(f"{FIELD_KEYS[name]}: expected an integer >= {low}, got {value}")
+        if new.m > new.n:
+            raise ParseError(f"m: expected an integer <= N={new.n}, got {new.m}")
+        return new
 
     def to_json(self) -> str:
         doc = {}

@@ -8,19 +8,19 @@ thresholding.
 
 Component rule: rows of a symmetric matrix joined by a path of nonzero
 off-diagonal entries form a connected component, which `edge_components`
-labels from a list of those entries; a row with no such entry is
-decoupled, and ``(a_ii, e_i)`` is an exact eigenpair.  The eigen helpers
-below take the labels as `label`; without them the whole matrix is one
-component.  `spectrum` and `spectral_map` make one eigensolver call on a
+labels from a list of those entries.  The eigen helpers below take the
+labels as `label`, every row labelled; without them the whole matrix is
+one component.  A decoupled row (one with no such entry) is not theirs
+to take: it stays on the caller's `BlockDiagonal` diagonal, in closed
+form.  `spectrum` and `spectral_map` make one eigensolver call on a
 ``(c, m, m)`` stack of the c components, each padded to the largest size
-m with decoupled rows whose diagonal sentinel lies above every
-Gershgorin bound, so each component's eigenpairs come first in its
-slice; the decoupled rows' eigenvalues are read off the diagonal.  Where
-padding would cost more than decomposing the k coupled rows whole
-(``c * m**3 >= k**3``), they form one component.  Each helper makes
-exactly one eigensolver call, on an empty stack too, so call counts do
-not depend on the data.  `BlockDiagonal` holds a matrix, or a function
-of one, as its diagonal and its coupled block.
+m with slots whose diagonal sentinel lies above every Gershgorin bound,
+so each component's eigenpairs come first in its slice.  Where padding
+would cost more than decomposing the n rows whole (``c * m**3 >= n**3``),
+they form one component.  Each helper makes exactly one eigensolver
+call, on an empty stack too, so call counts do not depend on the data.
+`BlockDiagonal` holds a matrix, or a function of one, as its diagonal
+and its coupled block.
 
 Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
 matrices (``a == a.T``), as the thresholded correlation block (a unit
@@ -151,27 +151,25 @@ def edge_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return label
 
 
-def _partition(n: int, label=None) -> tuple[np.ndarray, np.ndarray]:
-    """The components of an n-row matrix as one (c, m) array of rows, and the decoupled rows.
+def _partition(n: int, label=None) -> np.ndarray:
+    """The components of an n-row matrix as one (c, m) array of rows.
 
-    `label` holds each row's component label, -1 where it is decoupled, as
-    `edge_components` gives them; None makes all n rows one component.
-    Row j of the array lists component j's rows ascending, then n in each
-    padding slot.  It has one row, all k coupled rows, where
-    c * m**3 >= k**3, an empty matrix included.
+    `label` holds each row's component label, as `edge_components` gives
+    them; a row labelled -1, decoupled, is a ValueError.  None makes all n
+    rows one component.  Row j of the array lists component j's rows
+    ascending, then n in each padding slot.  It has one row, all n rows,
+    where c * m**3 >= n**3, an empty matrix included.
     """
     label = np.zeros(n, dtype=int) if label is None else label
-    order = np.argsort(label, kind="stable")  # decoupled rows, then each component's
-    k = n - np.count_nonzero(label < 0)
-    rows = order[n - k:]
-    sizes = np.bincount(label[rows])
+    sizes = np.bincount(label)
     sizes = sizes[sizes > 0]
     m = int(sizes.max(initial=0))
-    if sizes.size * m**3 >= k**3:
-        sizes, m, rows = np.array([k]), k, np.sort(rows)
+    rows = np.argsort(label, kind="stable")  # each component's rows, ascending
+    if sizes.size * m**3 >= n**3:
+        sizes, m, rows = np.array([n]), n, np.arange(n)
     slots = np.full((sizes.size, m), n)
     slots[np.arange(m) < sizes[:, None]] = rows
-    return slots, order[:n - k]
+    return slots
 
 
 def _stack(a: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -196,30 +194,28 @@ def spectrum(a: np.ndarray, label=None) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending.
 
     One ``eigvalsh`` on the stacked components of `label` (see
-    `_partition`), as in the functions below; the decoupled diagonal
-    entries are the remaining eigenvalues, exactly.
+    `_partition`), as in the functions below.
     """
     a = np.asarray(a, dtype=float)
-    slots, free = _partition(a.shape[0], label)
+    slots = _partition(a.shape[0], label)
     w = np.linalg.eigvalsh(_stack(a, slots))  # ascending: the padding's sentinels last
-    return np.sort(np.concatenate([w[slots < a.shape[0]], np.diag(a)[free]]))
+    return np.sort(w[slots < a.shape[0]])
 
 
 def spectral_map(a: np.ndarray, f, label=None) -> np.ndarray:
     """f(A) for a (nearly) symmetric A, `f` acting on its eigenvalues.
 
     Each component is ``q f(w) q'`` from one `sym_eigen` call on the
-    stacked components; each decoupled row holds ``f(a_ii)`` on the
-    diagonal and exact zeros elsewhere, as does every entry joining two
-    components.  The rebuilt stack is written into an (n+1) x (n+1) zero
-    buffer at the rows and columns of its slots, so the padding's entries
-    land in the spare last row and column, and the leading n x n view is
-    returned.  `f` maps an array of eigenvalues to an array of the same
+    stacked components; where they are stacked apart, every entry joining
+    two of them is an exact zero.  The rebuilt stack is written into an
+    (n+1) x (n+1) zero buffer at the rows and columns of its slots, so the
+    padding's entries land in the spare last row and column, and the
+    leading n x n view is returned.  `f` maps an array of eigenvalues to an array of the same
     shape and may raise to reject them.
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    slots, free = _partition(n, label)
+    slots = _partition(n, label)
     w, q = sym_eigen(_stack(a, slots))
     real = (slots < n)[:, ::-1]  # descending: the padding's sentinels first
     fw = np.zeros_like(w)
@@ -227,7 +223,6 @@ def spectral_map(a: np.ndarray, f, label=None) -> np.ndarray:
     out = np.zeros((n + 1, n + 1))
     out[slots[:, :, None], slots[:, None, :]] = _symmetrize(
         (q * fw[:, None, :]) @ np.swapaxes(q, -1, -2))
-    out[free, free] = f(a[free, free])
     return out[:n, :n]
 
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesign, DimensionError, ZeroResidualVariance
+from .errors import (DegenerateDesign, DimensionError, ShapeMismatch, TooFewObservations,
+                     ZeroResidualVariance)
 from .linalg import annihilator
 
 __all__ = ["FactorPanel", "OlsFit", "fit"]
@@ -32,16 +33,16 @@ class FactorPanel:
         if r.ndim != 2 or f.ndim != 2:
             raise DimensionError("returns and factors must be 2-d arrays")
         if r.shape[1] != f.shape[0]:
-            raise DimensionError(
-                f"returns have T={r.shape[1]} but factors have T={f.shape[0]}"
+            raise ShapeMismatch(
+                f"returns have {r.shape[1]} periods but factors have {f.shape[0]}"
             )
         n, t = r.shape
         p = f.shape[1]
+        # T > p + 5 keeps v = T - p - 1 > 4, which the sum-type test needs.
+        if t <= p + 5:
+            raise TooFewObservations(f"need T > p + 5, got T={t}, p={p}")
         if n < 2:
             raise DimensionError(f"need at least 2 securities, got {n}")
-        # T >= p + 6 keeps v = T - p - 1 > 4, which the sum-type test needs.
-        if t < p + 6:
-            raise DimensionError(f"need T >= p + 6, got T={t}, p={p}")
         if not (np.isfinite(r).all() and np.isfinite(f).all()):
             raise DimensionError("panel contains non-finite entries")
         object.__setattr__(self, "returns", r)

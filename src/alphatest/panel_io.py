@@ -12,7 +12,7 @@ import secrets
 
 import numpy as np
 
-from .errors import ParseError, ShapeMismatch, TooFewObservations
+from .errors import ParseError
 from .ols import FactorPanel
 
 __all__ = ["load_panel", "write_panel", "write_text_atomic"]
@@ -87,17 +87,9 @@ def _raise_first_bad_cell(path: str, header: list[str], rows: list[list[str]]) -
 
 
 def load_panel(returns_path: str, factors_path: str) -> FactorPanel:
-    """Read a returns/factors CSV pair into a validated panel."""
+    """Read a returns/factors CSV pair into a panel, which `FactorPanel` validates."""
     _, returns_tm = _read_csv_matrix(returns_path)
     _, factors_tm = _read_csv_matrix(factors_path)
-    if returns_tm.shape[0] != factors_tm.shape[0]:
-        raise ShapeMismatch(
-            f"returns have {returns_tm.shape[0]} periods but factors have "
-            f"{factors_tm.shape[0]}"
-        )
-    t, p = factors_tm.shape
-    if t <= p + 5:
-        raise TooFewObservations(f"need T > p + 5, got T={t}, p={p}")
     return FactorPanel(returns=returns_tm.T.copy(), factors=factors_tm)
 
 

@@ -24,8 +24,9 @@ and the multiple-testing sum over `triu_indices`.  `dense_statistics`
 computes the five test statistics from it.  `max_stat_standardized` is
 MAX2 from an N x N root.  `dense_m2_cov` draws the M2 covariance as an
 N x N array and `gen_factors_vector` runs the factor recursion on
-3-vectors.  `components` labels a dense matrix's components, for
-calling the `linalg` eigen helpers on it.
+3-vectors.  `components` labels a dense matrix's components; the
+`linalg` eigen helpers take those labels for a matrix with no decoupled
+row, such as an active block.
 """
 
 import numpy as np
@@ -135,11 +136,12 @@ def densify(m):
 
 def thresholded_dense(sigma, t, delta):
     """`hard_threshold` of the correlation scale of `sigma` as an N x N
-    matrix, PSD-repaired, and the threshold used."""
+    matrix, PSD-repaired, and the threshold used.  As in the estimate, the
+    repair runs on the active block alone, with that block's labels."""
     corr = correlation_scale(sigma)
     block, active, used = hard_threshold(corr, t, delta)
-    dense = densify(BlockDiagonal(np.diag(corr), active, block))
-    return psd_repair(dense, PSD_EPS_FRAC, components(dense)), used
+    repaired = psd_repair(block, PSD_EPS_FRAC, components(block))
+    return densify(BlockDiagonal(np.diag(corr), active, repaired)), used
 
 
 def dense_psd_repair(a, epsilon):

@@ -349,14 +349,57 @@ class TestCmdSize:
         assert f"error: {key}: expected one of {allowed}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_zero_reps_exits_numeric(self, tmp_path, capsys):
+    def test_zero_reps_exits_io(self, tmp_path, capsys):
         config = tmp_path / "scenario.json"
         write_scenario(config, n=20, t=40, reps=5, seed=8)
         out = tmp_path / "t.csv"
         code = main(["size", "--config", str(config), "--out", str(out),
                      "--reps", "0"])
-        assert code == EXIT_NUMERIC
-        assert "replication" in capsys.readouterr().err
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "error: reps: expected an integer >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"N": 20, "T": 40, "seed": -3}', "seed: expected an integer >= 0, got -3"),
+        ('{"N": 20, "T": 40, "m": -1}', "m: expected an integer >= 0, got -1"),
+        ('{"N": 20, "T": 40, "reps": 0}', "reps: expected an integer >= 1, got 0"),
+        ('{"N": 20, "T": 40, "m": 25}', "m: expected an integer <= N=20, got 25"),
+        ('{"N": 2, "T": 40}', "N: expected an integer >= 3, got 2"),
+    ], ids=["negative_seed", "negative_m", "zero_reps", "m_above_n", "two_securities"])
+    def test_out_of_range_scenario_value_exits_io(self, tmp_path, capsys, text, message):
+        config = tmp_path / "scenario.json"
+        config.write_text(text)
+        out = tmp_path / "t.csv"
+        code = main(["size", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_io(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=2)
+        code = main(["size", "--config", str(config), "--out", str(tmp_path / "t.csv"),
+                     "--seed", "-1"])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "error: seed: expected an integer >= 0, got -1\n"
+
+    def test_negative_seed_env_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=2)
+        monkeypatch.setenv("ALPHATEST_SEED", "-1")
+        code = main(["size", "--config", str(config), "--out", str(tmp_path / "t.csv")])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == \
+            "error: ALPHATEST_SEED: expected an integer >= 0, got -1\n"
+
+    def test_too_few_periods_exits_io(self, tmp_path, capsys):
+        # T=8 leaves v = T - p - 1 = 4 with the three factors: an input fault
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=8, reps=2)
+        out = tmp_path / "t.csv"
+        code = main(["size", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "error: need T > p + 5, got T=8, p=3\n"
         assert not out.exists()
 
     def test_nan_qmt_scenario_exits_numeric(self, tmp_path, capsys):

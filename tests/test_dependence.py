@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 import tracemalloc
@@ -16,6 +17,7 @@ from alphatest.alpha_tests import (
 )
 from alphatest import dependence, linalg
 from alphatest.dependence import (
+    EIGEN_FLOOR_FRAC,
     PSD_EPS_FRAC,
     TILE_ROWS,
     correlation_from_cov,
@@ -528,6 +530,51 @@ def test_block_matches_dense_pipeline(model, n, m, delta):
     assert stats["MAX2"].reject == (max_p_value(max2, n) < config.gamma)
     py = py_stat(res.t_stats, rho_bar_sq, res.dof)
     assert stats["PY"].statistic == py
+
+
+@functools.cache
+def _batch_estimates():
+    """`estimate_dependence` of each `BLOCK_PANELS` entry and the AR1 N=1000 panel."""
+    estimates = []
+    for model, n, m, delta in BLOCK_PANELS + [("AR1", 1000, 0, 3.0)]:
+        panel = _block_panel(model, n, m)
+        res = fit(panel)
+        estimates.append(
+            estimate_dependence(res.residuals, res.dof, panel.n_periods, delta, 0.05, 1.0))
+    return estimates
+
+
+def test_decoupled_rows_are_closed_form():
+    # every row outside the active block is 1 / sqrt(max(1, floor)) on the
+    # root's diagonal and an exact zero everywhere else in its row and column
+    with_free = 0
+    for dep in _batch_estimates():
+        n = dep.pairs.n
+        out = dep.root @ np.eye(n)
+        free = np.delete(np.arange(n), dep.root.active)
+        off = np.zeros((n, n), dtype=bool)
+        off[free, :] = off[:, free] = True
+        np.fill_diagonal(off, False)
+        assert (out[off] == 0.0).all()
+        assert (out[free, free] == 1.0 / np.sqrt(max(1.0, dep.floor))).all()
+        with_free += free.size > 0
+    assert with_free >= 10
+
+
+def test_block_spectrum_reaches_one():
+    # a non-empty unit-diagonal block has a largest eigenvalue of at least 1,
+    # so the decoupled rows' eigenvalue 1 decides the floor only beside an
+    # empty block
+    nonempty = 0
+    for dep in _batch_estimates():
+        block, active, edges = dependence.hard_threshold(dep.pairs, dep.threshold_used)
+        label = edge_components(active.size, *edges)
+        w = linalg.spectrum(correlation_from_cov(psd_repair(block, PSD_EPS_FRAC, label)), label)
+        if active.size:
+            assert w[-1] >= 1.0
+            nonempty += 1
+        assert dep.floor == EIGEN_FLOOR_FRAC * (w[-1] if active.size else 1.0)
+    assert nonempty >= 10
 
 
 def _assert_exactly_symmetric(residuals, t, delta):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from alphatest.errors import DegenerateDesign, DimensionError, ZeroResidualVariance
+from alphatest.errors import (DegenerateDesign, DimensionError, ShapeMismatch, TooFewObservations,
+                              ZeroResidualVariance)
 from alphatest.ols import FactorPanel, fit
 
 
@@ -44,9 +45,19 @@ class TestFactorPanel:
             FactorPanel(returns=np.zeros((1, 10)), factors=np.zeros((10, 2)))
 
     def test_too_short(self):
-        # T >= p + 6 keeps v > 4
+        # T > p + 5 keeps v > 4
         with pytest.raises(DimensionError):
             FactorPanel(returns=np.zeros((3, 8)), factors=np.zeros((8, 3)))
+
+    def test_period_rules_come_first(self):
+        # periods agree, then T > p + 5, then N >= 2, each with its own
+        # DimensionError; a single security is not reached here
+        with pytest.raises(ShapeMismatch, match="^returns have 10 periods but factors have 9$"):
+            FactorPanel(returns=np.zeros((1, 10)), factors=np.zeros((9, 2)))
+        with pytest.raises(TooFewObservations, match=r"^need T > p \+ 5, got T=8, p=3$"):
+            FactorPanel(returns=np.zeros((1, 8)), factors=np.zeros((8, 3)))
+        assert issubclass(ShapeMismatch, DimensionError)
+        assert issubclass(TooFewObservations, DimensionError)
 
     def test_nonfinite_rejected(self):
         y = np.zeros((3, 12))
