@@ -9,7 +9,8 @@ seed 0), times `harness.simulate_panel` and `alpha_tests.run_all_detailed` on
 replication 0, best of 3 after one untimed call (which fills the M1/M3
 root cache; its time is recorded as `first_simulate_ms`), counts the
 minor page faults of the timed `run_all_detailed` calls, per call
-(`run_all_detailed_minflt`, from ``getrusage``), and records the
+(`run_all_detailed_minflt`, from ``getrusage``; null where the
+`resource` module is missing, as on Windows), and records the
 tracemalloc peak of one more `run_all_detailed` call, untimed
 (`run_all_detailed_peak_mb`).  For each N up to 2000 it
 also writes that replication's M2 panel once with `panel_io.write_panel`
@@ -31,10 +32,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
-import resource  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
+
+try:
+    import resource  # POSIX only
+except ImportError:
+    resource = None
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODELS = ("M1", "M2", "M3", "M4")
@@ -48,7 +53,8 @@ ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
          "cache), and M1, M2 and M3 at N=5000; run_all_detailed_peak_mb: tracemalloc peak "
          "of one more run_all_detailed call, in MB (1e6 bytes); run_all_detailed_minflt: "
-         "minor page faults (getrusage ru_minflt) per timed run_all_detailed call; "
+         "minor page faults (getrusage ru_minflt) per timed run_all_detailed call, "
+         "null without the resource module; "
          "BLAS on one thread; "
          "coupled = active rows of the dependence estimate. "
          "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
@@ -112,6 +118,11 @@ def environment():
     }
 
 
+def minor_faults():
+    """Minor page faults of this process so far, or None where `resource` is missing."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def time_cell(model, n):
     from alphatest.alpha_tests import run_all_detailed
     from alphatest.harness import ScenarioConfig, simulate_panel
@@ -121,9 +132,10 @@ def time_cell(model, n):
     panel = simulate_panel(scenario, 0, 0)
     first_ms = 1e3 * (time.perf_counter() - start)
     simulate_ms, _ = best_ms(lambda: simulate_panel(scenario, 0, 0))
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    faults = minor_faults()
     tests_ms, (_, diagnostics) = best_ms(lambda: run_all_detailed(panel))
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / REPEATS
+    if faults is not None:
+        faults = round((minor_faults() - faults) / REPEATS, 1)
     tests_peak_mb = peak_mb(lambda: run_all_detailed(panel))
     return {
         "model": model,
@@ -132,7 +144,7 @@ def time_cell(model, n):
         "first_simulate_ms": round(first_ms, 3),
         "simulate_ms": round(simulate_ms, 3),
         "run_all_detailed_ms": round(tests_ms, 3),
-        "run_all_detailed_minflt": round(faults, 1),
+        "run_all_detailed_minflt": faults,
         "run_all_detailed_peak_mb": round(tests_peak_mb, 2),
         "coupled": int(diagnostics["coupled"]),
     }

@@ -11,9 +11,9 @@ degrees of freedom and an inflated finite-sample critical value.
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import lambertw, ndtr, ndtri
 
 from .dependence import estimate_dependence, mt_rho_bar_sq
 from .errors import DegenerateDof, NegativeInput
@@ -91,11 +91,11 @@ def gumbel_quantile(gamma: float) -> float:
 
 
 def max_p_value(m: float, n: int) -> float:
-    """p-value of a max statistic after recentering by 2*log(N) - loglog(N)."""
+    """Upper-tail p-value of a max statistic recentered by 2*log(N) - loglog(N)."""
     if n < 3:
         raise ValueError(f"need N >= 3, got {n}")
     centered = m - 2.0 * math.log(n) + math.log(math.log(n))
-    p = 1.0 - gumbel_cdf(centered)
+    p = -math.expm1(-math.exp(-centered / 2.0) / math.sqrt(math.pi))
     return min(max(p, P_FLOOR), 1.0)
 
 
@@ -119,8 +119,8 @@ def py_stat(t: np.ndarray, rho_bar_sq: float, v: int) -> float:
 
 
 def py_p_value(stat: float) -> float:
-    """One-sided (upper-tail) normal p-value."""
-    p = 1.0 - float(ndtr(stat))
+    """Upper-tail normal p-value erfc(stat/sqrt(2))/2, accurate down to P_FLOOR."""
+    p = 0.5 * math.erfc(stat * math.sqrt(0.5))
     return min(max(p, P_FLOOR), 1.0)
 
 
@@ -132,10 +132,16 @@ def chisq4_sf(x: float) -> float:
 
 
 def chisq4_quantile(gamma: float) -> float:
-    """Upper-gamma quantile of chi-square with 4 dof, via Lambert W_{-1}."""
+    """Upper-gamma quantile 2u of chi-square with 4 dof: Newton steps on the convex
+    u - log1p(u) = -log(gamma) from above the root, until rounding stops u falling."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    return -2.0 * (1.0 + float(lambertw(-gamma / math.e, -1).real))
+    target = -math.log(gamma)
+    u, below = math.inf, 2.0 * target + 2.0
+    while below < u:
+        u = below
+        below = u - (u - math.log1p(u) - target) * (1.0 + u) / u
+    return 2.0 * u
 
 
 def fisher_combine(p_a: float, p_b: float) -> float:
@@ -201,7 +207,7 @@ def run_all_detailed(
     else:
         fc_crit = chisq4_quantile(gamma)
 
-    z_gamma = float(ndtri(1.0 - gamma))
+    z_gamma = NormalDist().inv_cdf(1.0 - gamma)
     max_crit = gumbel_quantile(gamma)
     center = 2.0 * math.log(n) - math.log(math.log(n))
 

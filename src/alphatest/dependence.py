@@ -26,9 +26,9 @@ components together.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist, StatisticsError
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NonPositiveDiagonal
 from .linalg import BlockDiagonal, edge_components, inv_sqrt_psd, psd_repair, spectrum
@@ -203,10 +203,13 @@ def _mt_cuts(n: int, v: int, q_mt: float, delta_mt: float) -> tuple[float, float
     the exact test ``sqrt(v) * |rho_ij| >= c_n``.  A c_n that is not finite,
     as when ``q_mt <= 0`` or ``q_mt / N**delta_mt >= 2``, is a ValueError.
     """
-    c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
+    try:  # N**delta_mt may overflow or be 0; inv_cdf rejects 0 and 1 (c_n = -inf, +inf)
+        c_n = NormalDist().inv_cdf(1.0 - q_mt / (2.0 * n**delta_mt))
+    except (OverflowError, ZeroDivisionError, StatisticsError):
+        c_n = np.nan
     if not np.isfinite(c_n):
-        raise ValueError(f"q_mt={q_mt} and delta_mt={delta_mt} give the multiple-testing "
-                         f"critical value {c_n} at N={n}")
+        raise ValueError(f"q_mt={q_mt} and delta_mt={delta_mt} give no finite multiple-testing "
+                         f"critical value at N={n}")
     return c_n, c_n / np.sqrt(v) * (1.0 - 1e-9)
 
 
@@ -216,7 +219,7 @@ def mt_rho_bar_sq(
     """Multiple-testing estimate of the mean squared pairwise correlation.
 
     A pairwise sample correlation rho_ij survives iff
-    ``sqrt(v) * |rho_ij| >= ndtri(1 - q_mt / (2 * N**delta_mt))``; the
+    ``sqrt(v) * |rho_ij| >= Phi^-1(1 - q_mt / (2 * N**delta_mt))``; the
     estimate averages the squared survivors over all N(N-1)/2 pairs.  The
     exact test runs on `pairs`, whose cut must not exceed the candidates'
     cut of `_mt_cuts`, and sums the survivors in its row-major order.

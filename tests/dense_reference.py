@@ -30,11 +30,12 @@ row, such as an active block.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 from alphatest import dgp
 from alphatest.alpha_tests import fisher_combine, max_p_value, max_stat, py_p_value, py_stat
-from alphatest.dependence import EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, TILE_ROWS, MtCorrelation
+from alphatest.dependence import (
+    EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, TILE_ROWS, MtCorrelation, _mt_cuts,
+)
 from alphatest.errors import DimensionError
 from alphatest.linalg import BlockDiagonal, edge_components, psd_repair
 from alphatest.ols import fit
@@ -89,12 +90,13 @@ def mt_rho_bar_sq(corr, v, q_mt, delta_mt):
 
     A correlation survives iff ``sqrt(v) * |rho_ij| >= c_n``; candidates
     clear a cut a relative 1e-9 below ``c_n / sqrt(v)``, and the exact test
-    runs on them in row-major order over the upper triangle.
+    runs on them in row-major order over the upper triangle.  c_n and the
+    cut come from `dependence._mt_cuts`: this checks the pairs, not the
+    normal quantile, which `test_dependence.py` holds to scipy's `ndtri`.
     """
     c = np.asarray(corr, dtype=float)
     n = c.shape[0]
-    c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
-    cut = c_n / np.sqrt(v) * (1.0 - 1e-9)
+    c_n, cut = _mt_cuts(n, v, q_mt, delta_mt)
     candidate = c >= cut
     candidate |= c <= -cut
     np.fill_diagonal(candidate, False)
@@ -171,7 +173,7 @@ def dense_oracle(residuals, dof, t, delta, q_mt, delta_mt):
     root = (q / np.sqrt(np.maximum(w, EIGEN_FLOOR_FRAC * w[-1]))) @ q.T
     root = (root + root.T) / 2.0
     rho = corr[np.triu_indices(n, k=1)]
-    c_n = float(ndtri(1.0 - q_mt / (2.0 * n**delta_mt)))
+    c_n = _mt_cuts(n, dof, q_mt, delta_mt)[0]
     rho_bar_sq = 2.0 / (n * (n - 1)) * float(np.sum(rho[np.sqrt(dof) * np.abs(rho) >= c_n] ** 2))
     return rho_bar_sq, root, repaired
 

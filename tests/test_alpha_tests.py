@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
+from scipy.special import erfcx, ndtri
+from scipy.stats import chi2, gumbel_r, norm
 
 from alphatest.alpha_tests import (
     METHODS,
@@ -34,6 +36,29 @@ from alphatest.errors import DegenerateDof, DimensionError, NegativeInput
 from alphatest.harness import ScenarioConfig, simulate_panel
 from alphatest.ols import FactorPanel, fit
 from dense_reference import hard_threshold, max_stat_standardized, tiled_correlation
+
+
+def normal_tail(x):
+    """Upper normal tail ``erfcx(z) * exp(-z**2) / 2`` at ``z = x * sqrt(1/2)``,
+    the argument scipy's `ndtr` forms, with z**2 split into a head whose square
+    is exact and a small rest.  `norm.sf` rounds z**2 before its exp, which
+    costs it up to 5e-14 relative below p = 1e-80."""
+    z = x * math.sqrt(0.5)
+    head = math.ldexp(round(math.ldexp(z, 20)), -20)  # <= 25 bits below z = 32
+    return 0.5 * erfcx(z) * math.exp(-head * head) * math.exp(-(z - head) * (z + head))
+
+
+def gumbel_tail(x):
+    """Upper tail of the max-statistic limit law exp(-exp(-x/2)/sqrt(pi)).
+
+    `gumbel_r.sf` with loc = -log(pi) rounds the shift x + log(pi), which
+    costs up to ulp(x)/4 relative: 4e-15 below x = 80, 5e-14 at x = 1380.
+    From x = 80 on, exp(-x/2) < 5e-18, so the tail is
+    ``gumbel_r.sf(x, scale=2) / sqrt(pi)``, with no shift, to 1e-17 relative.
+    """
+    if x < 80.0:
+        return gumbel_r.sf(x, loc=-math.log(math.pi), scale=2.0)
+    return gumbel_r.sf(x, scale=2.0) / math.sqrt(math.pi)
 
 
 class TestMaxStat:
@@ -99,6 +124,15 @@ class TestMaxPValue:
         assert 0.0 < max_p_value(0.0, 200) <= 1.0
         assert max_p_value(1e6, 200) >= 1e-300
 
+    @pytest.mark.parametrize("m", [5.0, 9.0, 20.0, 60.0, 88.0, 100.0, 300.0, 1000.0, 1385.0])
+    def test_tail_matches_scipy(self, m):
+        # 1 - cdf lost every digit below p = 1e-16: max_p_value(100, 200) read P_FLOOR
+        n = 200
+        centered = m - 2.0 * math.log(n) + math.log(math.log(n))
+        want = gumbel_tail(centered)
+        assert 1e-300 <= want < 1.0
+        assert max_p_value(m, n) == pytest.approx(want, rel=1e-14, abs=0.0)
+
 
 class TestPyStat:
     def test_worked_example(self):
@@ -120,6 +154,26 @@ class TestPyStat:
         assert py_p_value(10.0) < 1e-10
         assert py_p_value(-10.0) > 0.999
 
+    @pytest.mark.parametrize("p", [0.5, 0.05, 1e-8, 1e-15, 6e-16, 1e-20, 1e-50, 1e-100,
+                                   1e-200, 2e-300])
+    def test_p_value_tail_matches_scipy(self, p):
+        # 1 - ndtr lost every digit below 1e-16: py_p_value(8) was 7% high,
+        # and from PY ~ 8.3 on p read P_FLOOR
+        x = norm.isf(p)
+        assert py_p_value(x) == pytest.approx(normal_tail(x), rel=1e-14, abs=0.0)
+        if p >= 1e-80:
+            assert py_p_value(x) == pytest.approx(norm.sf(x), rel=1e-14, abs=0.0)
+
+    def test_fisher_statistic_keeps_growing_with_py(self):
+        # with p = 0 clamped to P_FLOOR, FC read 1382.94 for every PY from ~8.3 on
+        fc = [fisher_combine(py_p_value(stat), 0.5) for stat in (8.0, 9.0, 20.0, 30.0)]
+        assert np.all(np.diff(fc) > 0.0) and fc[-1] < -2.0 * math.log(1e-300)
+
+    def test_critical_value_matches_ndtri(self):
+        for gamma in (1e-6, 0.01, 0.05, 0.1, 0.5):
+            py = run_all(_synthetic_panel(0), Config(gamma=gamma))[0]
+            assert py.critical_value == pytest.approx(ndtri(1.0 - gamma), rel=1e-15, abs=0.0)
+
 
 class TestChisq4:
     def test_sf_at_quantile(self):
@@ -129,8 +183,6 @@ class TestChisq4:
         assert np.isclose(chisq4_quantile(0.05), 9.48773, atol=1e-5)
 
     def test_sf_matches_scipy(self):
-        from scipy.stats import chi2
-
         for x in (0.5, 3.0, 9.0, 20.0):
             assert np.isclose(chisq4_sf(x), chi2.sf(x, 4), atol=1e-12)
 
@@ -140,10 +192,18 @@ class TestChisq4:
 
     @pytest.mark.parametrize("gamma", [1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5, 0.9])
     def test_quantile_matches_scipy(self, gamma):
-        from scipy.stats import chi2
-
         expected = chi2.isf(gamma, 4)
         assert np.isclose(chisq4_quantile(gamma), expected, rtol=1e-12, atol=0.0)
+
+    def test_quantile_to_the_last_bits(self):
+        gammas = np.concatenate([np.geomspace(1e-6, 0.999, 400), [0.05, 0.1]])
+        got = np.array([chisq4_quantile(float(g)) for g in gammas])
+        np.testing.assert_allclose(got, chi2.isf(gammas, 4), rtol=2e-15, atol=0.0)
+
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-100, 0.9999, 1.0 - 1e-12])
+    def test_quantile_at_extreme_levels(self, gamma):
+        # the Newton loop ends on these too, at the quantile
+        assert chisq4_sf(chisq4_quantile(gamma)) == pytest.approx(gamma, rel=1e-9)
 
 
 class TestFisherCombine:

@@ -213,16 +213,21 @@ class TestCmdTest:
         ("--qmt", "-1", "q_mt"),
         ("--deltamt", "nan", "delta_mt"),
         ("--deltamt", "-50", "delta_mt"),
+        ("--deltamt", "400", "delta_mt"),  # N**deltaMt overflows
+        ("--deltamt", "-400", "delta_mt"),  # N**deltaMt is 0
+        ("--deltamt", "1e308", "delta_mt"),
+        ("--deltamt", "-1e308", "delta_mt"),
         ("--delta", "nan", "threshold_delta"),
         ("--delta", "0", "threshold_delta"),
         ("--delta", "-1", "threshold_delta"),
     ])
     def test_bad_threshold_knob_exits_numeric(self, tmp_path, capsys, flag, value, knob):
-        # each would silently empty the multiple-testing step, or write a NaN threshold
+        # each would silently empty the multiple-testing step, write a NaN
+        # threshold or end in a traceback
         rpath, fpath = null_panel_files(tmp_path, seed=7)
         out = tmp_path / "r.json"
         code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
-                     "--out", str(out), flag, value])
+                     "--out", str(out), f"{flag}={value}"])  # argparse takes -1e308 for a flag
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and knob in err
@@ -505,3 +510,29 @@ class TestCmdGen:
         assert main(["gen", "--config", str(config), "--out-prefix", prefix2]) == EXIT_OK
         assert (tmp_path / "data_returns.csv").read_bytes() == \
             (tmp_path / "again_returns.csv").read_bytes()
+
+
+# Runs the CLI with every import of scipy failing.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from alphatest.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # the runtime needs numpy alone; scipy is the tests' reference
+    config = tmp_path / "scenario.json"
+    write_scenario(config, n=15, t=40, m=2, reps=2, seed=13)
+    prefix = str(tmp_path / "data_")
+    src = os.path.dirname(os.path.dirname(alphatest.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for args in (["gen", "--config", str(config), "--out-prefix", prefix],
+                 ["test", "--returns", prefix + "returns.csv", "--factors",
+                  prefix + "factors.csv", "--out", str(tmp_path / "report.json")],
+                 ["size", "--config", str(config), "--out", str(tmp_path / "size.csv"),
+                  "--workers", "1"]):
+        done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == EXIT_OK, done.stderr

@@ -173,7 +173,20 @@ class TestMtRhoBarSq:
         mt = mt_rho_bar_sq(np.eye(4), v=50, q_mt=0.05, delta_mt=1.0)
         assert np.isclose(mt.mt_threshold, ndtri(1.0 - 0.05 / 8.0))
 
-    @pytest.mark.parametrize("q_mt,delta_mt", [(0.0, 1.0), (-1.0, 1.0), (0.05, -50.0)])
+    def test_critical_value_matches_ndtri(self):
+        from scipy.special import ndtri
+
+        for q_mt in (1e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 1.9):
+            for n in (3, 40, 200, 1000, 5000):
+                for delta_mt in (0.0, 0.5, 1.0, 2.0, 3.0):
+                    want = ndtri(1.0 - q_mt / (2.0 * n**delta_mt))
+                    c_n = dependence._mt_cuts(n, 50, q_mt, delta_mt)[0]
+                    assert c_n == pytest.approx(want, rel=1e-15, abs=0.0), (q_mt, n, delta_mt)
+
+    @pytest.mark.parametrize("q_mt,delta_mt", [(0.0, 1.0), (-1.0, 1.0), (0.05, -50.0),
+                                               (0.05, 400.0), (0.05, -400.0), (0.05, 1e308),
+                                               (0.05, -1e308), (0.05, 30.0), (3.9, 0.0),
+                                               (np.nan, 1.0)])
     def test_non_finite_critical_value_raises(self, q_mt, delta_mt):
         # c_n = +inf keeps no pair, NaN none either: both would zero the correction
         pairs = correlation_pairs(np.eye(4, 10), 0.0)

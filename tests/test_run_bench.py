@@ -1,0 +1,29 @@
+"""`bench/run_bench.py` runs where the `resource` module is missing (Windows)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import alphatest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# Times one small cell with every import of `resource` failing.
+WITHOUT_RESOURCE = """
+import json, sys
+sys.modules["resource"] = None
+import run_bench
+print(json.dumps(run_bench.time_cell("M2", 20)))
+"""
+
+
+def test_cell_without_resource_records_null_faults():
+    src = os.path.dirname(os.path.dirname(alphatest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCH), src]))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_RESOURCE], env=env,
+                          capture_output=True, text=True, check=True)
+    cell = json.loads(done.stdout)
+    assert cell["run_all_detailed_minflt"] is None
+    assert cell["N"] == 20 and cell["run_all_detailed_ms"] > 0
