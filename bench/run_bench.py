@@ -15,11 +15,16 @@ tracemalloc peak of one more `run_all_detailed` call, untimed
 (`run_all_detailed_peak_mb`).  For each N up to 2000 it
 also writes that replication's M2 panel once with `panel_io.write_panel`
 to a temporary directory and times `panel_io.load_panel` on it, best of
-3 (`loads`).  Each run also records `src_lines`, the line count of the
-timed tree's `alphatest/*.py`.  BLAS runs on one thread.  The results go under
+3 (`loads`).  On the benchmark's N=3000, T=100 CLI panel (AR(1) errors
+across securities at rho = 0.7, `perfbench/workloads.py` `cli_panel(2, 0)`),
+it times `dependence.estimate_dependence` at threshold constants 2.4,
+2.5 and 2.7, best of 3 after one untimed call, with its tracemalloc
+peak, coupled rows and components (`low_threshold`).  Each run also
+records `src_lines`, the line count of the timed tree's `alphatest/*.py`.  BLAS runs on one thread.  The results go under
 ``runs[label]`` of the JSON file at `--out`, which keeps the runs of
 other labels, so two checkouts timed by the same script sit side by
-side.  Only numpy and the standard library are used besides the package.
+side.  Only numpy, the standard library and `cli_panel` are used besides
+the package.
 """
 
 import os
@@ -30,6 +35,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = BLAS_THREADS
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import tempfile  # noqa: E402
@@ -48,6 +54,8 @@ SIZES = (200, 500, 1000, 2000)
 EXTRA_CELLS = (("M2", 5000), ("M3", 5000), ("M1", 5000))
 T = 100
 REPEATS = 3
+LOW_DELTAS = (2.4, 2.5, 2.7)  # threshold constants of the low-threshold estimate
+LOW_N = 3000
 ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_all_detailed "
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
@@ -59,6 +67,9 @@ ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_
          "coupled = active rows of the dependence estimate. "
          "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
          "panel_io.write_panel, best of 3. "
+         "low_threshold: estimate_dependence on perfbench's cli_panel(2, 0) at N=3000, T=100 "
+         "per threshold constant delta: estimate_ms (best of 3 after one untimed call), "
+         "estimate_peak_mb (tracemalloc peak of one more call), coupled and components. "
          "src_lines: lines of the timed tree's alphatest/*.py, as wc -l counts them.")
 
 
@@ -161,6 +172,40 @@ def time_load(n, folder):
     return {"N": n, "T": T, "load_panel_ms": round(load_ms, 3)}
 
 
+@functools.cache
+def low_threshold_fit():
+    """The N=3000, T=100 CLI panel and its OLS fit."""
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from alphatest.ols import FactorPanel, fit
+    from workloads import cli_panel
+
+    panel = FactorPanel(*cli_panel(2, 0, n=LOW_N, t=T))
+    return panel, fit(panel)
+
+
+def time_low_threshold(delta):
+    from alphatest.alpha_tests import TestConfig, run_all_detailed
+    from alphatest.dependence import estimate_dependence
+
+    panel, res = low_threshold_fit()
+
+    def estimate():
+        return estimate_dependence(res.residuals, res.dof, T, delta, 0.05, 1.0)
+
+    estimate()
+    estimate_ms, dep = best_ms(estimate)
+    _, diagnostics = run_all_detailed(panel, TestConfig(threshold_delta=delta))
+    return {
+        "N": LOW_N,
+        "T": T,
+        "delta": delta,
+        "estimate_ms": round(estimate_ms, 3),
+        "estimate_peak_mb": round(peak_mb(estimate), 2),
+        "coupled": int(diagnostics["coupled"]),
+        "components": dep.components,
+    }
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
@@ -176,9 +221,13 @@ def main(argv=None) -> int:
     for model, n in EXTRA_CELLS:
         cells.append(time_cell(model, n))
         print(json.dumps(cells[-1]), flush=True)
+    low = []
+    for delta in LOW_DELTAS:
+        low.append(time_low_threshold(delta))
+        print(json.dumps(low[-1]), flush=True)
     wall_s = round(time.perf_counter() - start, 1)
     run = {"environment": environment(), "src_lines": src_lines(args.src), "wall_s": wall_s,
-           "cells": cells, "loads": loads}
+           "cells": cells, "loads": loads, "low_threshold": low}
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as handle:

@@ -3,11 +3,11 @@
 Library layout:
 
 * :mod:`alphatest.linalg` - symmetric eigendecomposition, annihilator
-  projections, matrix inverse square roots, PSD repair.
+  projections; inverse square roots and PSD repair on a component stack.
 * :mod:`alphatest.ols` - per-security OLS fits and intercept t-ratios.
-* :mod:`alphatest.dependence` - thresholded residual covariance,
-  correlation precision root, multiple-testing correlation summary; the
-  estimate is held in block form, repair and root on the active rows.
+* :mod:`alphatest.dependence` - thresholded residual correlation,
+  its precision root, multiple-testing correlation summary; threshold,
+  repair and root are one stack of connected components end to end.
 * :mod:`alphatest.alpha_tests` - the PY, MAX1, MAX2, FC1, FC2 statistics,
   p-values and decisions.
 * :mod:`alphatest.dgp` - synthetic factor/error/alpha generation.

@@ -133,14 +133,16 @@ def chisq4_sf(x: float) -> float:
 
 def chisq4_quantile(gamma: float) -> float:
     """Upper-gamma quantile 2u of chi-square with 4 dof: Newton steps on the convex
-    u - log1p(u) = -log(gamma) from above the root, until rounding stops u falling."""
+    u - log1p(u) = -log(gamma) from above the root, until rounding stops u falling.
+    Below u = 0.1, u - log1p(u) is its series sum_{k>=2} (-u)**k / k, which does not cancel."""
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     target = -math.log(gamma)
     u, below = math.inf, 2.0 * target + 2.0
     while below < u:
         u = below
-        below = u - (u - math.log1p(u) - target) * (1.0 + u) / u
+        excess = u - math.log1p(u) if u >= 0.1 else math.fsum((-u)**k / k for k in range(2, 20))
+        below = u - (excess - target) * (1.0 + u) / u
     return 2.0 * u
 
 
@@ -224,7 +226,7 @@ def run_all_detailed(
         "p": panel.n_factors,
         "v": v,
         "threshold_used": dep.threshold_used,
-        "coupled": dep.root.active.size,
+        "coupled": int(np.count_nonzero(dep.root.slots < n)),
         "components": dep.components,
         "largest_component": dep.largest_component,
         "repaired": dep.repaired,

@@ -14,15 +14,15 @@ The estimate works on the correlation scale alone, so it does not
 depend on any security's units, and it forms no N x N array.
 
 Block form: thresholding leaves most rows with no off-diagonal survivor.
-Such a decoupled row stays a unit diagonal row through PSD repair,
-diagonal restoration and the root, and its entry in the root has the
-closed form ``1 / sqrt(max(1, floor))``; the root's `BlockDiagonal`
-diagonal is the only place it lives.  Repair and root run on the
-*active* rows alone: those with a surviving off-diagonal correlation.
-Their connected components are labelled once, from the surviving pairs,
-and `linalg` decomposes them one component at a time; the repair test,
-the diagonal restoration and the floor stay decisions over all
-components together.
+The surviving pairs are labelled into connected components once, over
+all N rows, and written straight into a `linalg.BlockDiagonal`: one
+``(c, m, m)`` stack of the components' principal submatrices, and a
+diagonal on which each decoupled row is its own eigenvalue.  Repair,
+diagonal restoration, the floor's spectrum and the root take and return
+that form, one eigensolver call on the stack each, so a decoupled row's
+entry in the root, ``1 / sqrt(max(1, floor))``, falls out of the same
+map; the repair test, the diagonal restoration and the floor stay
+decisions over all rows together.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from statistics import NormalDist, StatisticsError
 import numpy as np
 
 from .errors import NonPositiveDiagonal
-from .linalg import BlockDiagonal, edge_components, inv_sqrt_psd, psd_repair, spectrum
+from .linalg import BlockDiagonal, edge_components, inv_sqrt_psd, layout, psd_repair, spectrum
 
 __all__ = [
     "CorrelationPairs",
@@ -84,9 +84,9 @@ class CorrelationPairs:
 class DependenceEstimate:
     """Correlation pairs and block-form inverse correlation root.
 
-    `root` holds the root on the active rows as its block and
-    ``1 / sqrt(max(1, floor))`` on the diagonal of every other row;
-    ``root @ t`` standardizes the t-ratios.
+    `root` holds the root of each component of the thresholded
+    correlation in its stack and ``1 / sqrt(max(1, floor))`` on the
+    diagonal of every decoupled row; ``root @ t`` standardizes the t-ratios.
     """
 
     pairs: CorrelationPairs  # every pair the threshold or the MT step may keep
@@ -94,7 +94,7 @@ class DependenceEstimate:
     floor: float  # eigenvalue floor of the root
     threshold_used: float
     repaired: bool  # PSD repair clipped an eigenvalue
-    components: int  # connected components of the thresholded correlation's active rows
+    components: int  # connected components of the thresholded correlation's coupled rows
     largest_component: int  # rows in the largest of them
 
 
@@ -148,51 +148,57 @@ def hard_threshold(pairs: CorrelationPairs, threshold: float):
     """Zero the correlations below `threshold` in magnitude, in block form.
 
     A pair of `pairs` survives iff ``|rho_ij| >= threshold``, so
-    `threshold` must be at least ``pairs.cut``; the diagonal is 1.
-    The active rows are those with a survivor; every other row is
-    diagonal in the result.
+    `threshold` must be at least ``pairs.cut``; the diagonal is 1.  The
+    survivors are labelled by `edge_components` over all N rows, laid out
+    by `linalg.layout` and each written straight into its slot.
 
     Returns
     -------
-    (ndarray, ndarray, (ndarray, ndarray))
-        The thresholded correlation on the active rows, the ascending
-        active indices, and the survivors' (row, column) positions in
-        that block, each pair once.
+    (BlockDiagonal, ndarray)
+        The thresholded correlation, and each row's component label
+        (-1 for a row with no survivor).
     """
     if threshold < pairs.cut:
         raise ValueError(f"threshold {threshold} is below the pairs' cut {pairs.cut}")
     keep = pairs.rho >= threshold
     keep |= pairs.rho <= -threshold
     i, j, rho = pairs.i[keep], pairs.j[keep], pairs.rho[keep]
-    active = np.flatnonzero(np.bincount(np.concatenate([i, j]), minlength=pairs.n))
-    i, j = np.searchsorted(active, i), np.searchsorted(active, j)
-    block = np.eye(active.size)
-    block[i, j] = rho
-    block[j, i] = rho
-    return block, active, (i, j)
+    label = edge_components(pairs.n, i, j)
+    slots = layout(label)
+    m = slots.shape[1]
+    flat = np.flatnonzero(slots < pairs.n)  # c * m + p for block c's row in slot p
+    slot = np.empty(pairs.n, dtype=np.intp)
+    slot[slots.ravel()[flat]] = flat
+    stack = np.zeros(slots.shape + (m,))
+    rows = stack.reshape(slots.size, m)  # row c * m + p of the stack is row p of slice c
+    rows[flat, flat % m] = 1.0
+    rows[slot[i], slot[j] % m] = rho
+    rows[slot[j], slot[i] % m] = rho
+    return BlockDiagonal(np.ones(pairs.n), slots, stack), label
 
 
-def correlation_from_cov(sigma: np.ndarray) -> np.ndarray:
+def correlation_from_cov(sigma: BlockDiagonal) -> BlockDiagonal:
     """Scale a covariance matrix to unit diagonal; exactly symmetric if `sigma` is.
 
     `estimate_dependence` uses it to restore the unit diagonal of the
-    PSD-repaired correlation block.
+    PSD-repaired correlation.
     """
-    s = np.asarray(sigma, dtype=float)
-    d = np.diag(s)
-    if (d <= 0).any():
+    real = sigma.slots < sigma.shape[0]
+    d = np.diagonal(sigma.stack, axis1=1, axis2=2)
+    if (d[real] <= 0).any() or (np.delete(sigma.diag, sigma.slots[real]) <= 0).any():
         raise NonPositiveDiagonal("covariance diagonal must be positive")
-    inv_sd = 1.0 / np.sqrt(d)
-    r = s * np.outer(inv_sd, inv_sd)
-    np.fill_diagonal(r, 1.0)
-    return r
+    inv_sd = np.zeros(d.shape)
+    inv_sd[real] = 1.0 / np.sqrt(d[real])
+    r = sigma.stack * (inv_sd[:, :, None] * inv_sd[:, None, :])
+    on = np.arange(d.shape[1])
+    r[:, on, on] = real
+    return BlockDiagonal(np.ones(sigma.shape[0]), sigma.slots, r)
 
 
-def precision_root(r_hat: np.ndarray, floor: float, label=None) -> np.ndarray:
+def precision_root(r_hat: BlockDiagonal, floor: float) -> BlockDiagonal:
     """Symmetric inverse square root of a correlation matrix, eigenvalues
-    floored at `floor` (`estimate_dependence` sets it); `label` holds the
-    component labels of `r_hat`, as `linalg.edge_components` gives them."""
-    return inv_sqrt_psd(r_hat, floor, label)
+    floored at `floor` (`estimate_dependence` sets it)."""
+    return inv_sqrt_psd(r_hat, floor)
 
 
 def _mt_cuts(n: int, v: int, q_mt: float, delta_mt: float) -> tuple[float, float]:
@@ -241,28 +247,25 @@ def estimate_dependence(
     No N x N array is formed.  One tiled pass over the unit-norm residual
     rows keeps the correlations that clear the hard threshold or the
     candidates' cut of the multiple-testing step (`q_mt`, `delta_mt`),
-    whichever is lower; `dof` is that step's v.  Repair and root run on
-    the active block, whose components are labelled once, from the
-    surviving pairs.
+    whichever is lower; `dof` is that step's v.  The survivors are
+    labelled once, and repair and root run on their component stack.
     """
     n = np.shape(residuals)[0]
     threshold = delta * np.sqrt(np.log(n) / t)
     cut = min(threshold, _mt_cuts(n, dof, q_mt, delta_mt)[1])
     pairs = correlation_pairs(residuals, cut)
-    thresholded, active, edges = hard_threshold(pairs, threshold)
-    label = edge_components(active.size, *edges)
-    sizes = np.bincount(label)
-    block = psd_repair(thresholded, PSD_EPS_FRAC, label)
-    r_hat = correlation_from_cov(block)
-    # a decoupled row's eigenvalue 1 is below the largest of a non-empty block
-    floor = EIGEN_FLOOR_FRAC * spectrum(r_hat, label).max(initial=1.0)
-    outside = np.full(n, 1.0 / np.sqrt(max(1.0, floor)))
+    thresholded, label = hard_threshold(pairs, threshold)
+    sizes = np.bincount(label[label >= 0])
+    repaired = psd_repair(thresholded, PSD_EPS_FRAC)
+    r_hat = correlation_from_cov(repaired)
+    # the decoupled rows' eigenvalue 1 is below the largest of a non-empty stack
+    floor = EIGEN_FLOOR_FRAC * spectrum(r_hat)[-1]
     return DependenceEstimate(
         pairs=pairs,
-        root=BlockDiagonal(outside, active, precision_root(r_hat, floor, label)),
+        root=precision_root(r_hat, floor),
         floor=floor,
         threshold_used=threshold,
-        repaired=not np.array_equal(block, thresholded),
+        repaired=repaired is not thresholded,
         components=int(np.count_nonzero(sizes)),
         largest_component=int(sizes.max(initial=0)),
     )

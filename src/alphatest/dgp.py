@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefinite
-from .linalg import BlockDiagonal, sym_eigen
+from .linalg import BlockDiagonal, spectral_map, sym_eigen
 from .ols import FactorPanel
 
 __all__ = [
@@ -85,7 +85,7 @@ def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray | Block
     the draw.
 
     M2 is diagonal off its spike positions, so it is returned as a
-    `BlockDiagonal` on them, the others as dense arrays.
+    `BlockDiagonal` with them as its one block, the others as dense arrays.
     """
     if kind not in COV_MODELS:
         raise ValueError(f"unknown covariance model {kind!r}")
@@ -107,7 +107,7 @@ def build_cov(kind: str, n: int, rng: np.random.Generator) -> np.ndarray | Block
         positions, b = positions[order], loadings[order]
         r = np.eye(n_spikes) + np.outer(b, b) - np.diag(b**2)
         block = r * np.outer(root_d[positions], root_d[positions])
-        return BlockDiagonal(root_d * root_d, positions, block)
+        return BlockDiagonal(root_d * root_d, positions[None], block[None])
     gamma = np.zeros(n)
     gamma[:n_spikes] = rng.uniform(*SPIKE_RANGE, size=n_spikes)
     # rook weights: 1/2 to each neighbour, 1 to the only neighbour at the ends
@@ -123,23 +123,19 @@ def _positive_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(w)
 
 
-def _root(a: np.ndarray) -> np.ndarray:
-    w, q = sym_eigen(a)
-    root = (q * _positive_sqrt(w)) @ q.T
-    return (root + root.T) / 2.0
-
-
 def cov_sqrt(sigma: np.ndarray | BlockDiagonal) -> np.ndarray | BlockDiagonal:
     """Symmetric positive-definite square root via eigendecomposition.
 
     One `sym_eigen` of the whole matrix, rebuilt as ``q sqrt(w) q'`` and
-    symmetrized.  A `BlockDiagonal` keeps its form: its block is rooted
-    that way and every entry of its `diag` square-rooted.  Every eigenvalue,
+    symmetrized.  A `BlockDiagonal` keeps its form: `spectral_map` roots
+    its stack that way and every entry of its `diag`.  Every eigenvalue,
     and every entry of that `diag`, must be positive.
     """
     if isinstance(sigma, BlockDiagonal):
-        return BlockDiagonal(_positive_sqrt(sigma.diag), sigma.active, _root(sigma.block))
-    return _root(sigma)
+        return spectral_map(sigma, _positive_sqrt)
+    w, q = sym_eigen(sigma)
+    root = (q * _positive_sqrt(w)) @ q.T
+    return (root + root.T) / 2.0
 
 
 def gen_errors(

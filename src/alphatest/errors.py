@@ -42,7 +42,8 @@ class EmptyTable(AlphatestError):
 
 
 class ParseError(AlphatestError):
-    """A CSV cell could not be parsed; the message names the location."""
+    """An input could not be parsed or is out of range: a CSV cell, a scenario key,
+    `ALPHATEST_SEED`, `--workers` or `--m-grid`; the message names which."""
 
 
 class ShapeMismatch(DimensionError):
@@ -50,4 +51,4 @@ class ShapeMismatch(DimensionError):
 
 
 class TooFewObservations(DimensionError):
-    """A panel has too few time periods for its number of factors."""
+    """A panel has fewer than 3 securities, or too few time periods for its factors."""

@@ -6,27 +6,26 @@ computed by symmetric eigendecomposition rather than Cholesky so that a
 single code path also handles indefinite inputs produced by hard
 thresholding.
 
-Component rule: rows of a symmetric matrix joined by a path of nonzero
+Block form: rows of a symmetric matrix joined by a path of nonzero
 off-diagonal entries form a connected component, which `edge_components`
-labels from a list of those entries.  The eigen helpers below take the
-labels as `label`, every row labelled; without them the whole matrix is
-one component.  A decoupled row (one with no such entry) is not theirs
-to take: it stays on the caller's `BlockDiagonal` diagonal, in closed
-form.  `spectrum` and `spectral_map` make one eigensolver call on a
-``(c, m, m)`` stack of the c components, each padded to the largest size
-m with slots whose diagonal sentinel lies above every Gershgorin bound,
-so each component's eigenpairs come first in its slice.  Where padding
-would cost more than decomposing the n rows whole (``c * m**3 >= n**3``),
-they form one component.  Each helper makes exactly one eigensolver
-call, on an empty stack too, so call counts do not depend on the data.
-`BlockDiagonal` holds a matrix, or a function of one, as its diagonal
-and its coupled block.
+labels from a list of those entries; a row with no such entry is
+decoupled.  `layout` lists each component's rows in one row of a
+``(c, m)`` slot array, padded to the largest size m, and `BlockDiagonal`
+holds the matrix as those slots, the ``(c, m, m)`` stack of the
+components' principal submatrices and a diagonal on which each decoupled
+row is its own eigenvalue.  Where padding would cost more than
+decomposing the k coupled rows whole (``c * m**3 >= k**3``), they form
+one block.  `spectrum`, `spectral_map`, `inv_sqrt_psd` and `psd_repair`
+take and return this form, with exactly one eigensolver call on the
+stack each, an empty one too, so call counts do not depend on the data.
+A sentinel above every Gershgorin bound on each padding slot's diagonal
+puts each component's eigenpairs first in its slice.
 
 Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
-matrices (``a == a.T``), as the thresholded correlation block (a unit
-diagonal, each surviving pair written to both triangles) and
-`spectral_map`'s symmetrized rebuild are.  `sym_eigen` symmetrizes its
-input: it is the entry point for nearly symmetric products.
+stacks, as the thresholded correlation (a unit diagonal, each surviving
+pair written to both triangles) and `spectral_map`'s symmetrized rebuild
+are.  `sym_eigen` symmetrizes its input: it is the entry point for
+nearly symmetric products.
 """
 
 from dataclasses import dataclass
@@ -40,6 +39,7 @@ __all__ = [
     "annihilator",
     "sym_eigen",
     "edge_components",
+    "layout",
     "spectrum",
     "spectral_map",
     "inv_sqrt_psd",
@@ -98,27 +98,42 @@ def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class BlockDiagonal:
-    """N x N matrix held in block form.
+    """N x N symmetric matrix held as a diagonal and a stack of principal blocks.
 
-    `diag` (length N) on the diagonal and zeros elsewhere, except that the
-    principal submatrix on the ascending indices `active` is `block`;
-    the entries of `diag` on the active rows are not part of the matrix.
+    Row j of the ``(c, m)`` array `slots` lists block j's rows in 0..N-1,
+    then N in each padding slot; slice j of the ``(c, m, m)`` array `stack`
+    is that block's principal submatrix, zero in the padding.  Every other
+    entry is zero, except the diagonal `diag` (length N) on the rows in no
+    block; its entries on the block rows are not part of the matrix.
     """
 
     diag: np.ndarray
-    active: np.ndarray
-    block: np.ndarray
+    slots: np.ndarray
+    stack: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.diag.size, self.diag.size)
 
     def __matmul__(self, x) -> np.ndarray:
-        """The matrix times `x` (N or N x T): ``diag * x``, then `block` on the active rows."""
+        """The matrix times `x` (N or N x T): ``diag * x``, then one batched
+        product of `stack` on `x` gathered by slot, a zero row in each padding slot."""
         x = np.asarray(x, dtype=float)
-        out = self.diag.reshape((-1,) + (1,) * (x.ndim - 1)) * x
-        out[self.active] = self.block @ x[self.active]
-        return out
+        n = self.diag.size
+        cols = x.reshape(n, -1)
+        out = self.diag[:, None] * cols
+        real = self.slots < n
+        gathered = cols[np.where(real, self.slots, 0)]
+        gathered[~real] = 0.0
+        out[self.slots[real]] = (self.stack @ gathered)[real]
+        return out.reshape(x.shape)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense N x N matrix."""
+        n = self.diag.size
+        out = np.diag(np.append(self.diag, 0.0))  # padding lands in the spare row and column
+        out[self.slots[:, :, None], self.slots[:, None, :]] = self.stack
+        return np.asarray(out[:n, :n], dtype=dtype)
 
 
 def edge_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -151,82 +166,64 @@ def edge_components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return label
 
 
-def _partition(n: int, label=None) -> np.ndarray:
-    """The components of an n-row matrix as one (c, m) array of rows.
-
-    `label` holds each row's component label, as `edge_components` gives
-    them; a row labelled -1, decoupled, is a ValueError.  None makes all n
-    rows one component.  Row j of the array lists component j's rows
-    ascending, then n in each padding slot.  It has one row, all n rows,
-    where c * m**3 >= n**3, an empty matrix included.
-    """
-    label = np.zeros(n, dtype=int) if label is None else label
-    sizes = np.bincount(label)
+def layout(label: np.ndarray) -> np.ndarray:
+    """The `BlockDiagonal` slots of the components of N rows labelled as by
+    `edge_components`: row j lists component j's rows ascending, then N in
+    each padding slot, and a row labelled -1 is in no block.  All k labelled
+    rows form one block where c * m**3 >= k**3, none labelled included."""
+    n = label.size
+    coupled = np.flatnonzero(label >= 0)
+    sizes = np.bincount(label[coupled])
     sizes = sizes[sizes > 0]
     m = int(sizes.max(initial=0))
-    rows = np.argsort(label, kind="stable")  # each component's rows, ascending
-    if sizes.size * m**3 >= n**3:
-        sizes, m, rows = np.array([n]), n, np.arange(n)
+    rows = coupled[np.argsort(label[coupled], kind="stable")]  # each component's rows, ascending
+    if sizes.size * m**3 >= coupled.size**3:
+        sizes, m, rows = np.array([coupled.size]), coupled.size, coupled
     slots = np.full((sizes.size, m), n)
     slots[np.arange(m) < sizes[:, None]] = rows
     return slots
 
 
-def _stack(a: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """The principal submatrices of `a` on the rows of `slots`, shape (c, m, m).
-
-    A padding slot is zero off the diagonal and holds a sentinel above
-    every Gershgorin bound of the stack on it, so the smallest eigenvalues
-    of each slice are its component's.
-    """
-    n = a.shape[0]
-    rows = np.minimum(slots, n - 1)
-    stack = a[rows[:, :, None], rows[:, None, :]]
-    c, p = np.nonzero(slots == n)
-    if c.size:
-        stack[c, p, :] = 0.0
-        stack[c, :, p] = 0.0
-        stack[c, p, p] = 1.0 + 2.0 * np.abs(stack).sum(axis=-1).max()
+def _padded(a: BlockDiagonal) -> np.ndarray:
+    """`a.stack` with a sentinel on each padding slot's diagonal, above every
+    Gershgorin bound of the stack, so the smallest eigenvalues of each slice
+    are its block's."""
+    c, p = np.nonzero(a.slots == a.shape[0])
+    if not c.size:
+        return a.stack
+    stack = a.stack.copy()
+    stack[c, p, p] = 1.0 + 2.0 * np.abs(stack).sum(axis=-1).max()
     return stack
 
 
-def spectrum(a: np.ndarray, label=None) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    One ``eigvalsh`` on the stacked components of `label` (see
-    `_partition`), as in the functions below.
-    """
-    a = np.asarray(a, dtype=float)
-    slots = _partition(a.shape[0], label)
-    w = np.linalg.eigvalsh(_stack(a, slots))  # ascending: the padding's sentinels last
-    return np.sort(w[slots < a.shape[0]])
+def spectrum(a: BlockDiagonal) -> np.ndarray:
+    """All eigenvalues of `a`, ascending: one ``eigvalsh`` of the stack, and the
+    diagonal of the rows in no block."""
+    w = np.linalg.eigvalsh(_padded(a))  # ascending: the padding's sentinels last
+    real = a.slots < a.shape[0]
+    return np.sort(np.concatenate([w[real], np.delete(a.diag, a.slots[real])]))
 
 
-def spectral_map(a: np.ndarray, f, label=None) -> np.ndarray:
+def spectral_map(a: BlockDiagonal, f) -> BlockDiagonal:
     """f(A) for a (nearly) symmetric A, `f` acting on its eigenvalues.
 
-    Each component is ``q f(w) q'`` from one `sym_eigen` call on the
-    stacked components; where they are stacked apart, every entry joining
-    two of them is an exact zero.  The rebuilt stack is written into an
-    (n+1) x (n+1) zero buffer at the rows and columns of its slots, so the
-    padding's entries land in the spare last row and column, and the
-    leading n x n view is returned.  `f` maps an array of eigenvalues to an array of the same
-    shape and may raise to reject them.
+    Each block is ``q f(w) q'`` from one `sym_eigen` call on the stack,
+    symmetrized, its padding rows and columns exact zeros; `f` maps
+    `diag`, each of whose entries is its own eigenvalue.  `f` maps an
+    array of eigenvalues to an array of the same shape and may raise to
+    reject them.
     """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    slots = _partition(n, label)
-    w, q = sym_eigen(_stack(a, slots))
-    real = (slots < n)[:, ::-1]  # descending: the padding's sentinels first
+    w, q = sym_eigen(_padded(a))
+    pad = a.slots == a.shape[0]
+    real = ~pad[:, ::-1]  # descending: the padding's sentinels first
     fw = np.zeros_like(w)
     fw[real] = f(w[real])
-    out = np.zeros((n + 1, n + 1))
-    out[slots[:, :, None], slots[:, None, :]] = _symmetrize(
-        (q * fw[:, None, :]) @ np.swapaxes(q, -1, -2))
-    return out[:n, :n]
+    q[pad] = 0.0  # so the rebuild is an exact zero in the padding
+    stack = _symmetrize((q * fw[:, None, :]) @ np.swapaxes(q, -1, -2))
+    return BlockDiagonal(f(a.diag), a.slots, stack)
 
 
-def inv_sqrt_psd(a: np.ndarray, floor: float, label=None) -> np.ndarray:
+def inv_sqrt_psd(a: BlockDiagonal, floor: float) -> BlockDiagonal:
     """Symmetric inverse square root with an eigenvalue floor.
 
     Eigenvalues below `floor` are clamped to it before inversion, so the
@@ -235,25 +232,25 @@ def inv_sqrt_psd(a: np.ndarray, floor: float, label=None) -> np.ndarray:
     """
     if floor <= 0:
         raise ValueError(f"floor must be positive, got {floor}")
-    return spectral_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor)), label=label)
+    return spectral_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor)))
 
 
-def psd_repair(a: np.ndarray, epsilon: float, label=None) -> np.ndarray:
+def psd_repair(a: BlockDiagonal, epsilon: float) -> BlockDiagonal:
     """Clip eigenvalues up to `epsilon`, preserving the diagonal when safe.
 
-    Returns `a`, which must be exactly symmetric, unchanged when it is
-    already sufficiently positive definite.  After clipping, the original
-    diagonal is restored only if doing so keeps the smallest eigenvalue at
-    or above epsilon / 2.  The result has the components of `a`, so
-    `label` serves all three eigen steps.
+    Returns `a`, whose stack must be exactly symmetric, unchanged when it
+    is already sufficiently positive definite.  After clipping, the
+    original diagonal is restored only if doing so keeps the smallest
+    eigenvalue at or above epsilon / 2.
     """
-    a = np.asarray(a, dtype=float)
-    w = spectrum(a, label)
+    w = spectrum(a)
     if not w.size or w[0] >= epsilon:
         return a
-    repaired = spectral_map(a, lambda w: np.maximum(w, epsilon), label)
-    with_diag = repaired.copy()
-    np.fill_diagonal(with_diag, np.diag(a))
-    if spectrum(with_diag, label)[0] >= epsilon / 2.0:
+    repaired = spectral_map(a, lambda w: np.maximum(w, epsilon))
+    on = np.arange(a.stack.shape[-1])
+    stack = repaired.stack.copy()
+    stack[:, on, on] = a.stack[:, on, on]
+    with_diag = BlockDiagonal(a.diag, a.slots, stack)
+    if spectrum(with_diag)[0] >= epsilon / 2.0:
         return with_diag
     return repaired

@@ -41,8 +41,8 @@ class FactorPanel:
         # T > p + 5 keeps v = T - p - 1 > 4, which the sum-type test needs.
         if t <= p + 5:
             raise TooFewObservations(f"need T > p + 5, got T={t}, p={p}")
-        if n < 2:
-            raise DimensionError(f"need at least 2 securities, got {n}")
+        if n < 3:  # the max tests' centering 2 log N - log log N needs N >= 3
+            raise TooFewObservations(f"need N >= 3, got N={n}")
         if not (np.isfinite(r).all() and np.isfinite(f).all()):
             raise DimensionError("panel contains non-finite entries")
         object.__setattr__(self, "returns", r)

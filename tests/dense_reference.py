@@ -11,11 +11,14 @@ tiles, the upper triangle mirrored, a unit diagonal), so the dense
 pipeline on it matches the pairs' bit for bit;
 ``correlation_scale(sample_cov(e, dof))`` is the same matrix from the
 covariance, equal to it up to rounding.
-Both thresholds hold the thresholded correlation on its active rows
-only, as `estimate_dependence` holds the inverse correlation root;
-`linalg` decomposes each connected component of those blocks apart, and
-`build_cov` returns the M2 covariance as a `BlockDiagonal`.  `densify`
-and `thresholded_dense` rebuild the N x N matrices from those blocks.
+The reference `hard_threshold` returns the thresholded correlation on
+its active rows only; `dependence.hard_threshold` returns it as a
+`BlockDiagonal`, one stack of its connected components, the form in
+which `linalg` repairs and roots it and `build_cov` returns the M2
+covariance.  ``np.asarray`` gives any `BlockDiagonal` as its N x N array;
+`blocks` goes the other way, gathering a dense matrix's components into
+a stack, and `thresholded_dense` is the repaired threshold as an N x N
+matrix.
 `dense_oracle` recomputes the estimate without the block form or the
 component split: the threshold on the whole correlation scale, then PSD
 repair, diagonal restoration, the eigenvalue floor and the precision
@@ -24,9 +27,7 @@ and the multiple-testing sum over `triu_indices`.  `dense_statistics`
 computes the five test statistics from it.  `max_stat_standardized` is
 MAX2 from an N x N root.  `dense_m2_cov` draws the M2 covariance as an
 N x N array and `gen_factors_vector` runs the factor recursion on
-3-vectors.  `components` labels a dense matrix's components; the
-`linalg` eigen helpers take those labels for a matrix with no decoupled
-row, such as an active block.
+3-vectors.  `components` labels a dense matrix's components.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ from alphatest.dependence import (
     EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, TILE_ROWS, MtCorrelation, _mt_cuts,
 )
 from alphatest.errors import DimensionError
-from alphatest.linalg import BlockDiagonal, edge_components, psd_repair
+from alphatest.linalg import BlockDiagonal, edge_components, layout, psd_repair
 from alphatest.ols import fit
 
 
@@ -129,21 +130,31 @@ def max_stat_standardized(t, omega_root):
     return float(np.max((omega_root @ t) ** 2))
 
 
-def densify(m):
-    """The N x N array of a `BlockDiagonal`."""
-    out = np.diag(np.asarray(m.diag, dtype=float))
-    out[np.ix_(m.active, m.active)] = m.block
-    return out
+def blocks(a):
+    """A symmetric matrix as a `BlockDiagonal` on the components of its nonzero
+    off-diagonal entries, laid out by `linalg.layout`: each slice gathered
+    from `a` as its block's principal submatrix, zero in the padding, and
+    the diagonal of `a` on the decoupled rows."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    slots = layout(components(a))
+    rows = np.minimum(slots, n - 1)
+    stack = a[rows[:, :, None], rows[:, None, :]]
+    pad = slots == n
+    stack[pad] = 0.0  # the padding rows,
+    np.swapaxes(stack, 1, 2)[pad] = 0.0  # and columns
+    return BlockDiagonal(np.diag(a).copy(), slots, stack)
 
 
 def thresholded_dense(sigma, t, delta):
     """`hard_threshold` of the correlation scale of `sigma` as an N x N
-    matrix, PSD-repaired, and the threshold used.  As in the estimate, the
-    repair runs on the active block alone, with that block's labels."""
+    matrix, PSD-repaired in block form as in the estimate, and the
+    threshold used."""
     corr = correlation_scale(sigma)
     block, active, used = hard_threshold(corr, t, delta)
-    repaired = psd_repair(block, PSD_EPS_FRAC, components(block))
-    return densify(BlockDiagonal(np.diag(corr), active, repaired)), used
+    thresholded = np.diag(np.diag(corr))
+    thresholded[np.ix_(active, active)] = block
+    return np.asarray(psd_repair(blocks(thresholded), PSD_EPS_FRAC)), used
 
 
 def dense_psd_repair(a, epsilon):

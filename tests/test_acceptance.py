@@ -38,7 +38,7 @@ from alphatest.harness import (
 from alphatest.linalg import annihilator
 from alphatest.ols import FactorPanel, fit
 from alphatest import rng as streams
-from dense_reference import thresholded_dense
+from dense_reference import blocks, thresholded_dense
 
 pytestmark = pytest.mark.acceptance
 
@@ -132,7 +132,7 @@ def _known_cov_sum_max_corr(n, draws, seed):
     """Null sum/max correlation with no estimation: the sum and the max of
     the same squared N(0, R) coordinates, R Model 3's true correlation."""
     sigma = build_cov("M3", n, np.random.default_rng(0))
-    root = cov_sqrt(correlation_from_cov(sigma))
+    root = np.asarray(cov_sqrt(correlation_from_cov(blocks(sigma))))
     z = np.random.default_rng(seed).standard_normal((draws, n)) @ root
     sq = z**2
     return float(np.corrcoef(sq.sum(axis=1), sq.max(axis=1))[0, 1])
@@ -287,8 +287,9 @@ def test_criterion_8_precision_root_identity():
     e = rng.standard_normal((20, 400))
     sigma = sample_cov(e, 396)
     thresholded, _ = thresholded_dense(sigma, 400, 3.0)
-    r_hat = correlation_from_cov(thresholded)
-    root = precision_root(r_hat, floor=1e-8)
+    r_hat = correlation_from_cov(blocks(thresholded))
+    root = np.asarray(precision_root(r_hat, floor=1e-8))
+    r_hat = np.asarray(r_hat)
     err = np.abs(root @ r_hat @ root - np.eye(20)).max()
     check("8b", "inverse correlation root recovers the identity",
           err < 1e-6, f"max |root R root - I| {err:.2e} < 1e-6")

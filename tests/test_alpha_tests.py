@@ -200,6 +200,14 @@ class TestChisq4:
         got = np.array([chisq4_quantile(float(g)) for g in gammas])
         np.testing.assert_allclose(got, chi2.isf(gammas, 4), rtol=2e-15, atol=0.0)
 
+    def test_quantile_near_one(self):
+        # u - log1p(u) cancels for small u; its series keeps the quantile
+        # accurate all the way to the largest level below 1
+        gammas = np.concatenate([np.geomspace(1e-300, 0.5, 500),
+                                 1.0 - np.geomspace(0.5, 2.0**-53, 500)])
+        got = np.array([chisq4_quantile(float(g)) for g in gammas])
+        np.testing.assert_allclose(got, chi2.isf(gammas, 4), rtol=1e-14, atol=0.0)
+
     @pytest.mark.parametrize("gamma", [1e-300, 1e-100, 0.9999, 1.0 - 1e-12])
     def test_quantile_at_extreme_levels(self, gamma):
         # the Newton loop ends on these too, at the quantile

@@ -161,6 +161,18 @@ class TestCmdTest:
             f"error: {rpath}: field larger than field limit (131072)\n")
         assert not out.exists()
 
+    def test_two_securities_exit_io(self, tmp_path, capsys):
+        # the max tests need N >= 3: an input fault, as too few periods is
+        rpath, fpath = null_panel_files(tmp_path, n=3, seed=3)
+        rows = [line.split(",")[:2] for line in rpath.read_text().splitlines()]
+        rpath.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == "error: need N >= 3, got N=2\n"
+        assert not out.exists()
+
     def test_collinear_factors_exit_numeric(self, tmp_path):
         rpath, fpath = null_panel_files(tmp_path, seed=4)
         lines = fpath.read_text().splitlines()

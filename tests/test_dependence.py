@@ -2,6 +2,7 @@ import functools
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,14 +30,14 @@ from alphatest.dependence import (
 from alphatest.dgp import build_cov, cov_sqrt, gen_errors
 from alphatest.errors import NonPositiveDiagonal
 from alphatest.harness import ScenarioConfig, simulate_panel
-from alphatest.linalg import edge_components, inv_sqrt_psd, psd_repair
+from alphatest.linalg import inv_sqrt_psd, psd_repair
 from alphatest.ols import FactorPanel, fit
 from dense_reference import (
+    blocks,
     components,
     correlation_scale,
     dense_oracle,
     dense_statistics,
-    densify,
     hard_threshold,
     max_stat_standardized,
     mt_rho_bar_sq,
@@ -122,35 +123,37 @@ class TestHardThreshold:
 
 class TestCorrelationFromCov:
     def test_worked_example(self):
-        r = correlation_from_cov(np.array([[4.0, 3.0], [3.0, 9.0]]))
+        r = np.asarray(correlation_from_cov(blocks(np.array([[4.0, 3.0], [3.0, 9.0]]))))
         assert np.isclose(r[0, 1], 0.5)
         assert np.allclose(np.diag(r), 1.0)
 
     def test_nonpositive_diagonal_raises(self):
         with pytest.raises(NonPositiveDiagonal):
-            correlation_from_cov(np.array([[0.0, 0.1], [0.1, 1.0]]))
+            correlation_from_cov(blocks(np.array([[0.0, 0.1], [0.1, 1.0]])))
+        with pytest.raises(NonPositiveDiagonal):  # a decoupled row
+            correlation_from_cov(blocks(np.diag([1.0, 0.0, 2.0])))
 
 
 class TestPrecisionRoot:
     def test_two_by_two(self):
         r = np.array([[1.0, 0.7], [0.7, 1.0]])
-        root = precision_root(r, floor=1e-10)
+        root = np.asarray(precision_root(blocks(r), floor=1e-10))
         expect = np.array([[1.296353, -0.529389], [-0.529389, 1.296353]])
         assert np.abs(root - expect).max() < 1e-6
 
     def test_recovers_identity_equicorrelation(self):
         n, rho = 5, 0.3
         r = np.full((n, n), rho) + (1 - rho) * np.eye(n)
-        root = precision_root(r, floor=1e-10)
+        root = np.asarray(precision_root(blocks(r), floor=1e-10))
         assert np.abs(root @ r @ root - np.eye(n)).max() < 1e-8
 
     def test_identity_recovery_well_conditioned(self):
         rng = np.random.default_rng(4)
         b = rng.standard_normal((10, 40))
-        r = correlation_from_cov(sample_cov(b, 37))
+        r = np.asarray(correlation_from_cov(blocks(sample_cov(b, 37))))
         floor = 1e-8
         if np.linalg.eigvalsh(r)[0] >= floor:
-            root = precision_root(r, floor=floor)
+            root = np.asarray(precision_root(blocks(r), floor=floor))
             assert np.abs(root @ r @ root - np.eye(10)).max() < 1e-6
 
 
@@ -270,9 +273,14 @@ class TestCorrelationPairs:
         assert dependence.mt_rho_bar_sq(correlation_pairs(e, cut), 26, 0.05, 1.0) == want
 
 
+def coupled(m):
+    """The rows of a `BlockDiagonal`'s blocks, block by block."""
+    return m.slots[m.slots < m.shape[0]]
+
+
 def test_estimate_labels_components_once(monkeypatch):
-    # the active block is labelled once, from the surviving pairs; repair,
-    # the floor's spectrum and the root reuse that labelling
+    # the N rows are labelled once, from the surviving pairs; repair,
+    # the floor's spectrum and the root reuse that layout
     res = fit(simulate_panel(ScenarioConfig(n=200, t=100, cov_model="M1", seed=101), 0, 0))
     calls = []
     for module in (dependence, linalg):
@@ -282,8 +290,8 @@ def test_estimate_labels_components_once(monkeypatch):
 
         monkeypatch.setattr(module, "edge_components", counted)
     dep = estimate_dependence(res.residuals, res.dof, 100, 3.0, 0.05, 1.0)
-    assert dep.repaired and dep.root.active.size > 32
-    assert calls == [dep.root.active.size]
+    assert dep.repaired and coupled(dep.root).size > 32
+    assert calls == [200]
 
 
 class TestEstimateDependence:
@@ -293,11 +301,12 @@ class TestEstimateDependence:
         dep = estimate_dependence(e, 56, 60, 3.0, 0.05, 1.0)
         sigma_hat = sample_cov(e, 56)
         thresholded, _ = thresholded_dense(sigma_hat, 60, 3.0)
-        r_hat = correlation_from_cov(thresholded)
+        r_hat = np.asarray(correlation_from_cov(blocks(thresholded)))
         corr = tiled_correlation(e)
-        for mat in (sigma_hat, thresholded, r_hat, densify(dep.root), corr):
+        for mat in (sigma_hat, thresholded, r_hat, np.asarray(dep.root), corr):
             assert mat.shape == (12, 12)
-        assert dep.root.block.shape == (dep.root.active.size, dep.root.active.size)
+        c, m = dep.root.slots.shape
+        assert dep.root.stack.shape == (c, m, m)
         # the pairs are the correlation scale's upper-triangle entries at the cut
         assert (dep.pairs.i < dep.pairs.j).all()
         assert dep.pairs.rho.tobytes() == corr[dep.pairs.i, dep.pairs.j].tobytes()
@@ -310,7 +319,7 @@ class TestEstimateDependence:
         rng = np.random.default_rng(6)
         e = rng.standard_normal((20, 80))
         dep = estimate_dependence(e, 76, 80, 3.0, 0.05, 1.0)
-        omega_root = densify(dep.root)
+        omega_root = np.asarray(dep.root)
         assert np.allclose(omega_root, omega_root.T)
 
 
@@ -343,10 +352,10 @@ def test_eigen_call_count_does_not_depend_on_the_block(monkeypatch):
     paired[1] = 0.8 * e[0] + 0.6 * e[1]
     empty, empty_calls = _eigen_calls(monkeypatch, e)
     pair, pair_calls = _eigen_calls(monkeypatch, paired)
-    assert (empty.root.active.size, pair.root.active.size) == (0, 2)
+    assert (coupled(empty.root).size, coupled(pair.root).size) == (0, 2)
     assert empty_calls == pair_calls == {"eigh": 1, "eigvalsh": 2}
-    assert empty.root.block.shape == (0, 0) and pair.root.active.tolist() == [0, 1]
-    np.testing.assert_array_equal(densify(empty.root), np.eye(40))
+    assert empty.root.stack.shape == (1, 0, 0) and pair.root.slots.tolist() == [[0, 1]]
+    np.testing.assert_array_equal(np.asarray(empty.root), np.eye(40))
 
 
 def _many_components_cov(n, chains):
@@ -390,7 +399,7 @@ def test_eigen_call_count_on_a_repaired_panel(monkeypatch):
 def _omega_root_error(n, t, seed):
     """Max-entry error of the estimated inverse correlation root vs truth."""
     sigma = build_cov("M1", n, np.random.default_rng(0))
-    truth = inv_sqrt_psd(correlation_from_cov(sigma), 1e-10)
+    truth = np.asarray(inv_sqrt_psd(correlation_from_cov(blocks(sigma)), 1e-10))
     rng = np.random.default_rng(seed)
     root = cov_sqrt(sigma)
     eps = gen_errors(root, "normal", t, rng)
@@ -400,7 +409,7 @@ def _omega_root_error(n, t, seed):
     res = fit(panel)
     sigma_hat = sample_cov(res.residuals, res.dof)
     thresholded, _ = thresholded_dense(sigma_hat, t, 3.0)
-    est = precision_root(correlation_from_cov(thresholded), floor=1e-6)
+    est = np.asarray(precision_root(correlation_from_cov(blocks(thresholded)), floor=1e-6))
     return np.abs(est - truth).max()
 
 
@@ -430,8 +439,12 @@ class TestBlockForm:
 
     def test_empty_precision_root(self, monkeypatch):
         calls = _count_solver_calls(monkeypatch)
-        assert precision_root(np.empty((0, 0)), 1.0).shape == (0, 0)
+        assert precision_root(blocks(np.empty((0, 0))), 1.0).shape == (0, 0)
         assert calls == {"eigh": 1, "eigvalsh": 0}
+        # decoupled rows alone: one call on the empty stack, the rows in closed form
+        root = precision_root(blocks(np.eye(3)), 4.0)
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+        np.testing.assert_array_equal(np.asarray(root), np.eye(3) / 2.0)
 
 
 def _residuals_with_cov(cov, dof, t, seed=0):
@@ -477,7 +490,7 @@ def _assert_rel(a, b, rtol=1e-12):
         dep.repaired and not np.array_equal(np.diag(repaired), np.diag(corr)))),
     (_spiked_cov, lambda dep, repaired, corr: dep.floor > 1.0),
     (_low_variance_cov, lambda dep, repaired, corr: (
-        dep.root.active.tolist() == [3, 9] and not dep.repaired)),
+        dep.root.slots.tolist() == [[3, 9]] and not dep.repaired)),
 ], ids=["restore-fails", "floor-above-one", "low-variance-row"])
 def test_block_matches_dense_on_engineered_cases(make_cov, check):
     n, t, dof = 40, 100, 96
@@ -485,9 +498,9 @@ def test_block_matches_dense_on_engineered_cases(make_cov, check):
     dep = estimate_dependence(e, dof, t, 3.0, 0.05, 1.0)
     _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
     assert check(dep, repaired, tiled_correlation(e))
-    assert dep.root.active.size < n
+    assert coupled(dep.root).size < n
     # the oracle decomposes the whole N x N matrix, so it rounds differently
-    assert np.abs(densify(dep.root) - root).max() <= 1e-12 * np.abs(root).max()
+    assert np.abs(np.asarray(dep.root) - root).max() <= 1e-12 * np.abs(root).max()
     tr = np.random.default_rng(1).standard_normal(n) * 3.0
     _assert_rel(float(np.max((dep.root @ tr) ** 2)), max_stat_standardized(tr, root))
 
@@ -502,8 +515,8 @@ def test_low_variance_row_is_a_unit_row():
     unit_cov[7, 7] = 1.0
     unit_e = _residuals_with_cov(unit_cov, dof, t)
     unit = estimate_dependence(unit_e, dof, t, 3.0, 0.05, 1.0)
-    np.testing.assert_array_equal(low.root.active, unit.root.active)
-    np.testing.assert_array_equal(densify(low.root), densify(unit.root))
+    np.testing.assert_array_equal(low.root.slots, unit.root.slots)
+    np.testing.assert_array_equal(np.asarray(low.root), np.asarray(unit.root))
     assert (low.floor, low.threshold_used, low.repaired) == \
         (unit.floor, unit.threshold_used, unit.repaired)
     np.testing.assert_allclose(tiled_correlation(low_e), tiled_correlation(unit_e),
@@ -564,7 +577,7 @@ def test_decoupled_rows_are_closed_form():
     for dep in _batch_estimates():
         n = dep.pairs.n
         out = dep.root @ np.eye(n)
-        free = np.delete(np.arange(n), dep.root.active)
+        free = np.delete(np.arange(n), coupled(dep.root))
         off = np.zeros((n, n), dtype=bool)
         off[free, :] = off[:, free] = True
         np.fill_diagonal(off, False)
@@ -580,13 +593,14 @@ def test_block_spectrum_reaches_one():
     # empty block
     nonempty = 0
     for dep in _batch_estimates():
-        block, active, edges = dependence.hard_threshold(dep.pairs, dep.threshold_used)
-        label = edge_components(active.size, *edges)
-        w = linalg.spectrum(correlation_from_cov(psd_repair(block, PSD_EPS_FRAC, label)), label)
-        if active.size:
+        thresholded, _ = dependence.hard_threshold(dep.pairs, dep.threshold_used)
+        r_hat = correlation_from_cov(psd_repair(thresholded, PSD_EPS_FRAC))
+        # the stack's eigenvalues, the decoupled rows set to 0
+        w = linalg.spectrum(replace(r_hat, diag=np.zeros(dep.pairs.n)))
+        if coupled(r_hat).size:
             assert w[-1] >= 1.0
             nonempty += 1
-        assert dep.floor == EIGEN_FLOOR_FRAC * (w[-1] if active.size else 1.0)
+        assert dep.floor == EIGEN_FLOOR_FRAC * (w[-1] if coupled(r_hat).size else 1.0)
     assert nonempty >= 10
 
 
@@ -595,10 +609,11 @@ def _assert_exactly_symmetric(residuals, t, delta):
     # each stage must hand the next an exactly symmetric matrix
     corr = tiled_correlation(residuals)
     block, _, used = hard_threshold(corr, t, delta)
-    pairs_block, _, _ = dependence.hard_threshold(correlation_pairs(residuals, used), used)
-    repaired = psd_repair(block, PSD_EPS_FRAC)
-    for x in (corr, block, pairs_block, repaired, correlation_from_cov(repaired)):
-        assert np.array_equal(x, x.T)
+    thresholded, _ = dependence.hard_threshold(correlation_pairs(residuals, used), used)
+    repaired = psd_repair(thresholded, PSD_EPS_FRAC)
+    for x in (corr, block, thresholded.stack, repaired.stack,
+              correlation_from_cov(repaired).stack):
+        assert np.array_equal(x, np.swapaxes(x, -1, -2))
 
 
 @pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS)
@@ -609,22 +624,28 @@ def test_pipeline_exactly_symmetric_on_panels(model, n, m, delta):
 
 @pytest.mark.parametrize("model,n,m,delta", BLOCK_PANELS + [("AR1", 1000, 0, 3.0)])
 def test_pair_pipeline_matches_dense_threshold_and_mt(model, n, m, delta):
-    # the block, active rows and MT estimate from the pairs are bit for bit
-    # those of the dense pipeline on the whole correlation scale, and the
-    # labels from the surviving pairs are the block's components
+    # the thresholded matrix, coupled rows and MT estimate from the pairs are
+    # bit for bit those of the dense pipeline on the whole correlation
+    # scale, the labels from the surviving pairs are its components, and
+    # its stack is theirs gathered from the dense matrix
     panel = _block_panel(model, n, m)
     res = fit(panel)
     corr = tiled_correlation(res.residuals)
     dense_block, dense_active, used = hard_threshold(corr, panel.n_periods, delta)
+    dense = np.eye(n)
+    dense[np.ix_(dense_active, dense_active)] = dense_block
     dep = estimate_dependence(res.residuals, res.dof, panel.n_periods, delta, 0.05, 1.0)
-    block, active, edges = dependence.hard_threshold(dep.pairs, used)
+    thresholded, label = dependence.hard_threshold(dep.pairs, used)
     assert dep.threshold_used == used
-    np.testing.assert_array_equal(active, dense_active)
-    np.testing.assert_array_equal(dep.root.active, dense_active)
-    assert block.tobytes() == dense_block.tobytes()
-    label = edge_components(active.size, *edges)
-    np.testing.assert_array_equal(label, components(block))
-    _, ref = connected_components(block != 0, directed=False)
+    np.testing.assert_array_equal(np.flatnonzero(label >= 0), dense_active)
+    np.testing.assert_array_equal(np.sort(coupled(dep.root)), dense_active)
+    assert np.asarray(thresholded).tobytes() == dense.tobytes()
+    gathered = blocks(dense)
+    np.testing.assert_array_equal(thresholded.slots, gathered.slots)
+    assert thresholded.stack.tobytes() == gathered.stack.tobytes()
+    np.testing.assert_array_equal(label, components(dense))
+    _, ref = connected_components(dense != 0, directed=False)
+    label, ref = label[dense_active], ref[dense_active]
     pairs_of_labels = np.unique(np.stack([label, ref]), axis=1).shape[1]
     assert pairs_of_labels == np.unique(label).size == np.unique(ref).size  # one partition
     assert dependence.mt_rho_bar_sq(dep.pairs, res.dof, 0.05, 1.0) == \
@@ -641,20 +662,43 @@ def test_tiled_correlation_matches_the_covariance_scale(model, n, m):
     assert np.abs(tiled_correlation(res.residuals) - want).max() <= 1e-14
 
 
-def test_estimate_forms_no_n_by_n_array():
-    # N=3000 AR(1) residuals: a quarter of one N x N array of doubles bounds
-    # the estimate's traced peak (the covariance alone took all of it); at
-    # threshold constant 2.7 hundreds of rows are active and repair fires
-    n = 3000
-    res = fit(FactorPanel(*cli_panel(2, 0, n=n, t=100)))
+@functools.cache
+def _ar1_fit():
+    """OLS fit of the benchmark's CLI panel at N=3000, T=100: AR(1) errors
+    across securities at rho = 0.7."""
+    return fit(FactorPanel(*cli_panel(2, 0, n=3000, t=100)))
+
+
+def _traced_estimate(delta):
+    """`estimate_dependence` of `_ar1_fit` at threshold constant `delta`, and
+    its tracemalloc peak in bytes."""
+    res = _ar1_fit()
     tracemalloc.start()
     try:
-        dep = estimate_dependence(res.residuals, res.dof, 100, 2.7, 0.05, 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        dep = estimate_dependence(res.residuals, res.dof, 100, delta, 0.05, 1.0)
+        return dep, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dep.root.active.size > 100 and dep.repaired
+
+
+def test_estimate_forms_no_n_by_n_array():
+    # a quarter of one N x N array of doubles bounds the estimate's traced
+    # peak (the covariance alone took all of it); at threshold constant 2.7
+    # hundreds of rows are coupled and repair fires
+    n = 3000
+    dep, peak = _traced_estimate(2.7)
+    assert coupled(dep.root).size > 100 and dep.repaired
     assert peak < n * n * 8 / 4
+
+
+def test_low_threshold_estimate_stays_small():
+    # at threshold constant 2.4 over 2,000 of the 3000 rows are coupled, in
+    # hundreds of components of a few dozen rows at most; their stack takes
+    # a few MB where a dense block of the coupled rows took 49 MB, and the
+    # whole estimate peaked at 205 MB
+    dep, peak = _traced_estimate(2.4)
+    assert coupled(dep.root).size > 2000
+    assert peak < 25e6
 
 
 @pytest.mark.parametrize("make_cov", [_chain_cov, _spiked_cov, _low_variance_cov],

@@ -15,15 +15,15 @@ from alphatest.dgp import (
 )
 from alphatest.errors import DimensionError, NotPositiveDefinite
 from alphatest.harness import ScenarioConfig, simulate_panel
-from alphatest.linalg import BlockDiagonal, spectral_map, sym_eigen
+from alphatest.linalg import BlockDiagonal, sym_eigen
 from alphatest.ols import fit
-from dense_reference import dense_m2_cov, densify, gen_factors_vector
+from dense_reference import dense_m2_cov, gen_factors_vector
 
 
 def dense_cov(kind, n, rng):
     """`build_cov` as an N x N array (M2 is drawn in block form)."""
     sigma = build_cov(kind, n, rng)
-    return densify(sigma) if isinstance(sigma, BlockDiagonal) else sigma
+    return np.asarray(sigma)
 
 
 class FixedNormals:
@@ -196,18 +196,19 @@ class TestCovSqrt:
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         root = cov_sqrt(sigma)
         monkeypatch.undo()
-        dense = sigma.block if kind == "M2" else sigma
+        dense = sigma.stack[0] if kind == "M2" else sigma
         w, q = sym_eigen(dense)
         want = (q * np.sqrt(w)) @ q.T
-        np.testing.assert_array_equal(root.block if kind == "M2" else root, (want + want.T) / 2.0)
-        assert calls == [dense.shape]
+        np.testing.assert_array_equal(root.stack[0] if kind == "M2" else root,
+                                      (want + want.T) / 2.0)
+        assert calls == [sigma.stack.shape if kind == "M2" else dense.shape]
 
     def test_m2_root_stays_on_the_spikes(self):
         n = 500
         sigma = dense_cov("M2", n, np.random.default_rng(2))
         spikes = np.flatnonzero(np.count_nonzero(sigma, axis=1) > 1)
         assert spikes.size == int(n**dgp.SPIKE_EXPONENT)
-        root = densify(cov_sqrt(build_cov("M2", n, np.random.default_rng(2))))
+        root = np.asarray(cov_sqrt(build_cov("M2", n, np.random.default_rng(2))))
         outside = ~np.eye(n, dtype=bool)
         outside[np.ix_(spikes, spikes)] = False
         assert (root[outside] == 0.0).all()
@@ -223,8 +224,8 @@ class TestM2BlockForm:
         for seed in range(5):
             block = build_cov("M2", n, np.random.default_rng(seed))
             dense = dense_m2_cov(n, np.random.default_rng(seed))
-            np.testing.assert_array_equal(densify(block), dense)
-            assert block.active.size == int(n**dgp.SPIKE_EXPONENT)
+            np.testing.assert_array_equal(np.asarray(block), dense)
+            assert block.slots.shape == (1, int(n**dgp.SPIKE_EXPONENT))
 
     @pytest.mark.parametrize("n", M2_SIZES)
     def test_root_matches_dense_root(self, n):
@@ -232,10 +233,12 @@ class TestM2BlockForm:
             sigma = build_cov("M2", n, np.random.default_rng(seed))
             root = cov_sqrt(sigma)
             assert isinstance(root, BlockDiagonal)
-            # the spike block is rooted as `spectral_map` roots one component,
+            # the spike block is rooted as a dense matrix is, bit for bit,
             # every other row in closed form
-            np.testing.assert_array_equal(root.active, sigma.active)
-            np.testing.assert_array_equal(root.block, spectral_map(sigma.block, np.sqrt))
+            np.testing.assert_array_equal(root.slots, sigma.slots)
+            w, q = sym_eigen(sigma.stack[0])
+            want = (q * np.sqrt(w)) @ q.T
+            np.testing.assert_array_equal(root.stack[0], (want + want.T) / 2.0)
             np.testing.assert_array_equal(root.diag, np.sqrt(sigma.diag))
 
     @pytest.mark.parametrize("dist", dgp.ERROR_DISTS)
@@ -245,21 +248,22 @@ class TestM2BlockForm:
         n, t = 500, 100
         root = cov_sqrt(build_cov("M2", n, np.random.default_rng(6)))
         block = gen_errors(root, dist, t, np.random.default_rng(7))
-        dense = gen_errors(densify(root), dist, t, np.random.default_rng(7))
-        free = np.delete(np.arange(n), root.active)
+        dense = gen_errors(np.asarray(root), dist, t, np.random.default_rng(7))
+        spikes = root.slots[0]
+        free = np.delete(np.arange(n), spikes)
         np.testing.assert_array_equal(block[free], dense[free])
-        spikes = root.active
         scale = np.abs(dense[spikes]).max()
         assert np.abs(block[spikes] - dense[spikes]).max() <= 1e-12 * scale
 
     def test_indefinite_block_raises(self):
-        sigma = BlockDiagonal(np.ones(4), np.array([1, 2]), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        sigma = BlockDiagonal(np.ones(4), np.array([[1, 2]]),
+                              np.array([[[1.0, 2.0], [2.0, 1.0]]]))
         with pytest.raises(NotPositiveDefinite):
             cov_sqrt(sigma)
 
     def test_nonpositive_diagonal_raises(self):
         block = np.array([[2.0, 0.5], [0.5, 2.0]])
-        sigma = BlockDiagonal(np.array([2.0, 2.0, -1.0]), np.array([0, 1]), block)
+        sigma = BlockDiagonal(np.array([2.0, 2.0, -1.0]), np.array([[0, 1]]), block[None])
         with pytest.raises(NotPositiveDefinite):
             cov_sqrt(sigma)
 

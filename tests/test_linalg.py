@@ -7,12 +7,13 @@ from scipy.sparse.csgraph import connected_components
 from alphatest.dependence import EIGEN_FLOOR_FRAC, precision_root
 from alphatest.dgp import cov_sqrt
 from alphatest.errors import DimensionError, SingularDesign
-from dense_reference import components, densify
+from dense_reference import blocks, components
 from alphatest.linalg import (
     BlockDiagonal,
     annihilator,
     edge_components,
     inv_sqrt_psd,
+    layout,
     psd_repair,
     spectral_map,
     spectrum,
@@ -93,7 +94,7 @@ class TestInvSqrtPsd:
     def test_two_by_two_correlation(self):
         # rho = 0.7 has eigenvalues 1.7 and 0.3; entries (1/sqrt(1.7) +- 1/sqrt(0.3))/2
         a = np.array([[1.0, 0.7], [0.7, 1.0]])
-        root = inv_sqrt_psd(a, 1e-12)
+        root = np.asarray(inv_sqrt_psd(blocks(a), 1e-12))
         assert np.isclose(root[0, 0], 1.296353, atol=1e-6)
         assert np.isclose(root[1, 1], 1.296353, atol=1e-6)
         assert np.isclose(root[0, 1], -0.529389, atol=1e-6)
@@ -103,30 +104,30 @@ class TestInvSqrtPsd:
         rng = np.random.default_rng(6)
         b = rng.standard_normal((9, 9))
         a = b @ b.T + 0.5 * np.eye(9)
-        root = inv_sqrt_psd(a, 1e-8)
+        root = np.asarray(inv_sqrt_psd(blocks(a), 1e-8))
         assert np.abs(root @ a @ root - np.eye(9)).max() < 1e-8
 
     def test_floor_clamps(self):
         a = np.diag([4.0, 1e-12])
-        root = inv_sqrt_psd(a, 0.25)
+        root = np.asarray(inv_sqrt_psd(blocks(a), 0.25))
         assert np.isclose(root[1, 1], 2.0, atol=1e-10)
 
     def test_nonpositive_floor_raises(self):
         with pytest.raises(ValueError):
-            inv_sqrt_psd(np.eye(2), 0.0)
+            inv_sqrt_psd(blocks(np.eye(2)), 0.0)
 
 
 class TestPsdRepair:
     def test_already_pd_unchanged(self):
-        a = np.array([[2.0, 0.3], [0.3, 1.0]])
-        assert np.array_equal(psd_repair(a, 1e-4), a)
+        a = blocks(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert psd_repair(a, 1e-4) is a
 
     def test_indefinite_repaired(self):
         rng = np.random.default_rng(7)
         a = random_symmetric(6, 7)
         a -= (np.linalg.eigvalsh(a)[0] + 0.5) * np.eye(6) * 0  # keep indefinite
         eps = 1e-3
-        repaired = psd_repair(a, eps)
+        repaired = np.asarray(psd_repair(blocks(a), eps))
         assert np.linalg.eigvalsh(repaired)[0] >= eps / 2.0 - 1e-12
         assert np.allclose(repaired, repaired.T)
 
@@ -134,31 +135,28 @@ class TestPsdRepair:
         calls = []
         solver = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solver(a))
-        assert psd_repair(np.empty((0, 0)), 0.1).shape == (0, 0)
+        assert psd_repair(blocks(np.empty((0, 0))), 0.1).shape == (0, 0)
         assert len(calls) == 1 and np.prod(calls[0]) == 0  # one call, on an empty input
 
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_min_eigenvalue_bounded(self, seed):
         a = random_symmetric(6, seed)
-        repaired = psd_repair(a, 1e-2)
+        repaired = np.asarray(psd_repair(blocks(a), 1e-2))
         assert np.linalg.eigvalsh(repaired)[0] >= 5e-3 - 1e-12
 
 
 @st.composite
-def block_layouts(draw, decoupled=True):
+def block_layouts(draw):
     """(seed, blocks, decoupled count): up to six small blocks of 2-6 rows,
     at times one block of 12 or 40 rows, each block a (size, chain) pair;
-    at least two rows in all.  With `decoupled`, up to five decoupled rows,
-    and half the layouts have 32 more; without it, none and one block at
-    least, as the eigen helpers take a matrix."""
-    sizes = draw(st.lists(st.integers(2, 6), min_size=0 if decoupled else 1, max_size=6))
+    up to five decoupled rows, and half the layouts have 32 more; at least
+    two rows in all."""
+    sizes = draw(st.lists(st.integers(2, 6), min_size=0, max_size=6))
     sizes += [size for size in [draw(st.sampled_from([0, 0, 12, 40]))] if size]
     chains = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
-    n_free = 0
-    if decoupled:
-        n_free = draw(st.integers(max(0, 2 - sum(sizes)), 5))
-        n_free += draw(st.sampled_from([0, 32]))
+    n_free = draw(st.integers(max(0, 2 - sum(sizes)), 5))
+    n_free += draw(st.sampled_from([0, 32]))
     return draw(st.integers(0, 2**32 - 1)), tuple(zip(sizes, chains)), n_free
 
 
@@ -230,11 +228,11 @@ def solver_shapes(monkeypatch):
 class TestCoupledBlock:
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
-    def test_coupled_is_the_block(self, layout):
-        a, free, blocks = permuted_block_diagonal(*layout, definite=False)
+    def test_coupled_is_the_block(self, case):
+        a, free, parts = permuted_block_diagonal(*case, definite=False)
         label = components(a)
         np.testing.assert_array_equal(np.flatnonzero(label < 0), free)
-        for rows in blocks:
+        for rows in parts:
             np.testing.assert_array_equal(label[rows], rows.min())
         assert_same_partition(label, a)
 
@@ -273,19 +271,19 @@ class TestCoupledBlock:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 60),
            st.sampled_from(["dense", "hub", "hub_chain", "hub_one_triangle"]))
     @settings(max_examples=60, deadline=None)
-    def test_hub_matrix_is_one_component(self, seed, n, layout):
+    def test_hub_matrix_is_one_component(self, seed, n, pattern):
         # a row adjacent to every other row, its edges listed in either triangle
         rng = np.random.default_rng(seed)
         hub = rng.integers(n)
-        if layout == "dense":
+        if pattern == "dense":
             a = rng.uniform(0.5, 1.0, (n, n))
         else:
             a = np.eye(n)
             a[hub, :] = rng.uniform(0.5, 1.0, n)
-            if layout == "hub_chain":
+            if pattern == "hub_chain":
                 chain = rng.permutation(n)
                 a[chain[:-1], chain[1:]] = 1.0
-        if layout != "hub_one_triangle":
+        if pattern != "hub_one_triangle":
             a = a + a.T
         off = a != 0
         np.fill_diagonal(off, False)
@@ -300,126 +298,156 @@ class TestCoupledBlock:
     def test_one_stacked_call(self, solver_shapes):
         # three components of 2, 3 and 4 rows pad to one (3, 4, 4) stack,
         # in any row order
-        blocks = ((2, True), (3, False), (4, True))
+        parts = ((2, True), (3, False), (4, True))
         for seed in (3, 4):
-            a, _, _ = permuted_block_diagonal(seed, blocks, 0, True)
-            spectrum(a, components(a))
-            spectral_map(a, np.sqrt, components(a))
+            a, _, _ = permuted_block_diagonal(seed, parts, 0, True)
+            spectrum(blocks(a))
+            spectral_map(blocks(a), np.sqrt)
         assert solver_shapes == [(3, 4, 4)] * 4
 
     @pytest.mark.parametrize("helper", [
-        spectrum,
-        lambda a, label: spectral_map(a, np.sqrt, label),
-        lambda a, label: inv_sqrt_psd(a, 0.5, label),
-        lambda a, label: psd_repair(a, 0.1, label),
+        (spectrum, np.linalg.eigvalsh),
+        (lambda m: spectral_map(m, np.sqrt), lambda a: dense_map(a, np.sqrt)),
+        (lambda m: inv_sqrt_psd(m, 0.5),
+         lambda a: dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, 0.5)))),
+        (lambda m: psd_repair(m, 0.1), lambda a: a),
     ], ids=["spectrum", "spectral_map", "inv_sqrt_psd", "psd_repair"])
-    def test_decoupled_row_raises(self, solver_shapes, helper):
-        # a decoupled row belongs on the caller's BlockDiagonal diagonal,
-        # not in the helpers' stack
-        a, _, _ = permuted_block_diagonal(5, ((2, True), (3, False)), 1, True)
-        label = components(a)
-        assert (label < 0).sum() == 1
-        with pytest.raises(ValueError):
-            helper(a, label)
-        assert solver_shapes == []
+    def test_decoupled_row_stays_on_the_diagonal(self, solver_shapes, helper):
+        # a decoupled row is its own eigenvalue on the diagonal, outside the
+        # helpers' one stacked call, and stays a diagonal row of the result
+        a, free, _ = permuted_block_diagonal(5, ((2, True), (3, False)), 1, True)
+        m = blocks(a)
+        assert free.size == 1 and free[0] not in m.slots
+        fn, reference = helper
+        out = np.asarray(fn(m))
+        assert solver_shapes == [(2, 3, 3)]
+        assert_close(out, reference(a))
+        if out.ndim == 2:
+            assert (np.delete(out[free[0]], free[0]) == 0.0).all()
 
     @pytest.mark.parametrize("n_free", [0, 1, 32])
-    def test_no_label_is_one_component(self, solver_shapes, n_free):
-        # without labels the whole matrix is one (1, n, n) eigenproblem,
-        # its decoupled rows included
+    def test_whole_matrix_is_one_eigenproblem(self, solver_shapes, n_free):
+        # a matrix held as one block of all n rows is one (1, n, n)
+        # eigenproblem, its decoupled rows included
         a, _, _ = permuted_block_diagonal(5, ((2, True), (3, False)), n_free, True)
         n = a.shape[0]
-        w = spectrum(a)
-        out = spectral_map(a, np.sqrt)
+        whole = BlockDiagonal(np.diag(a).copy(), np.arange(n)[None], a[None].copy())
+        w = spectrum(whole)
+        out = spectral_map(whole, np.sqrt)
         assert solver_shapes == [(1, n, n)] * 2
         assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
-        assert_close(out, dense_map(a, np.sqrt))
-
-    @given(block_layouts(decoupled=False))
-    @settings(max_examples=40, deadline=None)
-    def test_spectrum(self, layout):
-        a, _, _ = permuted_block_diagonal(*layout, definite=False)
-        w = spectrum(a, components(a))
-        assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
-        assert (np.diff(w) >= 0).all()
-
-    @given(block_layouts(decoupled=False))
-    @settings(max_examples=40, deadline=None)
-    def test_spectral_map(self, layout):
-        a, _, _ = permuted_block_diagonal(*layout, definite=False)
-        cube = lambda w: w**3 - w  # noqa: E731
-        out = spectral_map(a, cube, components(a))
-        assert_close(out, dense_map(a, cube))
-
-    @given(block_layouts(decoupled=False))
-    @settings(max_examples=40, deadline=None)
-    def test_inv_sqrt_psd(self, layout):
-        a, _, _ = permuted_block_diagonal(*layout, definite=True)
-        floor = 0.8  # clamps part of the spectrum
-        out = inv_sqrt_psd(a, floor, components(a))
-        assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
-
-    @given(block_layouts(decoupled=False))
-    @settings(max_examples=40, deadline=None)
-    def test_precision_root(self, layout):
-        a, _, _ = permuted_block_diagonal(*layout, definite=True)
-        label = components(a)
-        used = EIGEN_FLOOR_FRAC * spectrum(a, label)[-1]
-        out = precision_root(a, used, label)
-        floor = EIGEN_FLOOR_FRAC * np.linalg.eigvalsh(a)[-1]
-        assert_close(out, dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
+        assert_close(np.asarray(out), dense_map(a, np.sqrt))
 
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
-    def test_cov_sqrt(self, layout):
-        # one eigenproblem of the whole matrix, so decoupled rows are not exact
-        a, _, _ = permuted_block_diagonal(*layout, definite=True)
+    def test_spectrum(self, case):
+        a, _, _ = permuted_block_diagonal(*case, definite=False)
+        w = spectrum(blocks(a))
+        assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
+        assert (np.diff(w) >= 0).all()
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_spectral_map(self, case):
+        a, _, _ = permuted_block_diagonal(*case, definite=False)
+        cube = lambda w: w**3 - w  # noqa: E731
+        out = spectral_map(blocks(a), cube)
+        assert_close(np.asarray(out), dense_map(a, cube))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_inv_sqrt_psd(self, case):
+        a, _, _ = permuted_block_diagonal(*case, definite=True)
+        floor = 0.8  # clamps part of the spectrum
+        out = inv_sqrt_psd(blocks(a), floor)
+        assert_close(np.asarray(out), dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_precision_root(self, case):
+        a, _, _ = permuted_block_diagonal(*case, definite=True)
+        used = EIGEN_FLOOR_FRAC * spectrum(blocks(a))[-1]
+        out = precision_root(blocks(a), used)
+        floor = EIGEN_FLOOR_FRAC * np.linalg.eigvalsh(a)[-1]
+        assert_close(np.asarray(out),
+                     dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor))))
+
+    @given(block_layouts())
+    @settings(max_examples=40, deadline=None)
+    def test_cov_sqrt(self, case):
+        # one eigenproblem of the whole matrix, so decoupled rows are not
+        # exact; in block form they are
+        a, _, _ = permuted_block_diagonal(*case, definite=True)
         assert_close(cov_sqrt(a), dense_map(a, np.sqrt))
+        assert_close(np.asarray(cov_sqrt(blocks(a))), dense_map(a, np.sqrt))
 
-    @given(block_layouts(decoupled=False))
+    @given(block_layouts())
     @settings(max_examples=40, deadline=None)
-    def test_psd_repair_idle(self, layout):
-        a, _, _ = permuted_block_diagonal(*layout, definite=True)
-        assert np.array_equal(psd_repair(a, 0.5 * np.linalg.eigvalsh(a)[0], components(a)), a)
+    def test_psd_repair_idle(self, case):
+        a, _, _ = permuted_block_diagonal(*case, definite=True)
+        m = blocks(a)
+        assert psd_repair(m, 0.5 * np.linalg.eigvalsh(a)[0]) is m
 
-    @given(block_layouts(decoupled=False))
+    @given(block_layouts())
     @settings(max_examples=40, deadline=None)
-    def test_psd_repair_fires(self, layout):
-        a, _, _ = permuted_block_diagonal(*layout, definite=False)
+    def test_psd_repair_fires(self, case):
+        a, _, _ = permuted_block_diagonal(*case, definite=False)
         eps = 0.3
-        label = components(a)
+        m = blocks(a)
         if np.linalg.eigvalsh(a)[0] >= eps:  # nothing to repair in this draw
-            assert np.array_equal(psd_repair(a, eps, label), a)
+            assert psd_repair(m, eps) is m
             return
-        out = psd_repair(a, eps, label)
+        out = psd_repair(m, eps)
         repaired = dense_map(a, lambda w: np.maximum(w, eps))
         with_diag = repaired.copy()
         np.fill_diagonal(with_diag, np.diag(a))
         restored = np.linalg.eigvalsh(with_diag)[0] >= eps / 2.0
-        assert_close(out, with_diag if restored else repaired)
+        assert_close(np.asarray(out), with_diag if restored else repaired)
+
+
+class TestLayout:
+    def test_components_and_decoupled_rows(self):
+        # components {1, 4}, {0, 2, 6} and {5, 7}; rows 3 and 8 decoupled
+        label = np.array([0, 1, 0, -1, 1, 5, 0, 5, -1])
+        np.testing.assert_array_equal(layout(label), [[0, 2, 6], [1, 4, 9], [5, 7, 9]])
+
+    def test_one_block_where_padding_costs_more(self):
+        # c * m**3 = 2 * 1000 >= 12**3: the 12 labelled rows form one block
+        label = np.array([0] * 10 + [-1, 11, 11])
+        np.testing.assert_array_equal(layout(label), [list(range(10)) + [11, 12]])
+        np.testing.assert_array_equal(layout(np.full(4, -1)), np.empty((1, 0)))
 
 
 class TestBlockDiagonal:
-    @pytest.mark.parametrize("active", [[], [2], [0, 3, 4]], ids=["empty", "one", "three"])
-    def test_product_matches_dense(self, active):
+    @pytest.mark.parametrize("slots", [[[]], [[2]], [[0, 3, 4]], [[0, 3, 4], [1, 6, 6]]],
+                             ids=["empty", "one", "three", "padded"])
+    def test_product_matches_dense(self, slots):
         # the diagonal rows are one product per entry, exact; block rows
-        # are the block's own product
+        # are each block's own product
         rng = np.random.default_rng(1)
-        active = np.array(active, dtype=int)
-        m = BlockDiagonal(rng.uniform(1.0, 2.0, 6), active,
-                          random_symmetric(active.size, 2))
+        slots = np.array(slots, dtype=int).reshape(len(slots), -1)
+        stack = np.array([random_symmetric(slots.shape[1], 2 + j) for j in range(len(slots))])
+        for j, row in enumerate(slots):
+            stack[j, row == 6] = stack[j, :, row == 6] = 0.0
+        m = BlockDiagonal(rng.uniform(1.0, 2.0, 6), slots, stack)
         assert m.shape == (6, 6)
-        free = np.delete(np.arange(6), active)
+        free = np.delete(np.arange(6), slots[slots < 6])
         for x in (rng.standard_normal(6), rng.standard_normal((6, 4))):
             out = m @ x
             assert out.shape == x.shape
-            np.testing.assert_array_equal(out[free], (densify(m) @ x)[free])
-            np.testing.assert_array_equal(out[active], m.block @ x[active])
+            np.testing.assert_array_equal(out[free], (np.asarray(m) @ x)[free])
+            for block, row in zip(stack, slots):
+                real = row < 6
+                np.testing.assert_array_equal(out[row[real]],
+                                              block[np.ix_(real, real)] @ x[row[real]])
 
     def test_diag_is_not_read_on_the_active_rows(self):
-        block = np.array([[2.0, 1.0], [1.0, 2.0]])
-        a = BlockDiagonal(np.array([5.0, 7.0, 3.0]), np.array([0, 1]), block)
-        b = BlockDiagonal(np.array([-9.0, 0.0, 3.0]), np.array([0, 1]), block)
+        block = np.array([[[2.0, 1.0], [1.0, 2.0]]])
+        a = BlockDiagonal(np.array([5.0, 7.0, 3.0]), np.array([[0, 1]]), block)
+        b = BlockDiagonal(np.array([-9.0, 0.0, 3.0]), np.array([[0, 1]]), block)
         x = np.array([1.0, -2.0, 4.0])
         np.testing.assert_array_equal(a @ x, [0.0, -3.0, 12.0])
         np.testing.assert_array_equal(b @ x, a @ x)
+        np.testing.assert_array_equal(np.asarray(b), [[2.0, 1.0, 0.0], [1.0, 2.0, 0.0],
+                                                      [0.0, 0.0, 3.0]])
+        np.testing.assert_array_equal(spectrum(b), [1.0, 3.0, 3.0])

@@ -41,8 +41,11 @@ class TestFactorPanel:
             FactorPanel(returns=np.zeros((5, 10)), factors=np.zeros((9, 2)))
 
     def test_too_few_securities(self):
-        with pytest.raises(DimensionError):
-            FactorPanel(returns=np.zeros((1, 10)), factors=np.zeros((10, 2)))
+        # the max tests' centering 2 log N - log log N needs N >= 3
+        for n in (0, 1, 2):
+            with pytest.raises(TooFewObservations, match=f"^need N >= 3, got N={n}$"):
+                FactorPanel(returns=np.zeros((n, 10)), factors=np.zeros((10, 2)))
+        FactorPanel(returns=np.zeros((3, 10)), factors=np.zeros((10, 2)))
 
     def test_too_short(self):
         # T > p + 5 keeps v > 4
@@ -50,7 +53,7 @@ class TestFactorPanel:
             FactorPanel(returns=np.zeros((3, 8)), factors=np.zeros((8, 3)))
 
     def test_period_rules_come_first(self):
-        # periods agree, then T > p + 5, then N >= 2, each with its own
+        # periods agree, then T > p + 5, then N >= 3, each with its own
         # DimensionError; a single security is not reached here
         with pytest.raises(ShapeMismatch, match="^returns have 10 periods but factors have 9$"):
             FactorPanel(returns=np.zeros((1, 10)), factors=np.zeros((9, 2)))
@@ -93,7 +96,7 @@ class TestFit:
         rng = np.random.default_rng(3)
         f = rng.standard_normal((15, 2))
         with pytest.raises(ZeroResidualVariance):
-            fit(FactorPanel(returns=np.full((2, 15), 1.5), factors=f))
+            fit(FactorPanel(returns=np.full((3, 15), 1.5), factors=f))
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e9])
     def test_exact_fit_raises_at_every_scale(self, scale):

@@ -268,7 +268,7 @@ class TestParserMatchesReference:
         else:
             assert got == want
 
-    @given(st.integers(2, 6).flatmap(lambda n: arrays(
+    @given(st.integers(3, 6).flatmap(lambda n: arrays(
         float, (n, 9), elements=st.floats(allow_nan=False, allow_infinity=False))),
         arrays(float, (9, 2), elements=st.floats(-1e6, 1e6)))
     @settings(max_examples=50, deadline=None)
