@@ -52,6 +52,8 @@ class TestConfig:
     use_adjusted_critical: bool = True
 
     def __post_init__(self):
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         for name in ("threshold_delta", "q_mt", "delta_mt"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -226,7 +228,7 @@ def run_all_detailed(
         "p": panel.n_factors,
         "v": v,
         "threshold_used": dep.threshold_used,
-        "coupled": int(np.count_nonzero(dep.root.slots < n)),
+        "coupled": dep.coupled,
         "components": dep.components,
         "largest_component": dep.largest_component,
         "repaired": dep.repaired,

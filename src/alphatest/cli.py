@@ -123,8 +123,8 @@ def _load_scenario(args) -> ScenarioConfig:
 
 
 def cmd_test(args) -> int:
-    panel = load_panel(args.returns, args.factors)
     config = ScenarioConfig().updated(_overrides(args)).test
+    panel = load_panel(args.returns, args.factors)
     results, diagnostics = run_all_detailed(panel, config)
     fields = ("statistic", "p_value", "reject", "critical_value")
     tests = {r.name: {name: getattr(r, name) for name in fields} for r in results}

@@ -94,6 +94,7 @@ class DependenceEstimate:
     floor: float  # eigenvalue floor of the root
     threshold_used: float
     repaired: bool  # PSD repair clipped an eigenvalue
+    coupled: int  # rows with a surviving off-diagonal correlation
     components: int  # connected components of the thresholded correlation's coupled rows
     largest_component: int  # rows in the largest of them
 
@@ -266,6 +267,7 @@ def estimate_dependence(
         floor=floor,
         threshold_used=threshold,
         repaired=repaired is not thresholded,
+        coupled=int(sizes.sum()),
         components=int(np.count_nonzero(sizes)),
         largest_component=int(sizes.max(initial=0)),
     )

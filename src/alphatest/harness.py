@@ -169,8 +169,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n_reps < 1:
             raise ValueError(f"need at least one replication, got {self.n_reps}")
-        if any(m > self.scenario.n for m in self.m_grid):
-            raise ValueError("m_grid entries must not exceed N")
+        if any(not 0 <= m <= self.scenario.n for m in self.m_grid):
+            raise ValueError(f"m_grid entries must be in 0..N={self.scenario.n}, got {self.m_grid}")
 
     @property
     def n_reps(self) -> int:

@@ -21,11 +21,13 @@ stack each, an empty one too, so call counts do not depend on the data.
 A sentinel above every Gershgorin bound on each padding slot's diagonal
 puts each component's eigenpairs first in its slice.
 
-Symmetry contract: `spectrum` and `psd_repair` take exactly symmetric
-stacks, as the thresholded correlation (a unit diagonal, each surviving
-pair written to both triangles) and `spectral_map`'s symmetrized rebuild
-are.  `sym_eigen` symmetrizes its input: it is the entry point for
-nearly symmetric products.
+Symmetry contract: every eigensolver input is exactly symmetric, and each
+call returns ``eigh``'s or ``eigvalsh``'s ascending order as is.  The
+thresholded correlation writes each surviving pair to both triangles,
+`spectral_map` symmetrizes its rebuild, `correlation_from_cov` scales by
+the symmetric d_i * d_j, and the simulator's covariances are symmetric
+as built (M1's rho**|i-j|, M3's tridiagonal form, M4's
+``outer + inv @ inv.T`` syrk and M2's spike block).
 """
 
 from dataclasses import dataclass
@@ -80,20 +82,10 @@ def annihilator(factors: np.ndarray) -> np.ndarray:
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a (nearly) symmetric matrix, or of each in a stack.
-
-    The input is symmetrized as (A + A') / 2 first, which absorbs the
-    accumulation error of upstream matrix products.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        Eigenvalues sorted in descending order, shape (..., n), and the
-        orthogonal matrices whose columns are the matching unit
-        eigenvectors, shape (..., n, n).
-    """
-    w, q = np.linalg.eigh(_symmetrize(np.asarray(a, dtype=float)))
-    return w[..., ::-1], q[..., ::-1]  # eigh returns them ascending
+    """``np.linalg.eigh`` of an exactly symmetric matrix, or of each in a stack:
+    the eigenvalues ascending, shape (..., n), and the orthogonal matrices
+    whose columns are the matching unit eigenvectors, shape (..., n, n)."""
+    return np.linalg.eigh(a)
 
 
 @dataclass(frozen=True)
@@ -205,20 +197,21 @@ def spectrum(a: BlockDiagonal) -> np.ndarray:
 
 
 def spectral_map(a: BlockDiagonal, f) -> BlockDiagonal:
-    """f(A) for a (nearly) symmetric A, `f` acting on its eigenvalues.
+    """f(A), `f` acting on the eigenvalues of A.
 
     Each block is ``q f(w) q'`` from one `sym_eigen` call on the stack,
-    symmetrized, its padding rows and columns exact zeros; `f` maps
-    `diag`, each of whose entries is its own eigenvalue.  `f` maps an
-    array of eigenvalues to an array of the same shape and may raise to
-    reject them.
+    symmetrized.  The one mask of the slots that hold a row picks each
+    block's eigenvalues, which come before the padding's sentinels, and
+    zeroes the padding rows of its eigenvectors, so the rebuild is an exact
+    zero in the padding.  `f` maps `diag`, each of whose entries is its own
+    eigenvalue.  `f` maps an array of eigenvalues to an array of the same
+    shape and may raise to reject them.
     """
     w, q = sym_eigen(_padded(a))
-    pad = a.slots == a.shape[0]
-    real = ~pad[:, ::-1]  # descending: the padding's sentinels first
+    real = a.slots < a.shape[0]
     fw = np.zeros_like(w)
     fw[real] = f(w[real])
-    q[pad] = 0.0  # so the rebuild is an exact zero in the padding
+    q[~real] = 0.0
     stack = _symmetrize((q * fw[:, None, :]) @ np.swapaxes(q, -1, -2))
     return BlockDiagonal(f(a.diag), a.slots, stack)
 

@@ -341,6 +341,11 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="threshold_delta must be positive"):
             Config(threshold_delta=value)
 
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_gamma_outside_unit_interval_raises(self, value):
+        with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\)"):
+            Config(gamma=value)
+
 
 @pytest.mark.slow
 def test_null_rejection_rates(m3_null_details):

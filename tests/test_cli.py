@@ -245,6 +245,17 @@ class TestCmdTest:
         assert err.startswith("numeric error: ") and knob in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_bad_gamma_exits_numeric_before_reading(self, tmp_path, capsys, value):
+        # the level is checked before the CSVs are read, so absent ones do not matter
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(tmp_path / "absent_r.csv"),
+                     "--factors", str(tmp_path / "absent_f.csv"),
+                     "--out", str(out), f"--gamma={value}"])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric error: gamma must be in (0, 1)")
+        assert not out.exists()
+
     def test_eigensolver_failure_exits_numeric(self, tmp_path, monkeypatch, capsys):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -435,6 +446,16 @@ class TestCmdSize:
         code = main(["size", "--config", str(config), "--out", str(out)])
         assert code == EXIT_NUMERIC
         assert "threshold_delta must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_bad_gamma_size_exits_numeric(self, tmp_path, capsys, value):
+        config = tmp_path / "scenario.json"
+        config.write_text('{"N": 20, "T": 40, "reps": 2}')
+        out = tmp_path / "t.csv"
+        code = main(["size", "--config", str(config), "--out", str(out), f"--gamma={value}"])
+        assert code == EXIT_NUMERIC
+        assert "gamma must be in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_json_exits_io(self, tmp_path):

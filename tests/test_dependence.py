@@ -294,6 +294,15 @@ def test_estimate_labels_components_once(monkeypatch):
     assert calls == [200]
 
 
+@pytest.mark.parametrize("n,delta,slices", [(200, 2.0, 1), (1000, 3.0, 183)])
+def test_coupled_counts_the_rows_in_blocks(n, delta, slices):
+    # one block of all 200 rows, then a padded stack of 183 components
+    res = fit(FactorPanel(*cli_panel(0, 0, n=n)))
+    dep = estimate_dependence(res.residuals, res.dof, 120, delta, 0.05, 1.0)
+    assert dep.root.slots.shape[0] == slices
+    assert dep.coupled == coupled(dep.root).size > 0
+
+
 class TestEstimateDependence:
     def test_pipeline_shapes(self):
         rng = np.random.default_rng(5)

@@ -67,6 +67,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(scenario=SMALL, m_grid=(25,))
 
+    def test_negative_m_grid_entry(self):
+        # it would otherwise fail later, inside the stream seeding
+        with pytest.raises(ValueError, match="m_grid"):
+            ExperimentSpec(scenario=SMALL, m_grid=(-1, 2))
+
     @pytest.mark.parametrize("reps,scenario_reps", [(0, 10), (-1, 10), (None, 0)])
     def test_reps_below_one(self, reps, scenario_reps):
         scenario = ScenarioConfig(n=20, t=40, reps=scenario_reps)

@@ -1,9 +1,14 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
+from alphatest import harness
+from alphatest.alpha_tests import TestConfig as Config, run_all_detailed
 from alphatest.dependence import EIGEN_FLOOR_FRAC, precision_root
 from alphatest.dgp import cov_sqrt
 from alphatest.errors import DimensionError, SingularDesign
@@ -19,6 +24,12 @@ from alphatest.linalg import (
     spectrum,
     sym_eigen,
 )
+from alphatest.harness import ScenarioConfig, simulate_panel
+from alphatest.ols import FactorPanel
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from workloads import cli_panel  # noqa: E402  the benchmark's CLI input panels
 
 
 def random_symmetric(n, seed):
@@ -67,9 +78,13 @@ class TestSymEigen:
         w, q = sym_eigen(a)
         assert np.abs((q * w) @ q.T - a).max() < 1e-10
 
-    def test_eigenvalues_descending(self):
-        w, _ = sym_eigen(random_symmetric(6, 3))
-        assert (np.diff(w) <= 1e-12).all()
+    def test_eigenvalues_ascending(self):
+        a = random_symmetric(6, 3)
+        w, q = sym_eigen(a)
+        assert (np.diff(w) >= 0).all()
+        want_w, want_q = np.linalg.eigh(a)
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(q, want_q)
 
     def test_eigenvector_orthogonality(self):
         _, q = sym_eigen(random_symmetric(7, 4))
@@ -83,11 +98,27 @@ class TestSymEigen:
         norm = max(np.abs(a).max(), 1.0)
         assert abs(w.sum() - np.trace(a)) < 1e-10 * n * norm
 
-    def test_symmetrizes_input(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((4, 4))
-        w, q = sym_eigen(a)
-        assert np.abs((q * w) @ q.T - (a + a.T) / 2.0).max() < 1e-10
+    def test_every_eigensolver_input_is_symmetric(self, monkeypatch):
+        # the symmetry contract: no caller hands an eigensolver a matrix that
+        # is symmetric only up to roundoff, with or without PSD repair
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, _s=solver: seen.append(a) or _s(a))
+        harness._frozen_cov_root.cache_clear()  # so M1's and M3's roots are taken here
+        repaired = []
+        for model in ("M1", "M2", "M3", "M4"):
+            for n, t in ((40, 60), (200, 100)):
+                panel = simulate_panel(ScenarioConfig(n=n, t=t, cov_model=model, seed=3), 0, 0)
+                for delta in (1.0, 3.0):
+                    _, diag = run_all_detailed(panel, Config(threshold_delta=delta))
+                    repaired.append(diag["repaired"])
+        run_all_detailed(FactorPanel(*cli_panel(0, 0)))
+        monkeypatch.undo()
+        harness._frozen_cov_root.cache_clear()
+        assert any(repaired) and len(seen) > 16 * 2
+        for a in seen:
+            assert np.array_equal(a, np.swapaxes(a, -1, -2))
 
 
 class TestInvSqrtPsd:
