@@ -1,4 +1,5 @@
-"""Per-replication stage timings of the simulator, the five tests and the CSV reader.
+"""Per-replication stage timings of the simulator, the five tests and the CSV reader,
+and the cost of successive power curves on the harness pool.
 
     python3 bench/run_bench.py --label HEAD --out BENCH.json
     python3 bench/run_bench.py --label parent --src /path/to/other/src --out BENCH.json
@@ -19,7 +20,12 @@ to a temporary directory and times `panel_io.load_panel` on it, best of
 across securities at rho = 0.7, `perfbench/workloads.py` `cli_panel(2, 0)`),
 it times `dependence.estimate_dependence` at threshold constants 2.4,
 2.5 and 2.7, best of 3 after one untimed call, with its tracemalloc
-peak, coupled rows and components (`low_threshold`).  Each run also
+peak, coupled rows and components (`low_threshold`).  Before all of
+that, in a fresh process, it times 10 successive
+`harness.run_power_curve` calls of one spec (M2, t5-scaled errors,
+N=500, T=100, seed 0, 6 replications at each m in (1, 5, 20)) at
+workers 1 and then 2, and records each call, the first call and the
+median of the other nine (`pool`).  Each run also
 records `src_lines`, the line count of the timed tree's `alphatest/*.py`.  BLAS runs on one thread.  The results go under
 ``runs[label]`` of the JSON file at `--out`, which keeps the runs of
 other labels, so two checkouts timed by the same script sit side by
@@ -38,6 +44,7 @@ import argparse  # noqa: E402
 import functools  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import statistics  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
@@ -56,6 +63,9 @@ T = 100
 REPEATS = 3
 LOW_DELTAS = (2.4, 2.5, 2.7)  # threshold constants of the low-threshold estimate
 LOW_N = 3000
+POOL_N = 500
+POOL_CALLS = 10
+POOL_WORKERS = (1, 2)
 ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_all_detailed "
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
@@ -70,6 +80,10 @@ ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_
          "low_threshold: estimate_dependence on perfbench's cli_panel(2, 0) at N=3000, T=100 "
          "per threshold constant delta: estimate_ms (best of 3 after one untimed call), "
          "estimate_peak_mb (tracemalloc peak of one more call), coupled and components. "
+         "pool: wall ms of 10 successive harness.run_power_curve calls in one process "
+         "(M2, t5_scaled, N=500, T=100, seed 0, 6 replications per m in (1, 5, 20)) "
+         "per worker count, run before everything else: calls_ms, first_call_ms and "
+         "rest_median_ms, the median of calls 2-10. "
          "src_lines: lines of the timed tree's alphatest/*.py, as wc -l counts them.")
 
 
@@ -206,10 +220,34 @@ def time_low_threshold(delta):
     }
 
 
+def time_pool(workers, n):
+    from alphatest.harness import ExperimentSpec, ScenarioConfig, run_power_curve
+
+    scenario = ScenarioConfig(n=n, t=T, cov_model="M2", error_dist="t5_scaled", seed=0)
+    spec = ExperimentSpec(scenario=scenario, reps=6, m_grid=(1, 5, 20))
+    calls = []
+    for _ in range(POOL_CALLS):
+        start = time.perf_counter()
+        run_power_curve(spec, workers=workers)
+        calls.append(1e3 * (time.perf_counter() - start))
+    return {
+        "N": n,
+        "T": T,
+        "workers": workers,
+        "calls_ms": [round(ms, 3) for ms in calls],
+        "first_call_ms": round(calls[0], 3),
+        "rest_median_ms": round(statistics.median(calls[1:]), 3),
+    }
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path.insert(0, os.path.abspath(args.src))
     start = time.perf_counter()
+    pool = []
+    for workers in POOL_WORKERS:
+        pool.append(time_pool(workers, POOL_N))
+        print(json.dumps(pool[-1]), flush=True)
     cells, loads = [], []
     with tempfile.TemporaryDirectory() as folder:
         for n in SIZES:
@@ -227,7 +265,7 @@ def main(argv=None) -> int:
         print(json.dumps(low[-1]), flush=True)
     wall_s = round(time.perf_counter() - start, 1)
     run = {"environment": environment(), "src_lines": src_lines(args.src), "wall_s": wall_s,
-           "cells": cells, "loads": loads, "low_threshold": low}
+           "pool": pool, "cells": cells, "loads": loads, "low_threshold": low}
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as handle:

@@ -9,6 +9,7 @@ import functools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -169,8 +170,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n_reps < 1:
             raise ValueError(f"need at least one replication, got {self.n_reps}")
-        if any(not 0 <= m <= self.scenario.n for m in self.m_grid):
-            raise ValueError(f"m_grid entries must be in 0..N={self.scenario.n}, got {self.m_grid}")
+        n = self.scenario.n
+        if any(isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= n
+               for m in self.m_grid):
+            raise ValueError(f"m_grid entries must be integers in 0..N={n}, got {self.m_grid}")
 
     @property
     def n_reps(self) -> int:
@@ -237,11 +240,28 @@ def replicate_details(scenario: ScenarioConfig, m: int, reps: int) -> list:
     return [_replicate(scenario, m, rep) for rep in range(reps)]
 
 
+# the live process pool of the pooled calls, keyed by its worker count (at most one)
+_POOLS: dict = {}
+
+
+def _drop_pool() -> None:
+    """Shut the live process pool down, if any, and wait for its workers to exit."""
+    while _POOLS:
+        _POOLS.popitem()[1].shutdown(wait=True)
+
+
 def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
-    """Replicate every (m, rep) pair, through one process pool if workers > 1.
+    """Replicate every (m, rep) pair, on this process's pool if workers > 1.
 
     The pool has at most one process per task and per CPU this process
-    may run on; outputs do not depend on the worker count.
+    may run on; outputs do not depend on the worker count.  The first
+    pooled call starts the workers and later calls of that size reuse
+    them: forked (Linux's default before Python 3.14), they keep this
+    process's module state as it was at that first call.  A call of
+    another size first shuts the old pool down and waits for it, so no
+    fork happens while another pool's threads run.  A pool broken by a
+    dead worker is dropped before its error propagates.  concurrent.futures
+    joins the workers at interpreter exit.
     """
     scenario, reps = spec.scenario, spec.n_reps
     ms = [m for m in m_values for _ in range(reps)]
@@ -253,9 +273,15 @@ def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
     if workers <= 1:
         outcomes = list(map(_replicate, *tasks))
     else:
+        if workers not in _POOLS:
+            _drop_pool()
+            _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
         chunk = max(1, len(ms) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replicate, *tasks, chunksize=chunk))
+        try:
+            outcomes = list(_POOLS[workers].map(_replicate, *tasks, chunksize=chunk))
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
     # (m, its replications) per grid entry, sorted stably by m
     blocks = [(m, outcomes[i * reps:(i + 1) * reps]) for i, m in enumerate(m_values)]
     blocks.sort(key=lambda block: block[0])

@@ -48,21 +48,23 @@ def m1_null_rejections():
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """The `max_workers` of each harness process pool, recorded by a stand-in
-    pool that runs its tasks in this process and starts nothing."""
+    pool that runs its tasks in this process and starts nothing.
+
+    A live pool left by an earlier test is shut down first, so the stand-in
+    is the one the harness makes; the stand-in is dropped afterwards."""
     sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
+        def shutdown(self, wait=True):
+            pass
+
+    harness._drop_pool()
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    return sizes
+    yield sizes
+    harness._drop_pool()

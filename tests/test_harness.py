@@ -1,4 +1,12 @@
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from multiprocessing.connection import wait
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +79,17 @@ class TestExperimentSpec:
         # it would otherwise fail later, inside the stream seeding
         with pytest.raises(ValueError, match="m_grid"):
             ExperimentSpec(scenario=SMALL, m_grid=(-1, 2))
+
+    @pytest.mark.parametrize("entry", [1.5, True, np.bool_(True), "2", None])
+    def test_non_integer_m_grid_entry(self, entry):
+        # each would otherwise fail later, inside the stream seeding or a comparison
+        with pytest.raises(ValueError, match="m_grid entries must be integers"):
+            ExperimentSpec(scenario=SMALL, m_grid=(1, entry))
+
+    def test_numpy_integer_m_grid_entries(self):
+        spec = ExperimentSpec(scenario=SMALL, reps=3, m_grid=(np.int64(2), np.uint8(0)))
+        plain = ExperimentSpec(scenario=SMALL, reps=3, m_grid=(2, 0))
+        assert table_to_csv(run_power_curve(spec)) == table_to_csv(run_power_curve(plain))
 
     @pytest.mark.parametrize("reps,scenario_reps", [(0, 10), (-1, 10), (None, 0)])
     def test_reps_below_one(self, reps, scenario_reps):
@@ -148,6 +167,88 @@ class TestPoolSize:
         assert pool_sizes == []
         assert table_to_csv(run_experiment(spec, workers=5000)) == table_to_csv(serial)
         assert pool_sizes == sizes
+
+
+# Runs small pooled power curves in a fresh interpreter, one per pool size in
+# argv[1] (CPU affinity widened to 4 so that 3 is a bounded size), and prints
+# the Python thread count at each fork and the pool's worker pids after each
+# call.
+POOLED_CALLS = """
+import json, multiprocessing, os, sys, threading
+from alphatest import harness
+from alphatest.harness import ExperimentSpec, ScenarioConfig, run_power_curve
+
+harness.os.sched_getaffinity = lambda pid: set(range(4))
+threads_at_fork = []
+os.register_at_fork(before=lambda: threads_at_fork.append(threading.active_count()))
+scenario = ScenarioConfig(n=20, t=40, cov_model="M1", error_dist="normal", seed=123)
+spec = ExperimentSpec(scenario=scenario, reps=3, m_grid=(0, 2))
+pids = []
+for workers in json.loads(sys.argv[1]):
+    run_power_curve(spec, workers=workers)
+    pids.append(sorted(p.pid for p in multiprocessing.active_children()))
+print(json.dumps({"threads_at_fork": threads_at_fork, "pids": pids}))
+"""
+
+
+def run_pooled_calls(sizes, *flags):
+    """{threads_at_fork, pids} printed by POOLED_CALLS at `sizes`, one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, *flags, "-c", POOLED_CALLS, json.dumps(sizes)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestPoolLifecycle:
+    SPEC = ExperimentSpec(scenario=SMALL, reps=4, m_grid=(0, 2))
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)))
+
+    def test_successive_calls_share_one_pool(self, pool_sizes):
+        serial = table_to_csv(run_power_curve(self.SPEC, workers=1))
+        for _ in range(2):
+            assert table_to_csv(run_power_curve(self.SPEC, workers=2)) == serial
+        assert pool_sizes == [2]
+
+    def test_another_size_replaces_the_pool(self, monkeypatch, pool_sizes):
+        run_power_curve(self.SPEC, workers=2)
+        shutdowns = []
+        monkeypatch.setattr(harness._POOLS[2], "shutdown", lambda wait: shutdowns.append(wait))
+        run_power_curve(self.SPEC, workers=3)
+        assert pool_sizes == [2, 3]
+        assert shutdowns == [True]
+
+    def test_no_worker_outlives_the_interpreter(self):
+        pids = run_pooled_calls([2, 2])["pids"]
+        assert len(pids[0]) == 2 and pids[1] == pids[0]  # the second call reused the pool
+        for pid in pids[0]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_no_fork_while_a_pool_thread_runs(self):
+        # each worker is forked while the main thread runs alone, so Python
+        # >= 3.12 has no multi-threaded fork to warn about
+        seen = run_pooled_calls([2, 3, 2], "-W", "error::DeprecationWarning")
+        assert seen["threads_at_fork"] == [1] * 7
+        assert [len(pids) for pids in seen["pids"]] == [2, 3, 2]
+
+    def test_broken_pool_is_replaced(self):
+        serial = table_to_csv(run_power_curve(self.SPEC, workers=1))
+        harness._drop_pool()
+        run_power_curve(self.SPEC, workers=2)
+        workers = multiprocessing.active_children()
+        assert len(workers) == 2
+        os.kill(workers[0].pid, signal.SIGKILL)
+        for worker in workers:  # the pool terminates the survivor once it sees the death
+            assert wait([worker.sentinel], timeout=30)
+        with pytest.raises(BrokenProcessPool):
+            run_power_curve(self.SPEC, workers=2)
+        assert harness._POOLS == {}
+        assert table_to_csv(run_power_curve(self.SPEC, workers=2)) == serial
 
 
 class TestRunPowerCurve:

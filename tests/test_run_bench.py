@@ -1,4 +1,5 @@
-"""`bench/run_bench.py` runs where the `resource` module is missing (Windows)."""
+"""`bench/run_bench.py` runs where the `resource` module is missing (Windows), and its
+pool section times each call."""
 
 import json
 import os
@@ -27,3 +28,14 @@ def test_cell_without_resource_records_null_faults():
     cell = json.loads(done.stdout)
     assert cell["run_all_detailed_minflt"] is None
     assert cell["N"] == 20 and cell["run_all_detailed_ms"] > 0
+
+
+def test_pool_section_times_every_call():
+    src = os.path.dirname(os.path.dirname(alphatest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCH), src]))
+    script = "import json, run_bench; print(json.dumps(run_bench.time_pool(2, 20)))"
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    pool = json.loads(done.stdout)
+    assert len(pool["calls_ms"]) == 10 and min(pool["calls_ms"]) > 0
+    assert pool["first_call_ms"] == pool["calls_ms"][0]
