@@ -204,7 +204,7 @@ def time_low_threshold(delta):
     panel, res = low_threshold_fit()
 
     def estimate():
-        return estimate_dependence(res.residuals, res.dof, T, delta, 0.05, 1.0)
+        return estimate_dependence(res.residuals, res.dof, delta, 0.05, 1.0)
 
     estimate()
     estimate_ms, dep = best_ms(estimate)

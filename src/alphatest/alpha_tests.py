@@ -190,10 +190,8 @@ def run_all_detailed(
     fit_result = fit(panel)
     t = fit_result.t_stats
     v = fit_result.dof
-    dep = estimate_dependence(
-        fit_result.residuals, v, t_periods, delta=config.threshold_delta,
-        q_mt=config.q_mt, delta_mt=config.delta_mt,
-    )
+    dep = estimate_dependence(fit_result.residuals, v, delta=config.threshold_delta,
+                              q_mt=config.q_mt, delta_mt=config.delta_mt)
     mt = mt_rho_bar_sq(dep.pairs, v, q_mt=config.q_mt, delta_mt=config.delta_mt)
 
     py = py_stat(t, mt.rho_bar_sq, v)

@@ -241,17 +241,18 @@ def mt_rho_bar_sq(
 
 
 def estimate_dependence(
-    residuals: np.ndarray, dof: int, t: int, delta: float, q_mt: float, delta_mt: float
+    residuals: np.ndarray, dof: int, delta: float, q_mt: float, delta_mt: float
 ) -> DependenceEstimate:
     """Correlation pairs, threshold, repair and root of the N x T residuals.
 
     No N x N array is formed.  One tiled pass over the unit-norm residual
-    rows keeps the correlations that clear the hard threshold or the
-    candidates' cut of the multiple-testing step (`q_mt`, `delta_mt`),
-    whichever is lower; `dof` is that step's v.  The survivors are
-    labelled once, and repair and root run on their component stack.
+    rows keeps the correlations that clear the hard threshold
+    ``delta * sqrt(log N / T)`` or the candidates' cut of the
+    multiple-testing step (`q_mt`, `delta_mt`), whichever is lower; `dof`
+    is that step's v.  The survivors are labelled once, and repair and
+    root run on their component stack.
     """
-    n = np.shape(residuals)[0]
+    n, t = np.shape(residuals)
     threshold = delta * np.sqrt(np.log(n) / t)
     cut = min(threshold, _mt_cuts(n, dof, q_mt, delta_mt)[1])
     pairs = correlation_pairs(residuals, cut)

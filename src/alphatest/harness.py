@@ -168,11 +168,11 @@ class ExperimentSpec:
     m_grid: tuple = ()
 
     def __post_init__(self):
-        if self.n_reps < 1:
-            raise ValueError(f"need at least one replication, got {self.n_reps}")
-        n = self.scenario.n
-        if any(isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 0 <= m <= n
-               for m in self.m_grid):
+        # counts are Python or numpy integers; neither bool nor np.bool_ is an np.integer
+        reps, n = self.n_reps, self.scenario.n
+        if not np.issubdtype(type(reps), np.integer) or reps < 1:
+            raise ValueError(f"replications must be an integer >= 1, got {reps!r}")
+        if any(not np.issubdtype(type(m), np.integer) or not 0 <= m <= n for m in self.m_grid):
             raise ValueError(f"m_grid entries must be integers in 0..N={n}, got {self.m_grid}")
 
     @property

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from alphatest import harness
@@ -68,3 +69,29 @@ def pool_sizes(monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     yield sizes
     harness._drop_pool()
+
+
+class EigenCalls(list):
+    """(solver name, argument) of each `np.linalg.eigh`/`eigvalsh` call, in order."""
+
+    def counts(self) -> dict:
+        """{"eigh": calls, "eigvalsh": calls}."""
+        return {solver: sum(name == solver for name, _ in self) for solver in ("eigh", "eigvalsh")}
+
+    def shapes(self, solver=None) -> list:
+        """The argument shape of each call, or of each call to `solver`."""
+        return [np.shape(a) for name, a in self if solver in (None, name)]
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Records every `np.linalg.eigh` and `eigvalsh` call the test makes, in
+    an `EigenCalls`; the solvers themselves run unchanged."""
+    calls = EigenCalls()
+    for name in ("eigh", "eigvalsh"):
+        def recorded(a, *args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls

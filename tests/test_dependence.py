@@ -196,7 +196,7 @@ class TestMtRhoBarSq:
         with pytest.raises(ValueError, match="critical value"):
             dependence.mt_rho_bar_sq(pairs, 50, q_mt, delta_mt)
         with pytest.raises(ValueError, match="critical value"):
-            estimate_dependence(np.eye(4, 10), 6, 10, 3.0, q_mt, delta_mt)
+            estimate_dependence(np.eye(4, 10), 6, 3.0, q_mt, delta_mt)
 
     @given(st.integers(0, 500), st.floats(0.1, 10.0))
     @settings(max_examples=25, deadline=None)
@@ -289,7 +289,7 @@ def test_estimate_labels_components_once(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(module, "edge_components", counted)
-    dep = estimate_dependence(res.residuals, res.dof, 100, 3.0, 0.05, 1.0)
+    dep = estimate_dependence(res.residuals, res.dof, 3.0, 0.05, 1.0)
     assert dep.repaired and coupled(dep.root).size > 32
     assert calls == [200]
 
@@ -298,7 +298,7 @@ def test_estimate_labels_components_once(monkeypatch):
 def test_coupled_counts_the_rows_in_blocks(n, delta, slices):
     # one block of all 200 rows, then a padded stack of 183 components
     res = fit(FactorPanel(*cli_panel(0, 0, n=n)))
-    dep = estimate_dependence(res.residuals, res.dof, 120, delta, 0.05, 1.0)
+    dep = estimate_dependence(res.residuals, res.dof, delta, 0.05, 1.0)
     assert dep.root.slots.shape[0] == slices
     assert dep.coupled == coupled(dep.root).size > 0
 
@@ -307,7 +307,7 @@ class TestEstimateDependence:
     def test_pipeline_shapes(self):
         rng = np.random.default_rng(5)
         e = rng.standard_normal((12, 60))
-        dep = estimate_dependence(e, 56, 60, 3.0, 0.05, 1.0)
+        dep = estimate_dependence(e, 56, 3.0, 0.05, 1.0)
         sigma_hat = sample_cov(e, 56)
         thresholded, _ = thresholded_dense(sigma_hat, 60, 3.0)
         r_hat = np.asarray(correlation_from_cov(blocks(thresholded)))
@@ -327,42 +327,24 @@ class TestEstimateDependence:
     def test_omega_root_symmetric(self):
         rng = np.random.default_rng(6)
         e = rng.standard_normal((20, 80))
-        dep = estimate_dependence(e, 76, 80, 3.0, 0.05, 1.0)
+        dep = estimate_dependence(e, 76, 3.0, 0.05, 1.0)
         omega_root = np.asarray(dep.root)
         assert np.allclose(omega_root, omega_root.T)
 
 
-def _count_solver_calls(monkeypatch):
-    """Count numpy eigensolver calls from here on: {"eigh": n, "eigvalsh": n}."""
-    calls = {"eigh": 0, "eigvalsh": 0}
-    for name in calls:
-        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solver(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def _eigen_calls(monkeypatch, residuals):
-    """estimate_dependence of `residuals` and its numpy eigensolver calls."""
-    calls = _count_solver_calls(monkeypatch)
-    dep = estimate_dependence(residuals, 96, 100, 3.0, 0.05, 1.0)
-    monkeypatch.undo()
-    return dep, calls
-
-
-def test_eigen_call_count_does_not_depend_on_the_block(monkeypatch):
+def test_eigen_call_count_does_not_depend_on_the_block(eigen_calls):
     # threshold 3 * sqrt(log 40 / 100) = 0.58: independent rows leave an
     # empty coupled block, one pair at correlation 0.8 a 2x2 block; PSD
     # repair stays idle on both
     e = np.random.default_rng(8).standard_normal((40, 100))
     paired = e.copy()
     paired[1] = 0.8 * e[0] + 0.6 * e[1]
-    empty, empty_calls = _eigen_calls(monkeypatch, e)
-    pair, pair_calls = _eigen_calls(monkeypatch, paired)
+    empty = estimate_dependence(e, 96, 3.0, 0.05, 1.0)
+    empty_calls = eigen_calls.counts()
+    eigen_calls.clear()
+    pair = estimate_dependence(paired, 96, 3.0, 0.05, 1.0)
     assert (coupled(empty.root).size, coupled(pair.root).size) == (0, 2)
-    assert empty_calls == pair_calls == {"eigh": 1, "eigvalsh": 2}
+    assert empty_calls == eigen_calls.counts() == {"eigh": 1, "eigvalsh": 2}
     assert empty.root.stack.shape == (1, 0, 0) and pair.root.slots.tolist() == [[0, 1]]
     np.testing.assert_array_equal(np.asarray(empty.root), np.eye(40))
 
@@ -386,23 +368,23 @@ def _many_components_cov(n, chains):
     (5, True, {"eigh": 2, "eigvalsh": 3}),
 ], ids=["idle", "one-chain", "five-chains"])
 def test_eigen_call_count_does_not_depend_on_the_components(
-        monkeypatch, chains, repaired, expected):
+        eigen_calls, chains, repaired, expected):
     # whatever the number of components, each eigen step is one stacked call
     residuals = _residuals_with_cov(_many_components_cov(40, chains), 96, 100)
-    dep, calls = _eigen_calls(monkeypatch, residuals)
+    dep = estimate_dependence(residuals, 96, 3.0, 0.05, 1.0)
     assert (dep.components, dep.largest_component) == (10 + chains, 3 if chains else 2)
     assert dep.repaired == repaired
-    assert calls == expected
+    assert eigen_calls.counts() == expected
 
 
-def test_eigen_call_count_on_a_repaired_panel(monkeypatch):
+def test_eigen_call_count_on_a_repaired_panel(eigen_calls):
     # a Model 1 panel at N=200: hard thresholding leaves many short chains
     # and PSD repair fires
     res = fit(simulate_panel(ScenarioConfig(n=200, t=100, cov_model="M1", seed=101), 0, 0))
-    calls = _count_solver_calls(monkeypatch)
-    dep = estimate_dependence(res.residuals, res.dof, 100, 3.0, 0.05, 1.0)
+    eigen_calls.clear()
+    dep = estimate_dependence(res.residuals, res.dof, 3.0, 0.05, 1.0)
     assert dep.repaired and dep.components > 10
-    assert calls == {"eigh": 2, "eigvalsh": 3}
+    assert eigen_calls.counts() == {"eigh": 2, "eigvalsh": 3}
 
 
 def _omega_root_error(n, t, seed):
@@ -446,13 +428,12 @@ class TestBlockForm:
         block, active, _ = hard_threshold(correlation_scale(sigma), 100, 2.0)
         assert block.shape == (0, 0) and active.size == 0
 
-    def test_empty_precision_root(self, monkeypatch):
-        calls = _count_solver_calls(monkeypatch)
+    def test_empty_precision_root(self, eigen_calls):
         assert precision_root(blocks(np.empty((0, 0))), 1.0).shape == (0, 0)
-        assert calls == {"eigh": 1, "eigvalsh": 0}
+        assert eigen_calls.counts() == {"eigh": 1, "eigvalsh": 0}
         # decoupled rows alone: one call on the empty stack, the rows in closed form
         root = precision_root(blocks(np.eye(3)), 4.0)
-        assert calls == {"eigh": 2, "eigvalsh": 0}
+        assert eigen_calls.counts() == {"eigh": 2, "eigvalsh": 0}
         np.testing.assert_array_equal(np.asarray(root), np.eye(3) / 2.0)
 
 
@@ -504,7 +485,7 @@ def _assert_rel(a, b, rtol=1e-12):
 def test_block_matches_dense_on_engineered_cases(make_cov, check):
     n, t, dof = 40, 100, 96
     e = _residuals_with_cov(make_cov(n), dof, t)
-    dep = estimate_dependence(e, dof, t, 3.0, 0.05, 1.0)
+    dep = estimate_dependence(e, dof, 3.0, 0.05, 1.0)
     _, root, repaired = dense_oracle(e, dof, t, 3.0, 0.05, 1.0)
     assert check(dep, repaired, tiled_correlation(e))
     assert coupled(dep.root).size < n
@@ -519,11 +500,11 @@ def test_low_variance_row_is_a_unit_row():
     # the same panel with row 7 at unit variance
     n, t, dof = 40, 100, 96
     low_e = _residuals_with_cov(_low_variance_cov(n), dof, t)
-    low = estimate_dependence(low_e, dof, t, 3.0, 0.05, 1.0)
+    low = estimate_dependence(low_e, dof, 3.0, 0.05, 1.0)
     unit_cov = _low_variance_cov(n)
     unit_cov[7, 7] = 1.0
     unit_e = _residuals_with_cov(unit_cov, dof, t)
-    unit = estimate_dependence(unit_e, dof, t, 3.0, 0.05, 1.0)
+    unit = estimate_dependence(unit_e, dof, 3.0, 0.05, 1.0)
     np.testing.assert_array_equal(low.root.slots, unit.root.slots)
     np.testing.assert_array_equal(np.asarray(low.root), np.asarray(unit.root))
     assert (low.floor, low.threshold_used, low.repaired) == \
@@ -572,10 +553,8 @@ def _batch_estimates():
     """`estimate_dependence` of each `BLOCK_PANELS` entry and the AR1 N=1000 panel."""
     estimates = []
     for model, n, m, delta in BLOCK_PANELS + [("AR1", 1000, 0, 3.0)]:
-        panel = _block_panel(model, n, m)
-        res = fit(panel)
-        estimates.append(
-            estimate_dependence(res.residuals, res.dof, panel.n_periods, delta, 0.05, 1.0))
+        res = fit(_block_panel(model, n, m))
+        estimates.append(estimate_dependence(res.residuals, res.dof, delta, 0.05, 1.0))
     return estimates
 
 
@@ -643,7 +622,7 @@ def test_pair_pipeline_matches_dense_threshold_and_mt(model, n, m, delta):
     dense_block, dense_active, used = hard_threshold(corr, panel.n_periods, delta)
     dense = np.eye(n)
     dense[np.ix_(dense_active, dense_active)] = dense_block
-    dep = estimate_dependence(res.residuals, res.dof, panel.n_periods, delta, 0.05, 1.0)
+    dep = estimate_dependence(res.residuals, res.dof, delta, 0.05, 1.0)
     thresholded, label = dependence.hard_threshold(dep.pairs, used)
     assert dep.threshold_used == used
     np.testing.assert_array_equal(np.flatnonzero(label >= 0), dense_active)
@@ -684,7 +663,7 @@ def _traced_estimate(delta):
     res = _ar1_fit()
     tracemalloc.start()
     try:
-        dep = estimate_dependence(res.residuals, res.dof, 100, delta, 0.05, 1.0)
+        dep = estimate_dependence(res.residuals, res.dof, delta, 0.05, 1.0)
         return dep, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -187,15 +187,12 @@ class TestCovSqrt:
 
     @pytest.mark.parametrize("kind", dgp.COV_MODELS)
     @pytest.mark.parametrize("n", [2, 3, 10, 11, 32, 33, 200])
-    def test_one_whole_eigh(self, monkeypatch, kind, n):
+    def test_one_whole_eigh(self, eigen_calls, kind, n):
         # one eigh of the whole covariance (M2: of its block), rebuilt as
         # q sqrt(w) q' and symmetrized, bit for bit
         sigma = build_cov(kind, n, np.random.default_rng(n))
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         root = cov_sqrt(sigma)
-        monkeypatch.undo()
+        calls = eigen_calls.shapes("eigh")
         dense = sigma.stack[0] if kind == "M2" else sigma
         w, q = sym_eigen(dense)
         want = (q * np.sqrt(w)) @ q.T
@@ -267,18 +264,10 @@ class TestM2BlockForm:
         with pytest.raises(NotPositiveDefinite):
             cov_sqrt(sigma)
 
-    def test_large_panel_stays_small(self, monkeypatch):
+    def test_large_panel_stays_small(self, eigen_calls):
         # one N x N array at N=2000 is 32 MB; the eigenproblem is the spike block
         n = 2000
         scenario = ScenarioConfig(n=n, t=100, cov_model="M2", error_dist="t5_scaled")
-        widths = []
-        eigh = np.linalg.eigh
-
-        def recorded(a, *args, **kwargs):
-            widths.append(np.shape(a)[-1])
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recorded)
         simulate_panel(ScenarioConfig(n=40, t=100, cov_model="M2"), 1, 0)  # warm-up
         tracemalloc.start()
         try:
@@ -287,6 +276,7 @@ class TestM2BlockForm:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+        widths = [shape[-1] for shape in eigen_calls.shapes("eigh")]
         assert widths and max(widths) <= int(n**dgp.SPIKE_EXPONENT)
 
 

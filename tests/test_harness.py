@@ -97,6 +97,21 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="replication"):
             ExperimentSpec(scenario=scenario, reps=reps)
 
+    @pytest.mark.parametrize("reps,scenario_reps", [
+        (True, 10), (np.bool_(True), 10), (2.0, 10), ("3", 10), (None, True), (None, 2.0),
+    ])
+    def test_non_integer_reps(self, reps, scenario_reps):
+        # True would run one replication and write "True" as the CSV's reps;
+        # 2.0 and "3" would fail later, inside range or a comparison
+        scenario = ScenarioConfig(n=20, t=40, reps=scenario_reps)
+        with pytest.raises(ValueError, match="replications must be an integer"):
+            ExperimentSpec(scenario=scenario, reps=reps)
+
+    def test_numpy_integer_reps(self):
+        spec = ExperimentSpec(scenario=SMALL, reps=np.int64(3))
+        plain = ExperimentSpec(scenario=SMALL, reps=3)
+        assert table_to_csv(run_experiment(spec)) == table_to_csv(run_experiment(plain))
+
 
 class TestAggregation:
     def test_always_reject_stub(self, monkeypatch):

@@ -119,8 +119,8 @@ def test_cli_panel_root_is_a_padded_stack(seed):
     # padded to the largest, and PSD repair
     panel = FactorPanel(*cli_panel(seed, 0))
     fitted, config = fit(panel), Config()
-    dep = estimate_dependence(fitted.residuals, fitted.dof, panel.n_periods,
-                              config.threshold_delta, config.q_mt, config.delta_mt)
+    dep = estimate_dependence(fitted.residuals, fitted.dof, config.threshold_delta,
+                              config.q_mt, config.delta_mt)
     assert 183 <= dep.root.slots.shape[0] <= 195
     assert (dep.root.slots == panel.n_securities).any() and dep.repaired
 

@@ -98,13 +98,9 @@ class TestSymEigen:
         norm = max(np.abs(a).max(), 1.0)
         assert abs(w.sum() - np.trace(a)) < 1e-10 * n * norm
 
-    def test_every_eigensolver_input_is_symmetric(self, monkeypatch):
+    def test_every_eigensolver_input_is_symmetric(self, eigen_calls):
         # the symmetry contract: no caller hands an eigensolver a matrix that
         # is symmetric only up to roundoff, with or without PSD repair
-        seen = []
-        for name in ("eigh", "eigvalsh"):
-            solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, _s=solver: seen.append(a) or _s(a))
         harness._frozen_cov_root.cache_clear()  # so M1's and M3's roots are taken here
         repaired = []
         for model in ("M1", "M2", "M3", "M4"):
@@ -114,10 +110,9 @@ class TestSymEigen:
                     _, diag = run_all_detailed(panel, Config(threshold_delta=delta))
                     repaired.append(diag["repaired"])
         run_all_detailed(FactorPanel(*cli_panel(0, 0)))
-        monkeypatch.undo()
         harness._frozen_cov_root.cache_clear()
-        assert any(repaired) and len(seen) > 16 * 2
-        for a in seen:
+        assert any(repaired) and len(eigen_calls) > 16 * 2
+        for _, a in eigen_calls:
             assert np.array_equal(a, np.swapaxes(a, -1, -2))
 
 
@@ -162,11 +157,9 @@ class TestPsdRepair:
         assert np.linalg.eigvalsh(repaired)[0] >= eps / 2.0 - 1e-12
         assert np.allclose(repaired, repaired.T)
 
-    def test_empty_matrix(self, monkeypatch):
-        calls = []
-        solver = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or solver(a))
+    def test_empty_matrix(self, eigen_calls):
         assert psd_repair(blocks(np.empty((0, 0))), 0.1).shape == (0, 0)
+        calls = eigen_calls.shapes("eigvalsh")
         assert len(calls) == 1 and np.prod(calls[0]) == 0  # one call, on an empty input
 
     @given(st.integers(0, 500))
@@ -246,16 +239,6 @@ def assert_same_partition(label, a):
     np.testing.assert_array_equal(label[~single], [least[c] for c in ref[~single]])
 
 
-@pytest.fixture
-def solver_shapes(monkeypatch):
-    """The argument shape of each ``np.linalg.eigh``/``eigvalsh`` call, in order."""
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda x, _s=solver: shapes.append(x.shape) or _s(x))
-    return shapes
-
-
 class TestCoupledBlock:
     @given(block_layouts())
     @settings(max_examples=40, deadline=None)
@@ -326,7 +309,7 @@ class TestCoupledBlock:
         np.testing.assert_array_equal(components(np.ones((1, 1))), [-1])
         assert components(np.ones((0, 0))).shape == (0,)
 
-    def test_one_stacked_call(self, solver_shapes):
+    def test_one_stacked_call(self, eigen_calls):
         # three components of 2, 3 and 4 rows pad to one (3, 4, 4) stack,
         # in any row order
         parts = ((2, True), (3, False), (4, True))
@@ -334,7 +317,7 @@ class TestCoupledBlock:
             a, _, _ = permuted_block_diagonal(seed, parts, 0, True)
             spectrum(blocks(a))
             spectral_map(blocks(a), np.sqrt)
-        assert solver_shapes == [(3, 4, 4)] * 4
+        assert eigen_calls.shapes() == [(3, 4, 4)] * 4
 
     @pytest.mark.parametrize("helper", [
         (spectrum, np.linalg.eigvalsh),
@@ -343,7 +326,7 @@ class TestCoupledBlock:
          lambda a: dense_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, 0.5)))),
         (lambda m: psd_repair(m, 0.1), lambda a: a),
     ], ids=["spectrum", "spectral_map", "inv_sqrt_psd", "psd_repair"])
-    def test_decoupled_row_stays_on_the_diagonal(self, solver_shapes, helper):
+    def test_decoupled_row_stays_on_the_diagonal(self, eigen_calls, helper):
         # a decoupled row is its own eigenvalue on the diagonal, outside the
         # helpers' one stacked call, and stays a diagonal row of the result
         a, free, _ = permuted_block_diagonal(5, ((2, True), (3, False)), 1, True)
@@ -351,13 +334,13 @@ class TestCoupledBlock:
         assert free.size == 1 and free[0] not in m.slots
         fn, reference = helper
         out = np.asarray(fn(m))
-        assert solver_shapes == [(2, 3, 3)]
+        assert eigen_calls.shapes() == [(2, 3, 3)]
         assert_close(out, reference(a))
         if out.ndim == 2:
             assert (np.delete(out[free[0]], free[0]) == 0.0).all()
 
     @pytest.mark.parametrize("n_free", [0, 1, 32])
-    def test_whole_matrix_is_one_eigenproblem(self, solver_shapes, n_free):
+    def test_whole_matrix_is_one_eigenproblem(self, eigen_calls, n_free):
         # a matrix held as one block of all n rows is one (1, n, n)
         # eigenproblem, its decoupled rows included
         a, _, _ = permuted_block_diagonal(5, ((2, True), (3, False)), n_free, True)
@@ -365,7 +348,7 @@ class TestCoupledBlock:
         whole = BlockDiagonal(np.diag(a).copy(), np.arange(n)[None], a[None].copy())
         w = spectrum(whole)
         out = spectral_map(whole, np.sqrt)
-        assert solver_shapes == [(1, n, n)] * 2
+        assert eigen_calls.shapes() == [(1, n, n)] * 2
         assert np.abs(w - np.linalg.eigvalsh(a)).max() <= 1e-12 * np.abs(w).max()
         assert_close(np.asarray(out), dense_map(a, np.sqrt))
 
