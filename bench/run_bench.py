@@ -6,11 +6,12 @@ and the cost of successive power curves on the harness pool.
 
 For each covariance model M1-M4 and N in {200, 500, 1000, 2000}, and
 for M1, M2 and M3 at N=5000, at T=100 (t5-scaled errors, null alpha,
-seed 0), times `harness.simulate_panel` and `alpha_tests.run_all_detailed` on
-replication 0, best of 3 after one untimed call (which fills the M1/M3
-root cache; its time is recorded as `first_simulate_ms`), counts the
-minor page faults of the timed `run_all_detailed` calls, per call
-(`run_all_detailed_minflt`, from ``getrusage``; null where the
+seed 0), times `harness.simulate_panel`, `ols.fit` and
+`alpha_tests.run_all_detailed` on replication 0, best of 3 after one
+untimed call (which fills the M1/M3 root cache; its time is recorded as
+`first_simulate_ms`), counts the minor page faults of the timed `fit` and
+`run_all_detailed` calls, per call (`fit_minflt`,
+`run_all_detailed_minflt`, from ``getrusage``; null where the
 `resource` module is missing, as on Windows), and records the
 tracemalloc peak of one more `run_all_detailed` call, untimed
 (`run_all_detailed_peak_mb`).  For each N up to 2000 it
@@ -66,13 +67,14 @@ LOW_N = 3000
 POOL_N = 500
 POOL_CALLS = 10
 POOL_WORKERS = (1, 2)
-ABOUT = ("Per-replication wall ms of harness.simulate_panel and alpha_tests.run_all_detailed "
+ABOUT = ("Per-replication wall ms of harness.simulate_panel, ols.fit (fit_ms) and "
+         "alpha_tests.run_all_detailed "
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
          "best of 3 after one untimed call (first_simulate_ms, which fills the M1/M3 root "
          "cache), and M1, M2 and M3 at N=5000; run_all_detailed_peak_mb: tracemalloc peak "
-         "of one more run_all_detailed call, in MB (1e6 bytes); run_all_detailed_minflt: "
-         "minor page faults (getrusage ru_minflt) per timed run_all_detailed call, "
-         "null without the resource module; "
+         "of one more run_all_detailed call, in MB (1e6 bytes); fit_minflt and "
+         "run_all_detailed_minflt: minor page faults (getrusage ru_minflt) per timed "
+         "fit or run_all_detailed call, null without the resource module; "
          "BLAS on one thread; "
          "coupled = active rows of the dependence estimate. "
          "loads: wall ms of panel_io.load_panel on the M2 panel of each N as written by "
@@ -148,9 +150,16 @@ def minor_faults():
     return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def faults_per_call(before):
+    """Minor page faults per call of the `REPEATS` timed calls since `before`
+    was read by `minor_faults`, or None where `resource` is missing."""
+    return None if before is None else round((minor_faults() - before) / REPEATS, 1)
+
+
 def time_cell(model, n):
     from alphatest.alpha_tests import run_all_detailed
     from alphatest.harness import ScenarioConfig, simulate_panel
+    from alphatest.ols import fit
 
     scenario = ScenarioConfig(n=n, t=T, cov_model=model, error_dist="t5_scaled", m=0, seed=0)
     start = time.perf_counter()
@@ -158,9 +167,11 @@ def time_cell(model, n):
     first_ms = 1e3 * (time.perf_counter() - start)
     simulate_ms, _ = best_ms(lambda: simulate_panel(scenario, 0, 0))
     faults = minor_faults()
+    fit_ms, _ = best_ms(lambda: fit(panel))
+    fit_faults = faults_per_call(faults)
+    faults = minor_faults()
     tests_ms, (_, diagnostics) = best_ms(lambda: run_all_detailed(panel))
-    if faults is not None:
-        faults = round((minor_faults() - faults) / REPEATS, 1)
+    tests_faults = faults_per_call(faults)
     tests_peak_mb = peak_mb(lambda: run_all_detailed(panel))
     return {
         "model": model,
@@ -168,8 +179,10 @@ def time_cell(model, n):
         "T": T,
         "first_simulate_ms": round(first_ms, 3),
         "simulate_ms": round(simulate_ms, 3),
+        "fit_ms": round(fit_ms, 3),
+        "fit_minflt": fit_faults,
         "run_all_detailed_ms": round(tests_ms, 3),
-        "run_all_detailed_minflt": faults,
+        "run_all_detailed_minflt": tests_faults,
         "run_all_detailed_peak_mb": round(tests_peak_mb, 2),
         "coupled": int(diagnostics["coupled"]),
     }

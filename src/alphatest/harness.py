@@ -86,6 +86,27 @@ class ScenarioConfig:
     fixed_support: bool = False
     shared_factors: bool = False
 
+    def __post_init__(self):
+        """Each field must have its type: an int field a Python or numpy integer
+        (neither bool nor np.bool_ is one; it is stored as an int), and a bool
+        field a Python bool.  The covariance model and error law must be one of
+        `CHOICES`; N, m, reps and seed must be at least their `MINIMA`, and m
+        at most N.  A ParseError names the scenario JSON key of the field."""
+        for f in fields(self):
+            value, kind, key = getattr(self, f.name), f.type, FIELD_KEYS.get(f.name, f.name)
+            if kind is int and np.issubdtype(type(value), np.integer):
+                object.__setattr__(self, f.name, int(value))  # a numpy integer, as JSON writes it
+            elif kind is int or not isinstance(value, kind):
+                raise ParseError(f"{key}: expected {kind.__name__}, got {value!r}")
+            allowed = CHOICES.get(f.name)
+            if allowed and value not in allowed:
+                raise ParseError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
+        for name, low in MINIMA.items():
+            if (value := getattr(self, name)) < low:
+                raise ParseError(f"{FIELD_KEYS[name]}: expected an integer >= {low}, got {value}")
+        if self.m > self.n:
+            raise ParseError(f"m: expected an integer <= N={self.n}, got {self.m}")
+
     @property
     def scenario_id(self) -> str:
         return f"{self.cov_model}/{self.error_dist}/N{self.n}/T{self.t}"
@@ -94,33 +115,21 @@ class ScenarioConfig:
         """Copy with {field path: value} applied, each cast to its field's type.
 
         A bool field takes only true or false; any other field rejects a
-        bool, and an int field a non-integral number.  The covariance
-        model and error law must be one of `CHOICES`.  In the copy, N, m,
-        reps and seed must be at least their `MINIMA`, and m at most N.  A
-        ParseError names the scenario JSON key of the field.
+        bool, and an int field a non-integral number.  The copy is checked
+        as every scenario is built (`__post_init__`).  A ParseError names
+        the scenario JSON key of the field.
         """
         own, test = {}, {}
         for path, value in values.items():
             owner, _, name = path.rpartition(".")
             cls, target = (TestConfig, test) if owner else (ScenarioConfig, own)
             kind = {f.name: f.type for f in fields(cls)}[name]
-            key = FIELD_KEYS[path]
             try:
                 target[name] = _cast(kind, value)
             except (TypeError, ValueError):
-                message = f"{key}: expected {kind.__name__}, got {value!r}"
+                message = f"{FIELD_KEYS[path]}: expected {kind.__name__}, got {value!r}"
                 raise ParseError(message) from None
-            allowed = CHOICES.get(path)
-            if allowed and target[name] not in allowed:
-                message = f"{key}: expected one of {', '.join(allowed)}, got {value!r}"
-                raise ParseError(message)
-        new = replace(self, test=replace(self.test, **test), **own)
-        for name, low in MINIMA.items():
-            if (value := getattr(new, name)) < low:
-                raise ParseError(f"{FIELD_KEYS[name]}: expected an integer >= {low}, got {value}")
-        if new.m > new.n:
-            raise ParseError(f"m: expected an integer <= N={new.n}, got {new.m}")
-        return new
+        return replace(self, test=replace(self.test, **test), **own)
 
     def to_json(self) -> str:
         doc = {}

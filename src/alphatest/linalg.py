@@ -1,10 +1,14 @@
-"""Dense symmetric linear-algebra kernels.
+"""Dense linear-algebra kernels: the factor design and symmetric matrices.
 
-Everything downstream (OLS projections, correlation roots, covariance
-repair) funnels through the functions here.  All matrix roots are
-computed by symmetric eigendecomposition rather than Cholesky so that a
-single code path also handles indefinite inputs produced by hard
-thresholding.
+`factor_pinv` is the one checked solve of the factor design: the p x T
+map ``(F'F)^{-1} F'`` from a series to its least-squares coefficients on
+the factor columns, from which the OLS fit projects its residuals in
+O(NTp) work without forming a T x T matrix; `annihilator` builds the
+T x T projection M from it for the tests.  Correlation roots and
+covariance repair funnel through the symmetric kernels below.  All
+matrix roots are computed by symmetric eigendecomposition rather than
+Cholesky so that a single code path also handles indefinite inputs
+produced by hard thresholding.
 
 Block form: rows of a symmetric matrix joined by a path of nonzero
 off-diagonal entries form a connected component, which `edge_components`
@@ -38,6 +42,7 @@ from .errors import DimensionError, SingularDesign
 
 __all__ = [
     "BlockDiagonal",
+    "factor_pinv",
     "annihilator",
     "sym_eigen",
     "edge_components",
@@ -54,20 +59,10 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
-def annihilator(factors: np.ndarray) -> np.ndarray:
-    """Projection onto the orthogonal complement of the factor columns.
-
-    Parameters
-    ----------
-    factors : ndarray, shape (T, p)
-        Full-column-rank design matrix, T > p.
-
-    Returns
-    -------
-    ndarray, shape (T, T)
-        Symmetric idempotent matrix M with M @ factors == 0 and
-        trace(M) == T - p.
-    """
+def factor_pinv(factors: np.ndarray) -> np.ndarray:
+    """The p x T least-squares map ``H = (F'F)^{-1} F'`` of a T x p design F,
+    from one ``solve``: ``H @ y`` is a series' coefficients on F's columns.
+    F must be 2-d with T > p, and cond(F'F), from the SVD, at most 1e12."""
     f = np.asarray(factors, dtype=float)
     if f.ndim != 2:
         raise DimensionError(f"factor matrix must be 2-d, got ndim={f.ndim}")
@@ -77,8 +72,25 @@ def annihilator(factors: np.ndarray) -> np.ndarray:
     gram = f.T @ f
     if np.linalg.cond(gram) > 1e12:
         raise SingularDesign("factor Gram matrix is numerically singular")
-    m = np.eye(t) - f @ np.linalg.solve(gram, f.T)
-    return _symmetrize(m)
+    return np.linalg.solve(gram, f.T)
+
+
+def annihilator(factors: np.ndarray) -> np.ndarray:
+    """Projection onto the orthogonal complement of the factor columns.
+
+    Parameters
+    ----------
+    factors : ndarray, shape (T, p)
+        Design matrix F, as `factor_pinv` takes it.
+
+    Returns
+    -------
+    ndarray, shape (T, T)
+        Symmetric idempotent matrix M = I - F H with M @ factors == 0 and
+        trace(M) == T - p.
+    """
+    h = factor_pinv(factors)
+    return _symmetrize(np.eye(h.shape[1]) - np.asarray(factors, dtype=float) @ h)
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

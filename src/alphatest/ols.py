@@ -1,8 +1,10 @@
 """Security-by-security OLS fits for the linear factor pricing model.
 
 Each security's return series is regressed on an intercept and the shared
-factor matrix.  The projection M onto the factor complement is computed
-once per panel and reused across all N securities.
+factor matrix.  The factor columns' p x T least-squares map H is solved
+once per panel; every security's residual is its centred series less
+its projection ``(y F) H``, O(Tp) per security, and no T x T projection
+is formed.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ import numpy as np
 
 from .errors import (DegenerateDesign, DimensionError, ShapeMismatch, TooFewObservations,
                      ZeroResidualVariance)
-from .linalg import annihilator
+from .linalg import annihilator, factor_pinv  # noqa: F401  the benchmark traces ols.annihilator
 
 __all__ = ["FactorPanel", "OlsFit", "fit"]
 
@@ -104,24 +106,27 @@ def fit(panel: FactorPanel) -> OlsFit:
     f = panel.factors
     n, t = y.shape
     v = t - f.shape[1] - 1
-    m = annihilator(f)
-    ones = np.ones(t)
-    m_ones = m @ ones
-    leverage = float(ones @ m_ones)
+    h = factor_pinv(f)
+    m_ones = 1.0 - f @ h.sum(axis=1)  # M 1, M = I - F H the factors' annihilator
+    leverage = float(m_ones.sum())
     if leverage <= 1e-10 * t:
         raise DegenerateDesign("intercept is collinear with the factor columns")
     alpha = (y @ m_ones) / leverage
-    resid = (y - alpha[:, None]) @ m
+    resid = y - alpha[:, None]
+    resid -= (resid @ f) @ h  # the centred returns times M, through the p columns
     mean_sq = np.einsum("ij,ij->i", y, y) / t  # einsum overflows to inf without a warning
     rss = np.einsum("ij,ij->i", resid, resid)
     sigma = rss / v
     exact = sigma <= EXACT_FIT_FRAC * mean_sq
     tiny, huge = np.finfo(float).tiny, np.finfo(float).max
     normal = (tiny <= mean_sq) & (mean_sq <= huge) & (rss <= huge) & ((rss >= tiny) | exact)
-    for cause, side in (("overflow", mean_sq > 1.0), ("underflow", mean_sq <= 1.0)):
-        if (bad := side & ~normal & y.any(axis=1)).any():
-            raise DimensionError(f"squared returns or residuals {cause} double precision for "
-                                 f"securities {np.flatnonzero(bad).tolist()}; rescale them")
+    if not normal.all():  # scan only then; an all-zero security is an exact fit
+        nonzero = y.any(axis=1)
+        for cause, side in (("overflow", mean_sq > 1.0), ("underflow", mean_sq <= 1.0)):
+            if (bad := side & ~normal & nonzero).any():
+                raise DimensionError(
+                    f"squared returns or residuals {cause} double precision for "
+                    f"securities {np.flatnonzero(bad).tolist()}; rescale them")
     if exact.any():
         raise ZeroResidualVariance(
             f"exact fit (residual variance at most {EXACT_FIT_FRAC:g} of the mean "

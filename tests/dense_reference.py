@@ -28,6 +28,9 @@ computes the five test statistics from it.  `max_stat_standardized` is
 MAX2 from an N x N root.  `dense_m2_cov` draws the M2 covariance as an
 N x N array and `gen_factors_vector` runs the factor recursion on
 3-vectors.  `components` labels a dense matrix's components.
+`annihilator_fit` is the OLS intercepts and residuals through the T x T
+annihilator M, the centred returns times M, which `ols.fit` replaces by
+a projection through the p factor columns.
 """
 
 import numpy as np
@@ -38,7 +41,7 @@ from alphatest.dependence import (
     EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, TILE_ROWS, MtCorrelation, _mt_cuts,
 )
 from alphatest.errors import DimensionError
-from alphatest.linalg import BlockDiagonal, edge_components, layout, psd_repair
+from alphatest.linalg import BlockDiagonal, annihilator, edge_components, layout, psd_repair
 from alphatest.ols import fit
 
 
@@ -240,3 +243,13 @@ def components(a):
     off = np.asarray(a) != 0
     np.fill_diagonal(off, False)
     return edge_components(off.shape[0], *np.nonzero(off))
+
+
+def annihilator_fit(returns, factors):
+    """(intercepts, N x T residuals) of the OLS fit on an intercept and the factor
+    columns, through the annihilator M: alpha = Y M 1 / 1'M1, residuals (Y - alpha) M."""
+    m = annihilator(factors)
+    ones = np.ones(m.shape[0])
+    m_ones = m @ ones
+    alpha = (returns @ m_ones) / (ones @ m_ones)
+    return alpha, (returns - alpha[:, None]) @ m

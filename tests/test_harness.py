@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -66,6 +67,38 @@ class TestScenarioConfig:
             with pytest.raises(ParseError, match=f"^{key}: expected"):
                 SMALL.updated({path: value})
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"n": 20.0}, "N: expected int, got 20.0"),
+        ({"n": True}, "N: expected int, got True"),
+        ({"n": np.bool_(True)}, f"N: expected int, got {np.bool_(True)!r}"),
+        ({"t": "40"}, "T: expected int, got '40'"),
+        ({"seed": None}, "seed: expected int, got None"),
+        ({"freeze_cov": 1}, "flags.freezeCov: expected bool, got 1"),
+        ({"cov_model": "M9"}, "covModel: expected one of M1, M2, M3, M4, got 'M9'"),
+        ({"error_dist": "cauchy"},
+         "errorDist: expected one of normal, t5_scaled, mixture_scaled, got 'cauchy'"),
+        ({"n": 2}, "N: expected an integer >= 3, got 2"),
+        ({"m": 21}, "m: expected an integer <= N=20, got 21"),
+        ({"m": -1}, "m: expected an integer >= 0, got -1"),
+    ], ids=["float_n", "bool_n", "numpy_bool_n", "string_t", "none_seed", "int_flag",
+            "unknown_model", "unknown_law", "two_securities", "m_above_n", "negative_m"])
+    def test_direct_construction_is_checked(self, fields, message):
+        # built directly, a scenario follows the rule `updated` applies to JSON values
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(**{"n": 20, "t": 40, **fields})
+
+    def test_float_n_fails_before_the_experiment_runs(self):
+        with pytest.raises(ParseError, match="^N: expected int, got 20.0$"):
+            run_experiment(ExperimentSpec(ScenarioConfig(n=20.0, t=40), reps=2))
+
+    def test_numpy_integer_fields(self):
+        scenario = ScenarioConfig(n=np.int64(20), t=np.int32(40), m=np.uint8(2), reps=3)
+        plain = ScenarioConfig(n=20, t=40, m=2, reps=3)
+        assert scenario == plain and type(scenario.n) is int
+        assert ScenarioConfig.from_json(scenario.to_json()) == plain
+        assert table_to_csv(run_experiment(ExperimentSpec(scenario))) == \
+            table_to_csv(run_experiment(ExperimentSpec(plain)))
+
     def test_scenario_id(self):
         assert SMALL.scenario_id == "M1/normal/N20/T40"
 
@@ -93,6 +126,10 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("reps,scenario_reps", [(0, 10), (-1, 10), (None, 0)])
     def test_reps_below_one(self, reps, scenario_reps):
+        if reps is None:  # the scenario's own count is checked when the scenario is built
+            with pytest.raises(ParseError, match="^reps: expected an integer >= 1, got 0$"):
+                ScenarioConfig(n=20, t=40, reps=scenario_reps)
+            return
         scenario = ScenarioConfig(n=20, t=40, reps=scenario_reps)
         with pytest.raises(ValueError, match="replication"):
             ExperimentSpec(scenario=scenario, reps=reps)
@@ -103,6 +140,10 @@ class TestExperimentSpec:
     def test_non_integer_reps(self, reps, scenario_reps):
         # True would run one replication and write "True" as the CSV's reps;
         # 2.0 and "3" would fail later, inside range or a comparison
+        if reps is None:  # the scenario's own count is checked when the scenario is built
+            with pytest.raises(ParseError, match=f"^reps: expected int, got {scenario_reps}$"):
+                ScenarioConfig(n=20, t=40, reps=scenario_reps)
+            return
         scenario = ScenarioConfig(n=20, t=40, reps=scenario_reps)
         with pytest.raises(ValueError, match="replications must be an integer"):
             ExperimentSpec(scenario=scenario, reps=reps)

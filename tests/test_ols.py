@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from alphatest.errors import (DegenerateDesign, DimensionError, ShapeMismatch, TooFewObservations,
-                              ZeroResidualVariance)
+from alphatest.errors import (DegenerateDesign, DimensionError, ShapeMismatch, SingularDesign,
+                              TooFewObservations, ZeroResidualVariance)
 from alphatest.ols import FactorPanel, fit
+from dense_reference import annihilator_fit
 
 
 def make_panel(n=5, t=30, p=3, seed=0, alpha=None):
@@ -183,6 +184,65 @@ class TestFit:
         f = np.column_stack([np.ones(20), rng.standard_normal(20)])
         with pytest.raises(DegenerateDesign):
             fit(FactorPanel(returns=rng.standard_normal((3, 20)), factors=f))
+
+
+def exposed_panel(n, t, seed, scales=(1.0, 1.0, 1.0)):
+    """Returns alpha + B F' + noise on factor columns scaled by `scales`, each
+    security's exposure scaled back, so every factor moves returns by O(1)."""
+    rng = np.random.default_rng(seed)
+    scales = np.asarray(scales)
+    f = rng.standard_normal((t, scales.size)) * scales
+    betas = rng.standard_normal((n, scales.size)) / scales
+    y = 0.3 + betas @ f.T + rng.standard_normal((n, t))
+    return FactorPanel(returns=y, factors=f)
+
+
+# (N, T, factor column scales): well conditioned at three sizes, then factors
+# in mismatched units, with cond(F'F) near 1e10, inside the 1e12 cut
+DESIGNS = [(3, 9, (1.0, 1.0, 1.0)), (200, 100, (1.0, 1.0, 1.0)), (1000, 120, (1.0, 1.0, 1.0)),
+           (200, 100, (1.0, 1e-2, 1e3)), (200, 100, (1e-3, 1.0, 1e2))]
+DESIGN_IDS = ["3-9", "200-100", "1000-120", "200-100-units-1,1e-2,1e3", "200-100-units-1e-3,1,1e2"]
+
+
+class TestRankPResiduals:
+    """`fit` projects the centred returns through the p factor columns; the
+    T x T annihilator product of `annihilator_fit` is the reference."""
+
+    @pytest.mark.parametrize("n,t,scales", DESIGNS, ids=DESIGN_IDS)
+    def test_matches_the_annihilator_product(self, n, t, scales):
+        panel = exposed_panel(n, t, seed=n + t, scales=scales)
+        f = panel.factors
+        cond = np.linalg.cond(f.T @ f)
+        assert cond < 1e11 and (cond > 1e9) == (len(set(scales)) > 1)
+        result = fit(panel)
+        alpha, resid = annihilator_fit(panel.returns, f)
+        assert np.abs(result.residuals - resid).max() <= 1e-12 * np.abs(resid).max()
+        assert np.abs(result.alpha_hat - alpha).max() <= 1e-12 * np.abs(alpha).max()
+
+    @pytest.mark.parametrize("n,t,scales", DESIGNS, ids=DESIGN_IDS)
+    def test_residuals_are_orthogonal_to_the_design(self, n, t, scales):
+        # E F = 0 and E 1 = 0, each entry against the norms of its row and column
+        panel = exposed_panel(n, t, seed=5, scales=scales)
+        e = fit(panel).residuals
+        yc = panel.returns - panel.returns.mean(axis=1, keepdims=True)
+        x = np.column_stack([np.ones(t), panel.factors])
+        bound = np.linalg.norm(yc, axis=1)[:, None] * np.linalg.norm(x, axis=0)
+        assert (np.abs(e @ x) <= 1e-12 * bound).all()
+
+    def test_singular_and_degenerate_messages(self):
+        rng = np.random.default_rng(22)
+        col = rng.standard_normal(20)
+        y = rng.standard_normal((3, 20))
+        with pytest.raises(SingularDesign, match="^factor Gram matrix is numerically singular$"):
+            fit(FactorPanel(returns=y, factors=np.column_stack([col, 2.0 * col])))
+        f = np.column_stack([np.ones(20), col])
+        with pytest.raises(DegenerateDesign,
+                           match="^intercept is collinear with the factor columns$"):
+            fit(FactorPanel(returns=y, factors=f))
+
+    def test_no_eigensolver_call(self, eigen_calls):
+        fit(exposed_panel(200, 100, seed=23))
+        assert eigen_calls == []
 
 
 class TestTRatios:

@@ -1,5 +1,6 @@
-"""`bench/run_bench.py` runs where the `resource` module is missing (Windows), and its
-pool section times each call."""
+"""`bench/run_bench.py` times the OLS fit and the five tests of a cell, with their page
+faults, also where the `resource` module is missing (Windows), and its pool section
+times each call."""
 
 import json
 import os
@@ -26,8 +27,20 @@ def test_cell_without_resource_records_null_faults():
     done = subprocess.run([sys.executable, "-c", WITHOUT_RESOURCE], env=env,
                           capture_output=True, text=True, check=True)
     cell = json.loads(done.stdout)
-    assert cell["run_all_detailed_minflt"] is None
-    assert cell["N"] == 20 and cell["run_all_detailed_ms"] > 0
+    assert cell["run_all_detailed_minflt"] is None and cell["fit_minflt"] is None
+    assert cell["N"] == 20 and cell["run_all_detailed_ms"] > 0 and cell["fit_ms"] > 0
+
+
+def test_cell_times_the_fit():
+    src = os.path.dirname(os.path.dirname(alphatest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCH), src]))
+    script = "import json, run_bench; print(json.dumps(run_bench.time_cell('M3', 20)))"
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    cell = json.loads(done.stdout)
+    assert 0 < cell["fit_ms"] < cell["run_all_detailed_ms"]
+    for key in ("fit_minflt", "run_all_detailed_minflt"):
+        assert isinstance(cell[key], float) and cell[key] >= 0
 
 
 def test_pool_section_times_every_call():
