@@ -2,11 +2,11 @@
 
 Library layout:
 
-* :mod:`alphatest.linalg` - the factor design's checked least-squares map
-  and annihilator; symmetric eigendecomposition, inverse square roots and
-  PSD repair on a component stack.
-* :mod:`alphatest.ols` - per-security OLS fits, residuals projected through
-  the p factor columns, and intercept t-ratios.
+* :mod:`alphatest.linalg` - the checked QR of the design [F, 1] and the
+  factors' annihilator; symmetric eigendecomposition, inverse square roots
+  and PSD repair on a component stack.
+* :mod:`alphatest.ols` - per-security OLS fits read off that QR: intercepts,
+  residuals and intercept t-ratios.
 * :mod:`alphatest.dependence` - thresholded residual correlation,
   its precision root, multiple-testing correlation summary; threshold,
   repair and root are one stack of connected components end to end.

@@ -180,7 +180,7 @@ def gen_alpha(
 
     The squared norm is 10 * log(N) / T for every m, so power comparisons
     across sparsity levels hold the signal strength fixed.  m = 0 gives
-    the null.  A fixed `support` may be supplied instead of drawing one.
+    the null.  A fixed `support` of m rows may be supplied instead.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= N, got m={m}, N={n}")
@@ -194,6 +194,8 @@ def gen_alpha(
     support = np.asarray(support, dtype=int)
     if support.size != m:
         raise ValueError("support size must equal m")
+    if np.unique(support).size != m or support.min() < 0 or support.max() >= n:
+        raise ValueError(f"support must be m distinct rows in 0..{n - 1}, got {support.tolist()}")
     alpha[support] = np.sqrt(10.0 * np.log(n) / (m * t))
     return alpha
 

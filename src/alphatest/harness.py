@@ -67,7 +67,7 @@ FIELD_KEYS = {path: key for key, path in JSON_KEYS.items()}
 # field path -> the values it may take
 CHOICES = {"cov_model": COV_MODELS, "error_dist": ERROR_DISTS}
 # field path -> the least value it may take; m may also be at most N
-MINIMA = {"n": 3, "m": 0, "reps": 1, "seed": 0}
+MINIMA = {"n": 3, "t": 1, "m": 0, "reps": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class ScenarioConfig:
         """Each field must have its type: an int field a Python or numpy integer
         (neither bool nor np.bool_ is one; it is stored as an int), and a bool
         field a Python bool.  The covariance model and error law must be one of
-        `CHOICES`; N, m, reps and seed must be at least their `MINIMA`, and m
+        `CHOICES`; N, T, m, reps and seed must be at least their `MINIMA`, and m
         at most N.  A ParseError names the scenario JSON key of the field."""
         for f in fields(self):
             value, kind, key = getattr(self, f.name), f.type, FIELD_KEYS.get(f.name, f.name)

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels: the factor design and symmetric matrices.
 
-`factor_pinv` is the one checked solve of the factor design: the p x T
-map ``(F'F)^{-1} F'`` from a series to its least-squares coefficients on
-the factor columns, from which the OLS fit projects its residuals in
-O(NTp) work without forming a T x T matrix; `annihilator` builds the
+`design_qr` is the one checked factorization of the factor design, the
+Householder QR of ``X = [F, 1]``: the OLS fit reads intercepts and
+residuals off it in O(NTp) work, losing accuracy like cond(X), not like
+cond(X'X) as the normal equations would, and `annihilator` builds the
 T x T projection M from it for the tests.  Correlation roots and
 covariance repair funnel through the symmetric kernels below.  All
 matrix roots are computed by symmetric eigendecomposition rather than
@@ -42,7 +42,7 @@ from .errors import DimensionError, SingularDesign
 
 __all__ = [
     "BlockDiagonal",
-    "factor_pinv",
+    "design_qr",
     "annihilator",
     "sym_eigen",
     "edge_components",
@@ -54,43 +54,31 @@ __all__ = [
 ]
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    """(A + A') / 2 of a matrix or of each matrix in a stack."""
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
-
-
-def factor_pinv(factors: np.ndarray) -> np.ndarray:
-    """The p x T least-squares map ``H = (F'F)^{-1} F'`` of a T x p design F,
-    from one ``solve``: ``H @ y`` is a series' coefficients on F's columns.
-    F must be 2-d with T > p, and cond(F'F), from the SVD, at most 1e12."""
+def design_qr(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR, ``(Q, R)`` with ``Q @ R == X``, of the T x (p+1) design
+    ``X = [F, 1]``, intercept last: ``Q[:, :p]`` spans F and ``R[p, p]**2`` is
+    ``1'M1``.  F must be 2-d with T > p >= 1, and cond(F'F), that is
+    ``cond(R[:p, :p])**2`` from the SVD, at most 1e12."""
     f = np.asarray(factors, dtype=float)
     if f.ndim != 2:
         raise DimensionError(f"factor matrix must be 2-d, got ndim={f.ndim}")
     t, p = f.shape
     if t <= p:
         raise DimensionError(f"need more rows than columns, got {t}x{p}")
-    gram = f.T @ f
-    if np.linalg.cond(gram) > 1e12:
+    if p == 0:
+        raise DimensionError(f"need at least one factor column, got {t}x0")
+    q, r = np.linalg.qr(np.column_stack([f, np.ones(t)]))
+    if np.linalg.cond(r[:p, :p]) ** 2 > 1e12:
         raise SingularDesign("factor Gram matrix is numerically singular")
-    return np.linalg.solve(gram, f.T)
+    return q, r
 
 
 def annihilator(factors: np.ndarray) -> np.ndarray:
-    """Projection onto the orthogonal complement of the factor columns.
-
-    Parameters
-    ----------
-    factors : ndarray, shape (T, p)
-        Design matrix F, as `factor_pinv` takes it.
-
-    Returns
-    -------
-    ndarray, shape (T, T)
-        Symmetric idempotent matrix M = I - F H with M @ factors == 0 and
-        trace(M) == T - p.
-    """
-    h = factor_pinv(factors)
-    return _symmetrize(np.eye(h.shape[1]) - np.asarray(factors, dtype=float) @ h)
+    """The T x T projection ``M = I - Q_F Q_F'`` off the columns of a T x p factor
+    matrix F, as `design_qr` takes it, Q_F the first p columns of its Q: exactly
+    symmetric and idempotent, with ``M @ F == 0`` and trace(M) == T - p."""
+    q_f = design_qr(factors)[0][:, :-1]
+    return np.eye(q_f.shape[0]) - q_f @ q_f.T
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +212,8 @@ def spectral_map(a: BlockDiagonal, f) -> BlockDiagonal:
     fw = np.zeros_like(w)
     fw[real] = f(w[real])
     q[~real] = 0.0
-    stack = _symmetrize((q * fw[:, None, :]) @ np.swapaxes(q, -1, -2))
+    stack = (q * fw[:, None, :]) @ np.swapaxes(q, -1, -2)
+    stack = (stack + np.swapaxes(stack, -1, -2)) / 2.0
     return BlockDiagonal(f(a.diag), a.slots, stack)
 
 

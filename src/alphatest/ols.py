@@ -1,10 +1,10 @@
 """Security-by-security OLS fits for the linear factor pricing model.
 
-Each security's return series is regressed on an intercept and the shared
-factor matrix.  The factor columns' p x T least-squares map H is solved
-once per panel; every security's residual is its centred series less
-its projection ``(y F) H``, O(Tp) per security, and no T x T projection
-is formed.
+Each security's return series is regressed on the shared factors and an
+intercept.  The design ``X = [F, 1]`` is factored once per panel as QR
+(`linalg.design_qr`, intercept last); a security's intercept is
+``(y Q)[p] / R[p, p]`` and its residual ``y - (y Q) Q'``, O(Tp) per
+security, with no T x T projection and no normal equations.
 """
 
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (DegenerateDesign, DimensionError, ShapeMismatch, TooFewObservations,
                      ZeroResidualVariance)
-from .linalg import annihilator, factor_pinv  # noqa: F401  the benchmark traces ols.annihilator
+from .linalg import annihilator, design_qr  # noqa: F401  the benchmark traces ols.annihilator
 
 __all__ = ["FactorPanel", "OlsFit", "fit"]
 
@@ -93,27 +93,29 @@ def fit(panel: FactorPanel) -> OlsFit:
 
     Raises
     ------
+    SingularDesign
+        If the factors are numerically collinear: cond(F'F) > 1e12.
     DegenerateDesign
         If the intercept is numerically collinear with the factors.
     DimensionError
-        If a security's mean squared return, or its residual sum of squares
-        short of an exact fit, is not a finite normal double.
+        If there is no factor column, or a security's mean squared return, or
+        its residual sum of squares short of an exact fit, is not a finite
+        normal double.
     ZeroResidualVariance
         If a security is fitted exactly: its residual variance is at most
         `EXACT_FIT_FRAC` of its mean squared return, so it has no t-ratio.
     """
     y = panel.returns
-    f = panel.factors
-    n, t = y.shape
-    v = t - f.shape[1] - 1
-    h = factor_pinv(f)
-    m_ones = 1.0 - f @ h.sum(axis=1)  # M 1, M = I - F H the factors' annihilator
-    leverage = float(m_ones.sum())
+    t = y.shape[1]
+    q, r = design_qr(panel.factors)
+    v = t - q.shape[1]
+    leverage = float(r[-1, -1]) ** 2  # 1'M1, M the factors' annihilator
     if leverage <= 1e-10 * t:
         raise DegenerateDesign("intercept is collinear with the factor columns")
-    alpha = (y @ m_ones) / leverage
-    resid = y - alpha[:, None]
-    resid -= (resid @ f) @ h  # the centred returns times M, through the p columns
+    yq = y @ q
+    alpha = yq[:, -1] / r[-1, -1]
+    resid = yq @ q.T
+    np.subtract(y, resid, out=resid)  # y - (y Q) Q', in place on the projection
     mean_sq = np.einsum("ij,ij->i", y, y) / t  # einsum overflows to inf without a warning
     rss = np.einsum("ij,ij->i", resid, resid)
     sigma = rss / v

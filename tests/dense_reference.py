@@ -29,8 +29,10 @@ MAX2 from an N x N root.  `dense_m2_cov` draws the M2 covariance as an
 N x N array and `gen_factors_vector` runs the factor recursion on
 3-vectors.  `components` labels a dense matrix's components.
 `annihilator_fit` is the OLS intercepts and residuals through the T x T
-annihilator M, the centred returns times M, which `ols.fit` replaces by
-a projection through the p factor columns.
+annihilator ``M = I - Q_F Q_F'`` of the factor columns, the centred
+returns times M, which `ols.fit` replaces by reading the intercepts and
+residuals off the QR factorization of ``[F, 1]`` it shares with M, in
+O(NTp) work.
 """
 
 import numpy as np

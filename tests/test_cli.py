@@ -393,7 +393,9 @@ class TestCmdSize:
         ('{"N": 20, "T": 40, "reps": 0}', "reps: expected an integer >= 1, got 0"),
         ('{"N": 20, "T": 40, "m": 25}', "m: expected an integer <= N=20, got 25"),
         ('{"N": 2, "T": 40}', "N: expected an integer >= 3, got 2"),
-    ], ids=["negative_seed", "negative_m", "zero_reps", "m_above_n", "two_securities"])
+        ('{"N": 30, "T": -5}', "T: expected an integer >= 1, got -5"),
+    ], ids=["negative_seed", "negative_m", "zero_reps", "m_above_n", "two_securities",
+            "negative_t"])
     def test_out_of_range_scenario_value_exits_io(self, tmp_path, capsys, text, message):
         config = tmp_path / "scenario.json"
         config.write_text(text)

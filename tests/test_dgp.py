@@ -334,6 +334,15 @@ class TestGenAlpha:
         with pytest.raises(ValueError):
             gen_alpha(5, 6, 100, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("support,message", [
+        ([3, 3], r"^support must be m distinct rows in 0\.\.9, got \[3, 3\]$"),
+        ([-1], r"^support must be m distinct rows in 0\.\.9, got \[-1\]$"),
+        ([2, 10], r"^support must be m distinct rows in 0\.\.9, got \[2, 10\]$"),
+    ], ids=["duplicate", "negative", "past_n"])
+    def test_bad_support(self, support, message):
+        with pytest.raises(ValueError, match=message):
+            gen_alpha(10, len(support), 100, support=support)
+
 
 class TestAssemblePanel:
     def test_noiseless_recovery(self):

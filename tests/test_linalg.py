@@ -51,7 +51,7 @@ class TestAnnihilator:
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((t, p))
         m = annihilator(f)
-        assert np.allclose(m, m.T, atol=1e-10)
+        assert np.array_equal(m, m.T)
         assert np.allclose(m @ m, m, atol=1e-10)
         assert np.abs(m @ f).max() < 1e-10
         assert np.isclose(np.trace(m), t - p, atol=1e-9)
@@ -70,6 +70,10 @@ class TestAnnihilator:
     def test_1d_raises(self):
         with pytest.raises(DimensionError):
             annihilator(np.ones(5))
+
+    def test_no_factor_columns_raises(self):
+        with pytest.raises(DimensionError, match=r"^need at least one factor column, got 12x0$"):
+            annihilator(np.ones((12, 0)))
 
 
 class TestSymEigen:

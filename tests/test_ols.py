@@ -185,6 +185,11 @@ class TestFit:
         with pytest.raises(DegenerateDesign):
             fit(FactorPanel(returns=rng.standard_normal((3, 20)), factors=f))
 
+    def test_no_factor_columns_raises(self):
+        y = np.random.default_rng(24).standard_normal((3, 20))
+        with pytest.raises(DimensionError, match=r"^need at least one factor column, got 20x0$"):
+            fit(FactorPanel(returns=y, factors=np.zeros((20, 0))))
+
 
 def exposed_panel(n, t, seed, scales=(1.0, 1.0, 1.0)):
     """Returns alpha + B F' + noise on factor columns scaled by `scales`, each
@@ -228,6 +233,24 @@ class TestRankPResiduals:
         x = np.column_stack([np.ones(t), panel.factors])
         bound = np.linalg.norm(yc, axis=1)[:, None] * np.linalg.norm(x, axis=0)
         assert (np.abs(e @ x) <= 1e-12 * bound).all()
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("gap", [1e-5, 3e-6])
+    def test_near_collinear_factors_match_lstsq(self, gap, seed):
+        # factor 3 is factor 2 plus gap * noise: cond(F'F) is 4e10 to 5e11,
+        # inside the 1e12 cut, where the normal equations lose 1e-8 to 4e-5
+        rng = np.random.default_rng(seed)
+        n, t = 200, 100
+        f = rng.standard_normal((t, 3))
+        f[:, 2] = f[:, 1] + gap * rng.standard_normal(t)
+        y = 0.3 + rng.standard_normal((n, 3)) @ f.T + rng.standard_normal((n, t))
+        assert 1e10 < np.linalg.cond(f.T @ f) < 1e12
+        result = fit(FactorPanel(returns=y, factors=f))
+        x = np.column_stack([f, np.ones(t)])
+        coef = np.linalg.lstsq(x, y.T, rcond=None)[0]
+        resid = y - (x @ coef).T
+        assert np.abs(result.residuals - resid).max() <= 1e-9 * np.abs(resid).max()
+        assert np.abs(result.alpha_hat - coef[3]).max() <= 1e-9 * np.abs(coef[3]).max()
 
     def test_singular_and_degenerate_messages(self):
         rng = np.random.default_rng(22)
