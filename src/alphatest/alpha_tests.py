@@ -58,8 +58,8 @@ class TestConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.threshold_delta <= 0:
-            raise ValueError(f"threshold_delta must be positive, got {self.threshold_delta}")
+            if value <= 0 and name != "delta_mt":
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

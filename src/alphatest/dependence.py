@@ -22,7 +22,9 @@ diagonal restoration, the floor's spectrum and the root take and return
 that form, one eigensolver call on the stack each, so a decoupled row's
 entry in the root, ``1 / sqrt(max(1, floor))``, falls out of the same
 map; the repair test, the diagonal restoration and the floor stay
-decisions over all rows together.
+decisions over all rows together.  Repair returns a correlation, so no
+stage rescales it; `correlation_from_cov` and `precision_root` (bound to
+`linalg.inv_sqrt_psd`) stay importable here for the tracer and the tests.
 """
 
 from dataclasses import dataclass
@@ -30,8 +32,8 @@ from statistics import NormalDist, StatisticsError
 
 import numpy as np
 
-from .errors import NonPositiveDiagonal
-from .linalg import BlockDiagonal, edge_components, inv_sqrt_psd, layout, psd_repair, spectrum
+from .linalg import (BlockDiagonal, correlation_from_cov, edge_components, inv_sqrt_psd,
+                     layout, psd_repair, spectrum)
 
 __all__ = [
     "CorrelationPairs",
@@ -40,8 +42,6 @@ __all__ = [
     "sample_cov",
     "correlation_pairs",
     "hard_threshold",
-    "correlation_from_cov",
-    "precision_root",
     "mt_rho_bar_sq",
     "estimate_dependence",
 ]
@@ -178,28 +178,7 @@ def hard_threshold(pairs: CorrelationPairs, threshold: float):
     return BlockDiagonal(np.ones(pairs.n), slots, stack), label
 
 
-def correlation_from_cov(sigma: BlockDiagonal) -> BlockDiagonal:
-    """Scale a covariance matrix to unit diagonal; exactly symmetric if `sigma` is.
-
-    `estimate_dependence` uses it to restore the unit diagonal of the
-    PSD-repaired correlation.
-    """
-    real = sigma.slots < sigma.shape[0]
-    d = np.diagonal(sigma.stack, axis1=1, axis2=2)
-    if (d[real] <= 0).any() or (np.delete(sigma.diag, sigma.slots[real]) <= 0).any():
-        raise NonPositiveDiagonal("covariance diagonal must be positive")
-    inv_sd = np.zeros(d.shape)
-    inv_sd[real] = 1.0 / np.sqrt(d[real])
-    r = sigma.stack * (inv_sd[:, :, None] * inv_sd[:, None, :])
-    on = np.arange(d.shape[1])
-    r[:, on, on] = real
-    return BlockDiagonal(np.ones(sigma.shape[0]), sigma.slots, r)
-
-
-def precision_root(r_hat: BlockDiagonal, floor: float) -> BlockDiagonal:
-    """Symmetric inverse square root of a correlation matrix, eigenvalues
-    floored at `floor` (`estimate_dependence` sets it)."""
-    return inv_sqrt_psd(r_hat, floor)
+precision_root = inv_sqrt_psd  # the inverse correlation root, under its old name
 
 
 def _mt_cuts(n: int, v: int, q_mt: float, delta_mt: float) -> tuple[float, float]:
@@ -207,11 +186,12 @@ def _mt_cuts(n: int, v: int, q_mt: float, delta_mt: float) -> tuple[float, float
 
     Candidates clear a cut a relative 1e-9 below c_n / sqrt(v), more than
     the rounding of either side, so they include every pair that passes
-    the exact test ``sqrt(v) * |rho_ij| >= c_n``.  A c_n that is not finite,
-    as when ``q_mt <= 0`` or ``q_mt / N**delta_mt >= 2``, is a ValueError.
+    the exact test ``sqrt(v) * |rho_ij| >= c_n``.  c_n is read off the tail
+    ``p = q_mt / (2 * N**delta_mt)`` itself, finite even where p vanishes next
+    to 1; a p not in (0, 1), or an N**delta_mt that overflows, is a ValueError.
     """
-    try:  # N**delta_mt may overflow or be 0; inv_cdf rejects 0 and 1 (c_n = -inf, +inf)
-        c_n = NormalDist().inv_cdf(1.0 - q_mt / (2.0 * n**delta_mt))
+    try:  # N**delta_mt may overflow or be 0; inv_cdf rejects 0 and 1 (c_n = +inf, -inf)
+        c_n = -NormalDist().inv_cdf(q_mt / (2.0 * n**delta_mt))
     except (OverflowError, ZeroDivisionError, StatisticsError):
         c_n = np.nan
     if not np.isfinite(c_n):
@@ -226,7 +206,7 @@ def mt_rho_bar_sq(
     """Multiple-testing estimate of the mean squared pairwise correlation.
 
     A pairwise sample correlation rho_ij survives iff
-    ``sqrt(v) * |rho_ij| >= Phi^-1(1 - q_mt / (2 * N**delta_mt))``; the
+    ``sqrt(v) * |rho_ij| >= -Phi^-1(q_mt / (2 * N**delta_mt))``; the
     estimate averages the squared survivors over all N(N-1)/2 pairs.  The
     exact test runs on `pairs`, whose cut must not exceed the candidates'
     cut of `_mt_cuts`, and sums the survivors in its row-major order.
@@ -258,16 +238,15 @@ def estimate_dependence(
     pairs = correlation_pairs(residuals, cut)
     thresholded, label = hard_threshold(pairs, threshold)
     sizes = np.bincount(label[label >= 0])
-    repaired = psd_repair(thresholded, PSD_EPS_FRAC)
-    r_hat = correlation_from_cov(repaired)
+    r_hat = psd_repair(thresholded, PSD_EPS_FRAC)
     # the decoupled rows' eigenvalue 1 is below the largest of a non-empty stack
     floor = EIGEN_FLOOR_FRAC * spectrum(r_hat)[-1]
     return DependenceEstimate(
         pairs=pairs,
-        root=precision_root(r_hat, floor),
+        root=inv_sqrt_psd(r_hat, floor),
         floor=floor,
         threshold_used=threshold,
-        repaired=repaired is not thresholded,
+        repaired=r_hat is not thresholded,
         coupled=int(sizes.sum()),
         components=int(np.count_nonzero(sizes)),
         largest_component=int(sizes.max(initial=0)),

@@ -270,8 +270,10 @@ def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
     another size first shuts the old pool down and waits for it, so no
     fork happens while another pool's threads run.  A pool broken by a
     dead worker is dropped before its error propagates.  concurrent.futures
-    joins the workers at interpreter exit.
+    joins the workers at interpreter exit.  Fewer than one worker is a ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     scenario, reps = spec.scenario, spec.n_reps
     ms = [m for m in m_values for _ in range(reps)]
     rep_ids = [rep for _ in m_values for rep in range(reps)]

@@ -4,11 +4,11 @@
 Householder QR of ``X = [F, 1]``: the OLS fit reads intercepts and
 residuals off it in O(NTp) work, losing accuracy like cond(X), not like
 cond(X'X) as the normal equations would, and `annihilator` builds the
-T x T projection M from it for the tests.  Correlation roots and
-covariance repair funnel through the symmetric kernels below.  All
-matrix roots are computed by symmetric eigendecomposition rather than
-Cholesky so that a single code path also handles indefinite inputs
-produced by hard thresholding.
+T x T projection M from it for the tests.  Correlation roots and the PSD
+repair of a correlation, which returns a correlation, funnel through the
+symmetric kernels below.  All matrix roots are computed by symmetric
+eigendecomposition rather than Cholesky so that a single code path also
+handles indefinite inputs produced by hard thresholding.
 
 Block form: rows of a symmetric matrix joined by a path of nonzero
 off-diagonal entries form a connected component, which `edge_components`
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularDesign
+from .errors import DimensionError, NonPositiveDiagonal, SingularDesign
 
 __all__ = [
     "BlockDiagonal",
@@ -50,6 +50,7 @@ __all__ = [
     "spectrum",
     "spectral_map",
     "inv_sqrt_psd",
+    "correlation_from_cov",
     "psd_repair",
 ]
 
@@ -229,13 +230,27 @@ def inv_sqrt_psd(a: BlockDiagonal, floor: float) -> BlockDiagonal:
     return spectral_map(a, lambda w: 1.0 / np.sqrt(np.maximum(w, floor)))
 
 
-def psd_repair(a: BlockDiagonal, epsilon: float) -> BlockDiagonal:
-    """Clip eigenvalues up to `epsilon`, preserving the diagonal when safe.
+def correlation_from_cov(sigma: BlockDiagonal) -> BlockDiagonal:
+    """Scale a covariance matrix to unit diagonal; exactly symmetric if `sigma` is."""
+    real = sigma.slots < sigma.shape[0]
+    d = np.diagonal(sigma.stack, axis1=1, axis2=2)
+    if (d[real] <= 0).any() or (np.delete(sigma.diag, sigma.slots[real]) <= 0).any():
+        raise NonPositiveDiagonal("covariance diagonal must be positive")
+    inv_sd = np.zeros(d.shape)
+    inv_sd[real] = 1.0 / np.sqrt(d[real])
+    r = sigma.stack * (inv_sd[:, :, None] * inv_sd[:, None, :])
+    on = np.arange(d.shape[1])
+    r[:, on, on] = real
+    return BlockDiagonal(np.ones(sigma.shape[0]), sigma.slots, r)
 
-    Returns `a`, whose stack must be exactly symmetric, unchanged when it
-    is already sufficiently positive definite.  After clipping, the
-    original diagonal is restored only if doing so keeps the smallest
-    eigenvalue at or above epsilon / 2.
+
+def psd_repair(a: BlockDiagonal, epsilon: float) -> BlockDiagonal:
+    """Clip the eigenvalues of a correlation up to `epsilon`; return a correlation.
+
+    Returns `a`, whose stack must be exactly symmetric, itself when it is
+    already sufficiently positive definite.  After clipping, the original
+    unit diagonal is restored if doing so keeps the smallest eigenvalue at
+    or above epsilon / 2; otherwise the clip is scaled to unit diagonal.
     """
     w = spectrum(a)
     if not w.size or w[0] >= epsilon:
@@ -247,4 +262,4 @@ def psd_repair(a: BlockDiagonal, epsilon: float) -> BlockDiagonal:
     with_diag = BlockDiagonal(a.diag, a.slots, stack)
     if spectrum(with_diag)[0] >= epsilon / 2.0:
         return with_diag
-    return repaired
+    return correlation_from_cov(repaired)

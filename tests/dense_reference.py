@@ -163,7 +163,9 @@ def thresholded_dense(sigma, t, delta):
 
 
 def dense_psd_repair(a, epsilon):
-    """`psd_repair` from plain eigensolver calls on the whole matrix."""
+    """`psd_repair` from plain eigensolver calls on the whole matrix, but the
+    clip whose diagonal is not restored comes back unscaled; `dense_oracle`
+    rescales it."""
     if np.linalg.eigvalsh(a)[0] >= epsilon:
         return a
     w, q = np.linalg.eigh(a)

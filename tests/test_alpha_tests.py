@@ -341,6 +341,12 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="threshold_delta must be positive"):
             Config(threshold_delta=value)
 
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_non_positive_qmt_raises(self, value):
+        # the multiple-testing tail q_mt / (2 N**delta_mt) must be a probability above 0
+        with pytest.raises(ValueError, match="q_mt must be positive"):
+            Config(q_mt=value)
+
     @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1, float("nan")])
     def test_gamma_outside_unit_interval_raises(self, value):
         with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\)"):

@@ -256,6 +256,18 @@ class TestCmdTest:
         assert capsys.readouterr().err.startswith("numeric error: gamma must be in (0, 1)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-0.05"])
+    def test_bad_qmt_exits_numeric_before_reading(self, tmp_path, capsys, value):
+        # the multiple-testing level is checked before the CSVs are read, so
+        # absent ones do not matter
+        out = tmp_path / "r.json"
+        code = main(["test", "--returns", str(tmp_path / "absent_r.csv"),
+                     "--factors", str(tmp_path / "absent_f.csv"),
+                     "--out", str(out), f"--qmt={value}"])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric error: q_mt must be positive")
+        assert not out.exists()
+
     def test_eigensolver_failure_exits_numeric(self, tmp_path, monkeypatch, capsys):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -182,14 +182,13 @@ class TestMtRhoBarSq:
         for q_mt in (1e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 1.9):
             for n in (3, 40, 200, 1000, 5000):
                 for delta_mt in (0.0, 0.5, 1.0, 2.0, 3.0):
-                    want = ndtri(1.0 - q_mt / (2.0 * n**delta_mt))
+                    want = -ndtri(q_mt / (2.0 * n**delta_mt))
                     c_n = dependence._mt_cuts(n, 50, q_mt, delta_mt)[0]
                     assert c_n == pytest.approx(want, rel=1e-15, abs=0.0), (q_mt, n, delta_mt)
 
     @pytest.mark.parametrize("q_mt,delta_mt", [(0.0, 1.0), (-1.0, 1.0), (0.05, -50.0),
-                                               (0.05, 400.0), (0.05, -400.0), (0.05, 1e308),
-                                               (0.05, -1e308), (0.05, 30.0), (3.9, 0.0),
-                                               (np.nan, 1.0)])
+                                               (0.05, -400.0), (0.05, 1e308),
+                                               (0.05, -1e308), (3.9, 0.0), (np.nan, 1.0)])
     def test_non_finite_critical_value_raises(self, q_mt, delta_mt):
         # c_n = +inf keeps no pair, NaN none either: both would zero the correction
         pairs = correlation_pairs(np.eye(4, 10), 0.0)
@@ -197,6 +196,20 @@ class TestMtRhoBarSq:
             dependence.mt_rho_bar_sq(pairs, 50, q_mt, delta_mt)
         with pytest.raises(ValueError, match="critical value"):
             estimate_dependence(np.eye(4, 10), 6, 3.0, q_mt, delta_mt)
+
+    @pytest.mark.parametrize("n,q_mt,delta_mt,c_n", [
+        (4, 0.05, 30.0, 9.1794), (4, 0.05, 400.0, 33.2801), (1000, 0.05, 5.0, 8.3867)])
+    def test_vanishing_tail_gives_a_finite_critical_value(self, n, q_mt, delta_mt, c_n):
+        # 1 - q_mt / (2 N**delta_mt) rounds to 1; c_n is read off the tail itself
+        from scipy.special import ndtri
+
+        e = np.eye(n, n + 6)
+        mt = dependence.mt_rho_bar_sq(correlation_pairs(e, 0.0), 6, q_mt, delta_mt)
+        assert 1.0 - q_mt / (2.0 * n**delta_mt) == 1.0
+        assert mt.mt_threshold == pytest.approx(-ndtri(q_mt / (2.0 * n**delta_mt)), rel=1e-15)
+        assert mt.mt_threshold == pytest.approx(c_n, abs=1e-4)
+        assert (mt.survivors, mt.rho_bar_sq) == (0, 0.0)
+        assert estimate_dependence(e, 6, 3.0, q_mt, delta_mt).pairs.rho.size == 0
 
     @given(st.integers(0, 500), st.floats(0.1, 10.0))
     @settings(max_examples=25, deadline=None)
@@ -582,7 +595,7 @@ def test_block_spectrum_reaches_one():
     nonempty = 0
     for dep in _batch_estimates():
         thresholded, _ = dependence.hard_threshold(dep.pairs, dep.threshold_used)
-        r_hat = correlation_from_cov(psd_repair(thresholded, PSD_EPS_FRAC))
+        r_hat = psd_repair(thresholded, PSD_EPS_FRAC)
         # the stack's eigenvalues, the decoupled rows set to 0
         w = linalg.spectrum(replace(r_hat, diag=np.zeros(dep.pairs.n)))
         if coupled(r_hat).size:
@@ -593,14 +606,13 @@ def test_block_spectrum_reaches_one():
 
 
 def _assert_exactly_symmetric(residuals, t, delta):
-    # psd_repair and correlation_from_cov do not symmetrize their input:
-    # each stage must hand the next an exactly symmetric matrix
+    # psd_repair and its rescale do not symmetrize their input: each stage
+    # must hand the next an exactly symmetric matrix
     corr = tiled_correlation(residuals)
     block, _, used = hard_threshold(corr, t, delta)
     thresholded, _ = dependence.hard_threshold(correlation_pairs(residuals, used), used)
     repaired = psd_repair(thresholded, PSD_EPS_FRAC)
-    for x in (corr, block, thresholded.stack, repaired.stack,
-              correlation_from_cov(repaired).stack):
+    for x in (corr, block, thresholded.stack, repaired.stack):
         assert np.array_equal(x, np.swapaxes(x, -1, -2))
 
 

@@ -213,6 +213,14 @@ class TestPoolSize:
         assert pool_sizes == sizes
         assert table_to_csv(table) == table_to_csv(run_experiment(spec, workers=1))
 
+    @pytest.mark.parametrize("run", [run_experiment, run_power_curve])
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_below_one_raises(self, pool_sizes, run, workers):
+        spec = ExperimentSpec(scenario=SMALL, reps=3, m_grid=(0, 1))
+        with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+            run(spec, workers=workers)
+        assert pool_sizes == []
+
     @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (None, [])])
     def test_cpu_count_without_affinity(self, monkeypatch, pool_sizes, cpus, sizes):
         # macOS and Windows have no sched_getaffinity; an unknown CPU count runs serially

@@ -169,9 +169,49 @@ class TestPsdRepair:
     @given(st.integers(0, 500))
     @settings(max_examples=30, deadline=None)
     def test_min_eigenvalue_bounded(self, seed):
+        # at least epsilon / 2 with the diagonal restored; the clip C, whose
+        # eigenvalues are at least epsilon, rescaled to unit diagonal keeps at
+        # least epsilon / max(diag C)
         a = random_symmetric(6, seed)
-        repaired = np.asarray(psd_repair(blocks(a), 1e-2))
-        assert np.linalg.eigvalsh(repaired)[0] >= 5e-3 - 1e-12
+        eps = 1e-2
+        repaired = np.asarray(psd_repair(blocks(a), eps))
+        clip_diag = np.diag(dense_map(a, lambda w: np.maximum(w, eps)))
+        assert np.linalg.eigvalsh(repaired)[0] >= min(eps / 2.0, eps / clip_diag.max()) - 1e-12
+
+
+def correlation_with(hub):
+    """6 x 6 correlation: rows 1 and 2 each correlate at `hub` with row 0,
+    rows 3 and 4 at 0.3, and row 5 is decoupled, so its block form pads
+    the pair's slice."""
+    r = np.eye(6)
+    r[0, 1] = r[1, 0] = r[0, 2] = r[2, 0] = hub
+    r[3, 4] = r[4, 3] = 0.3
+    return r
+
+
+class TestPsdRepairOutcomes:
+    # each of the three outcomes of repairing a correlation is a correlation
+    EPS = 0.15
+
+    def test_idle_returns_its_argument(self, eigen_calls):
+        m = blocks(correlation_with(0.5))  # smallest eigenvalue 1 - sqrt(0.5)
+        assert psd_repair(m, self.EPS) is m
+        assert eigen_calls.counts() == {"eigh": 0, "eigvalsh": 1}
+
+    @pytest.mark.parametrize("hub,restored", [(0.7, True), (0.8, False), (0.95, False)])
+    def test_fired_returns_a_correlation(self, eigen_calls, hub, restored):
+        a = correlation_with(hub)
+        out = psd_repair(blocks(a), self.EPS)
+        assert eigen_calls.counts() == {"eigh": 1, "eigvalsh": 2}
+        on = np.arange(out.stack.shape[-1])
+        assert (out.stack[:, on, on][out.slots < 6] == 1.0).all() and (out.diag == 1.0).all()
+        assert np.array_equal(out.stack, np.swapaxes(out.stack, -1, -2))
+        clip = dense_map(a, lambda w: np.maximum(w, self.EPS))
+        with_diag = clip.copy()
+        np.fill_diagonal(with_diag, 1.0)
+        assert (np.linalg.eigvalsh(with_diag)[0] >= self.EPS / 2.0) == restored
+        sd = np.sqrt(np.diag(clip))
+        assert_close(np.asarray(out), with_diag if restored else clip / np.outer(sd, sd))
 
 
 @st.composite
@@ -420,7 +460,8 @@ class TestCoupledBlock:
         with_diag = repaired.copy()
         np.fill_diagonal(with_diag, np.diag(a))
         restored = np.linalg.eigvalsh(with_diag)[0] >= eps / 2.0
-        assert_close(np.asarray(out), with_diag if restored else repaired)
+        sd = np.sqrt(np.diag(repaired))
+        assert_close(np.asarray(out), with_diag if restored else repaired / np.outer(sd, sd))
 
 
 class TestLayout:
