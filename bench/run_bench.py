@@ -26,7 +26,9 @@ that, in a fresh process, it times 10 successive
 `harness.run_power_curve` calls of one spec (M2, t5-scaled errors,
 N=500, T=100, seed 0, 6 replications at each m in (1, 5, 20)) at
 workers 1 and then 2, and records each call, the first call and the
-median of the other nine (`pool`).  Each run also
+median of the other nine, and the CPU seconds and minor page faults
+each pool worker spent over the ten calls, read from ``/proc/<pid>/stat``
+(`pool`; null off Linux).  Each run also
 records `src_lines`, the line count of the timed tree's `alphatest/*.py`.  BLAS runs on one thread.  The results go under
 ``runs[label]`` of the JSON file at `--out`, which keeps the runs of
 other labels, so two checkouts timed by the same script sit side by
@@ -67,6 +69,7 @@ LOW_N = 3000
 POOL_N = 500
 POOL_CALLS = 10
 POOL_WORKERS = (1, 2)
+PROC = "/proc"  # Linux's per-process status files, read for the pool workers
 ABOUT = ("Per-replication wall ms of harness.simulate_panel, ols.fit (fit_ms) and "
          "alpha_tests.run_all_detailed "
          "for M1-M4 x N at T=100 (t5-scaled errors, null alpha, seed 0, replication 0), "
@@ -85,7 +88,9 @@ ABOUT = ("Per-replication wall ms of harness.simulate_panel, ols.fit (fit_ms) an
          "pool: wall ms of 10 successive harness.run_power_curve calls in one process "
          "(M2, t5_scaled, N=500, T=100, seed 0, 6 replications per m in (1, 5, 20)) "
          "per worker count, run before everything else: calls_ms, first_call_ms and "
-         "rest_median_ms, the median of calls 2-10. "
+         "rest_median_ms, the median of calls 2-10; worker_cpu_s and worker_minflt: "
+         "user+system CPU seconds and minor page faults of each pool worker (sorted by "
+         "pid, empty at one worker) from /proc/<pid>/stat over the 10 calls, null off Linux. "
          "src_lines: lines of the timed tree's alphatest/*.py, as wc -l counts them.")
 
 
@@ -233,16 +238,42 @@ def time_low_threshold(delta):
     }
 
 
+def worker_stats():
+    """{pid: (CPU clock ticks, minor page faults)} of each live pool worker so far,
+    from ``/proc/<pid>/stat``; None where there is no ``/proc`` (off Linux)."""
+    import multiprocessing
+
+    if not os.path.isdir(PROC):
+        return None
+    stats = {}
+    for child in multiprocessing.active_children():
+        with open(os.path.join(PROC, str(child.pid), "stat")) as handle:
+            # the fields after the parenthesised command name, from field 3 (state) on
+            fields = handle.read().rpartition(")")[2].split()
+        # utime + stime (fields 14 and 15), minflt (field 10)
+        stats[child.pid] = (int(fields[11]) + int(fields[12]), int(fields[7]))
+    return stats
+
+
 def time_pool(workers, n):
     from alphatest.harness import ExperimentSpec, ScenarioConfig, run_power_curve
 
     scenario = ScenarioConfig(n=n, t=T, cov_model="M2", error_dist="t5_scaled", seed=0)
     spec = ExperimentSpec(scenario=scenario, reps=6, m_grid=(1, 5, 20))
-    calls = []
+    calls, before = [], worker_stats()
     for _ in range(POOL_CALLS):
         start = time.perf_counter()
         run_power_curve(spec, workers=workers)
         calls.append(1e3 * (time.perf_counter() - start))
+    after, spent = worker_stats(), None
+    if after is not None:
+        # each worker's part of the calls (a worker the first call started had none before);
+        # at one worker the calls run in this process and any live pool is not theirs
+        tick_s = 1 / os.sysconf("SC_CLK_TCK")
+        zero = (0, 0)
+        spent = [(round((ticks - before.get(pid, zero)[0]) * tick_s, 2),
+                  faults - before.get(pid, zero)[1])
+                 for pid, (ticks, faults) in sorted(after.items()) if workers > 1]
     return {
         "N": n,
         "T": T,
@@ -250,6 +281,8 @@ def time_pool(workers, n):
         "calls_ms": [round(ms, 3) for ms in calls],
         "first_call_ms": round(calls[0], 3),
         "rest_median_ms": round(statistics.median(calls[1:]), 3),
+        "worker_cpu_s": None if spent is None else [cpu for cpu, _ in spent],
+        "worker_minflt": None if spent is None else [faults for _, faults in spent],
     }
 
 

@@ -12,12 +12,11 @@ Subcommands:
 
 Exit codes: 0 success, 2 I/O or parse failure, 3 numeric failure.  The
 ``ALPHATEST_SEED`` environment variable overrides the scenario JSON's
-seed, and ``--seed`` overrides both.
+seed, and ``--seed`` overrides both.  ``main`` pins glibc's malloc thresholds
+in its process, as ``--workers`` above 1 does in each pool worker.
 """
 
 import argparse
-import ctypes
-import functools
 import json
 import os
 import sys
@@ -27,6 +26,7 @@ from .errors import AlphatestError, ParseError, ShapeMismatch, TooFewObservation
 from .harness import (
     ExperimentSpec,
     ScenarioConfig,
+    _pin_malloc_thresholds,
     run_experiment,
     run_power_curve,
     simulate_panel,
@@ -182,23 +182,6 @@ def cmd_gen(args) -> int:
     prefix = args.out_prefix
     write_panel(panel, prefix + "returns.csv", prefix + "factors.csv")
     return EXIT_OK
-
-
-@functools.cache
-def _pin_malloc_thresholds() -> None:
-    """Keep freed temporaries under 32 MiB on glibc's heap for reuse.
-
-    Otherwise glibc maps and page-faults each megabyte-sized temporary of
-    a call (the parsed CSV, the residuals, the correlation tiles) afresh
-    until some larger free raises its dynamic mmap threshold, so the time
-    of a call, and of whatever else runs in the process, hangs on what
-    the process freed before.  No-op off glibc.
-    """
-    mallopt = getattr(ctypes.CDLL(None) if sys.platform == "linux" else None, "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the ceiling of glibc's dynamic one
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc keeps it
 
 
 def main(argv=None) -> int:

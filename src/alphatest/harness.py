@@ -5,9 +5,11 @@ replication index, purpose), so the output table is a pure function of
 the experiment spec regardless of worker count or scheduling.
 """
 
+import ctypes
 import functools
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
@@ -249,6 +251,21 @@ def replicate_details(scenario: ScenarioConfig, m: int, reps: int) -> list:
     return [_replicate(scenario, m, rep) for rep in range(reps)]
 
 
+@functools.cache
+def _pin_malloc_thresholds() -> None:
+    """Keep freed temporaries under 32 MiB on glibc's heap for reuse: else each
+    megabyte-sized temporary (the parsed CSV, the residuals, the correlation
+    tiles) is mapped and page-faulted afresh until a larger free raises glibc's
+    dynamic mmap threshold, so a call's time hangs on what the process freed
+    before.  `cli.main` and each pool worker call it, not a library caller's
+    own process.  No-op off glibc."""
+    mallopt = getattr(ctypes.CDLL(None) if sys.platform == "linux" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the ceiling of glibc's dynamic one
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice it, as glibc keeps it
+
+
 # the live process pool of the pooled calls, keyed by its worker count (at most one)
 _POOLS: dict = {}
 
@@ -262,22 +279,22 @@ def _drop_pool() -> None:
 def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
     """Replicate every (m, rep) pair, on this process's pool if workers > 1.
 
-    The pool has at most one process per task and per CPU this process
-    may run on; outputs do not depend on the worker count.  The first
-    pooled call starts the workers and later calls of that size reuse
-    them: forked (Linux's default before Python 3.14), they keep this
-    process's module state as it was at that first call.  A call of
-    another size first shuts the old pool down and waits for it, so no
-    fork happens while another pool's threads run.  A pool broken by a
-    dead worker is dropped before its error propagates.  concurrent.futures
-    joins the workers at interpreter exit.  Fewer than one worker is a ValueError.
+    The pool has at most one process per task and per CPU this process may
+    run on.  Each worker pins its allocator and runs one contiguous share of
+    ⌈tasks / workers⌉ replications; outputs do not depend on the count.
+    Calls of one size reuse the pool (forked workers keep the module state
+    of the first call); another size first waits for the old workers to
+    exit, so no fork runs beside a pool's threads; a dead worker's broken
+    pool is dropped before its error propagates.  A non-integer `workers`,
+    or one below 1, is a ValueError.
     """
+    if not np.issubdtype(type(workers), np.integer):  # the rule ExperimentSpec applies to reps
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     scenario, reps = spec.scenario, spec.n_reps
     ms = [m for m in m_values for _ in range(reps)]
-    rep_ids = [rep for _ in m_values for rep in range(reps)]
-    tasks = ([scenario] * len(ms), ms, rep_ids)  # argument columns of _replicate
+    tasks = ([scenario] * len(ms), ms, [*range(reps)] * len(m_values))  # _replicate's columns
     affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(workers, len(ms), cpus)
@@ -286,10 +303,10 @@ def _run(spec: ExperimentSpec, m_values, workers: int) -> SizePowerTable:
     else:
         if workers not in _POOLS:
             _drop_pool()
-            _POOLS[workers] = ProcessPoolExecutor(max_workers=workers)
-        chunk = max(1, len(ms) // (workers * 4))
+            _POOLS[workers] = ProcessPoolExecutor(workers, initializer=_pin_malloc_thresholds)
+        share = -(-len(ms) // workers)  # ⌈tasks / workers⌉
         try:
-            outcomes = list(_POOLS[workers].map(_replicate, *tasks, chunksize=chunk))
+            outcomes = list(_POOLS[workers].map(_replicate, *tasks, chunksize=share))
         except BrokenProcessPool:
             _drop_pool()
             raise

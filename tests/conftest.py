@@ -46,20 +46,33 @@ def m1_null_rejections():
     }
 
 
+class PoolSizes(list):
+    """The `max_workers` of each process pool made, in order; `initializers`
+    holds each pool's `initializer` and `chunksizes` each `map` call's
+    `chunksize`."""
+
+    def __init__(self):
+        super().__init__()
+        self.initializers, self.chunksizes = [], []
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The `max_workers` of each harness process pool, recorded by a stand-in
-    pool that runs its tasks in this process and starts nothing.
+    """A `PoolSizes` of the harness's process pools, recorded by a stand-in
+    pool that runs its tasks in this process and starts nothing (nor calls
+    its initializer).
 
     A live pool left by an earlier test is shut down first, so the stand-in
     is the one the harness makes; the stand-in is dropped afterwards."""
-    sizes = []
+    sizes = PoolSizes()
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
+            sizes.initializers.append(initializer)
 
         def map(self, fn, *iterables, chunksize=1):
+            sizes.chunksizes.append(chunksize)
             return map(fn, *iterables)
 
         def shutdown(self, wait=True):

@@ -184,11 +184,14 @@ class TestRunExperiment:
         rows = [r for r in table.rows if r.method in ("PY", "MAX2")]
         assert tuple(r.method for r in rows) == ("PY", "MAX2")
 
-    def test_deterministic_across_worker_counts(self):
-        spec = ExperimentSpec(scenario=SMALL)
-        csv_serial = table_to_csv(run_experiment(spec, workers=1))
-        csv_parallel = table_to_csv(run_experiment(spec, workers=2))
-        assert csv_serial == csv_parallel
+    def test_deterministic_across_worker_counts(self, monkeypatch):
+        # 10 replications split 5/5 over 2 workers and 4/4/2 over 3, 15 split 8/7 and 5/5/5
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)))
+        for reps in (10, 15):
+            spec = ExperimentSpec(scenario=SMALL, reps=reps)
+            csv_serial = table_to_csv(run_experiment(spec, workers=1))
+            for workers in (2, 3):
+                assert table_to_csv(run_experiment(spec, workers=workers)) == csv_serial
 
     def test_seed_changes_output(self):
         import dataclasses
@@ -220,6 +223,29 @@ class TestPoolSize:
         with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
             run(spec, workers=workers)
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("run", [run_experiment, run_power_curve])
+    @pytest.mark.parametrize("workers", [2.5, 1.5, np.float64(2.0), "2", None, True, np.bool_(1)])
+    def test_non_integer_raises(self, pool_sizes, run, workers):
+        spec = ExperimentSpec(scenario=SMALL, reps=3, m_grid=(0, 1))
+        message = f"^workers must be an integer, got {re.escape(repr(workers))}$"
+        with pytest.raises(ValueError, match=message):
+            run(spec, workers=workers)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("reps,m_grid,workers,share", [
+        (6, (1, 5, 20), 2, 9),  # the shape of the benchmark's M2 power curve
+        (2, (0, 1, 2), 3, 2),
+        (7, (0,), 2, 4),  # uneven: 4 and 3
+        (7, (0, 1, 2), 4, 6),  # 21 over 4: 6, 6, 6 and 3
+    ])
+    def test_one_share_per_worker(self, monkeypatch, pool_sizes, reps, m_grid, workers, share):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)))
+        spec = ExperimentSpec(scenario=SMALL, reps=reps, m_grid=m_grid)
+        table = run_power_curve(spec, workers=workers)
+        assert pool_sizes == [workers] and pool_sizes.chunksizes == [share]
+        assert pool_sizes.initializers == [harness._pin_malloc_thresholds]
+        assert table_to_csv(table) == table_to_csv(run_power_curve(spec, workers=1))
 
     @pytest.mark.parametrize("cpus,sizes", [(2, [2]), (None, [])])
     def test_cpu_count_without_affinity(self, monkeypatch, pool_sizes, cpus, sizes):
@@ -313,6 +339,28 @@ class TestPoolLifecycle:
             run_power_curve(self.SPEC, workers=2)
         assert harness._POOLS == {}
         assert table_to_csv(run_power_curve(self.SPEC, workers=2)) == serial
+
+
+def pinned_calls() -> int:
+    """Calls of `harness._pin_malloc_thresholds` cached in this process: 0 or 1."""
+    return harness._pin_malloc_thresholds.cache_info().currsize
+
+
+class TestPinMallocThresholds:
+    def test_no_op_off_linux(self, monkeypatch):
+        monkeypatch.setattr(harness.sys, "platform", "darwin")
+        monkeypatch.setattr(harness.ctypes, "CDLL", lambda *args: pytest.fail("loaded libc"))
+        assert harness._pin_malloc_thresholds.__wrapped__() is None
+
+    def test_each_pool_worker_pins(self, monkeypatch):
+        # the pool's initializer, not this process, fills each worker's call cache
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)))
+        harness._drop_pool()
+        harness._pin_malloc_thresholds.cache_clear()
+        run_power_curve(TestPoolLifecycle.SPEC, workers=2)
+        assert pinned_calls() == 0
+        assert [harness._POOLS[2].submit(pinned_calls).result(timeout=30)
+                for _ in range(4)] == [1] * 4
 
 
 class TestRunPowerCurve:

@@ -1,6 +1,6 @@
 """`bench/run_bench.py` times the OLS fit and the five tests of a cell, with their page
 faults, also where the `resource` module is missing (Windows), and its pool section
-times each call."""
+times each call and reads each pool worker's CPU time and page faults."""
 
 import json
 import os
@@ -52,3 +52,34 @@ def test_pool_section_times_every_call():
     pool = json.loads(done.stdout)
     assert len(pool["calls_ms"]) == 10 and min(pool["calls_ms"]) > 0
     assert pool["first_call_ms"] == pool["calls_ms"][0]
+    if sys.platform == "linux":  # one entry per pool worker
+        assert len(pool["worker_cpu_s"]) == len(pool["worker_minflt"]) == 2
+        assert min(pool["worker_cpu_s"]) >= 0 and min(pool["worker_minflt"]) >= 0
+
+
+# Times the pool at one and two workers with no /proc to read the workers from.
+WITHOUT_PROC = """
+import json, run_bench
+run_bench.PROC = "/nonexistent"
+print(json.dumps([run_bench.time_pool(workers, 20) for workers in (1, 2)]))
+"""
+
+
+def test_pool_workers_without_proc_are_null():
+    src = os.path.dirname(os.path.dirname(alphatest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCH), src]))
+    done = subprocess.run([sys.executable, "-c", WITHOUT_PROC], env=env,
+                          capture_output=True, text=True, check=True)
+    for pool in json.loads(done.stdout):
+        assert pool["worker_cpu_s"] is None and pool["worker_minflt"] is None
+
+
+def test_one_worker_records_no_pool_workers():
+    src = os.path.dirname(os.path.dirname(alphatest.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(BENCH), src]))
+    script = ("import json, run_bench; run_bench.time_pool(2, 20); "
+              "print(json.dumps(run_bench.time_pool(1, 20)))")
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    pool = json.loads(done.stdout)  # the live 2-worker pool ran none of these calls
+    assert pool["worker_cpu_s"] == ([] if sys.platform == "linux" else None)
