@@ -2,11 +2,11 @@
 
 Library layout:
 
-* :mod:`alphatest.linalg` - the checked QR of the design [F, 1] and the
-  factors' annihilator; symmetric eigendecomposition, inverse square roots
-  and PSD repair on a component stack.
-* :mod:`alphatest.ols` - per-security OLS fits read off that QR: intercepts,
+* :mod:`alphatest.ols` - the checked QR of the design [F, 1] and the
+  factors' annihilator; per-security OLS fits read off that QR: intercepts,
   residuals and intercept t-ratios.
+* :mod:`alphatest.linalg` - symmetric eigendecomposition, inverse square
+  roots and PSD repair on a component stack.
 * :mod:`alphatest.dependence` - thresholded residual correlation,
   its precision root, multiple-testing correlation summary; threshold,
   repair and root are one stack of connected components end to end.

@@ -10,7 +10,8 @@ degrees of freedom and an inflated finite-sample critical value.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Real
 from statistics import NormalDist
 
 import numpy as np
@@ -52,6 +53,11 @@ class TestConfig:
     use_adjusted_critical: bool = True
 
     def __post_init__(self):
+        for f in fields(self):  # a float field takes any Real but a bool, and stores a float
+            value, want = getattr(self, f.name), "a bool" if f.type is bool else "a real number"
+            if isinstance(value, bool) != (f.type is bool) or not isinstance(value, Real):
+                raise ValueError(f"{f.name} must be {want}, got {value!r}")
+            object.__setattr__(self, f.name, f.type(value))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         for name in ("threshold_delta", "q_mt", "delta_mt"):

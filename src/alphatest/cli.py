@@ -149,16 +149,17 @@ def cmd_size(args) -> int:
 
 def _parse_m_grid(text: str, n: int) -> tuple:
     lo, sep, hi = text.partition(":")
-    try:
-        grid = tuple(range(int(lo), int(hi) + 1) if sep else map(int, text.split(",")))
-    except ValueError:
-        grid = ()
-    if not grid or min(grid) < 0:
+    try:  # a lo:hi range is checked by its ends, not expanded first
+        grid = range(int(lo), int(hi) + 1) if sep else tuple(map(int, text.split(",")))
+        low, high = (grid[0], grid[-1]) if sep else (min(grid), max(grid))
+    except (ValueError, IndexError):  # not integers, or an empty range
+        low = -1
+    if low < 0:
         raise ParseError("--m-grid: expected a nonempty 'lo:hi' range or "
                          f"comma-separated integers >= 0, got {text!r}")
-    if max(grid) > n:
-        raise ParseError(f"--m-grid: entries must not exceed N={n}, got {max(grid)}")
-    return grid
+    if high > n:
+        raise ParseError(f"--m-grid: entries must not exceed N={n}, got {high}")
+    return tuple(grid)
 
 
 def cmd_power(args) -> int:

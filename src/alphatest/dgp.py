@@ -191,10 +191,10 @@ def gen_alpha(
         if rng is None:
             raise ValueError("either rng or support must be provided")
         support = rng.choice(n, size=m, replace=False)
-    support = np.asarray(support, dtype=int)
+    support = np.asarray(support)
     if support.size != m:
         raise ValueError("support size must equal m")
-    if np.unique(support).size != m or support.min() < 0 or support.max() >= n:
+    if support.dtype.kind not in "iu" or np.isin(np.arange(n), support).sum() != m:
         raise ValueError(f"support must be m distinct rows in 0..{n - 1}, got {support.tolist()}")
     alpha[support] = np.sqrt(10.0 * np.log(n) / (m * t))
     return alpha

@@ -1,14 +1,10 @@
-"""Dense linear-algebra kernels: the factor design and symmetric matrices.
+"""Symmetric kernels on a component stack, for `dependence` and `dgp`.
 
-`design_qr` is the one checked factorization of the factor design, the
-Householder QR of ``X = [F, 1]``: the OLS fit reads intercepts and
-residuals off it in O(NTp) work, losing accuracy like cond(X), not like
-cond(X'X) as the normal equations would, and `annihilator` builds the
-T x T projection M from it for the tests.  Correlation roots and the PSD
-repair of a correlation, which returns a correlation, funnel through the
-symmetric kernels below.  All matrix roots are computed by symmetric
-eigendecomposition rather than Cholesky so that a single code path also
-handles indefinite inputs produced by hard thresholding.
+Correlation roots and the PSD repair of a correlation, which returns a
+correlation, funnel through the symmetric kernels below.  All matrix
+roots are computed by symmetric eigendecomposition rather than Cholesky
+so that a single code path also handles indefinite inputs produced by
+hard thresholding.
 
 Block form: rows of a symmetric matrix joined by a path of nonzero
 off-diagonal entries form a connected component, which `edge_components`
@@ -38,12 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonPositiveDiagonal, SingularDesign
+from .errors import NonPositiveDiagonal
 
 __all__ = [
     "BlockDiagonal",
-    "design_qr",
-    "annihilator",
     "sym_eigen",
     "edge_components",
     "layout",
@@ -53,33 +47,6 @@ __all__ = [
     "correlation_from_cov",
     "psd_repair",
 ]
-
-
-def design_qr(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR, ``(Q, R)`` with ``Q @ R == X``, of the T x (p+1) design
-    ``X = [F, 1]``, intercept last: ``Q[:, :p]`` spans F and ``R[p, p]**2`` is
-    ``1'M1``.  F must be 2-d with T > p >= 1, and cond(F'F), that is
-    ``cond(R[:p, :p])**2`` from the SVD, at most 1e12."""
-    f = np.asarray(factors, dtype=float)
-    if f.ndim != 2:
-        raise DimensionError(f"factor matrix must be 2-d, got ndim={f.ndim}")
-    t, p = f.shape
-    if t <= p:
-        raise DimensionError(f"need more rows than columns, got {t}x{p}")
-    if p == 0:
-        raise DimensionError(f"need at least one factor column, got {t}x0")
-    q, r = np.linalg.qr(np.column_stack([f, np.ones(t)]))
-    if np.linalg.cond(r[:p, :p]) ** 2 > 1e12:
-        raise SingularDesign("factor Gram matrix is numerically singular")
-    return q, r
-
-
-def annihilator(factors: np.ndarray) -> np.ndarray:
-    """The T x T projection ``M = I - Q_F Q_F'`` off the columns of a T x p factor
-    matrix F, as `design_qr` takes it, Q_F the first p columns of its Q: exactly
-    symmetric and idempotent, with ``M @ F == 0`` and trace(M) == T - p."""
-    q_f = design_qr(factors)[0][:, :-1]
-    return np.eye(q_f.shape[0]) - q_f @ q_f.T
 
 
 def sym_eigen(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,21 +1,20 @@
 """Security-by-security OLS fits for the linear factor pricing model.
 
 Each security's return series is regressed on the shared factors and an
-intercept.  The design ``X = [F, 1]`` is factored once per panel as QR
-(`linalg.design_qr`, intercept last); a security's intercept is
-``(y Q)[p] / R[p, p]`` and its residual ``y - (y Q) Q'``, O(Tp) per
-security, with no T x T projection and no normal equations.
+intercept through `design_qr`, the one checked factorization of the design
+``X = [F, 1]``: a security's intercept is ``(y Q)[p] / R[p, p]`` and its
+residual ``y - (y Q) Q'``, O(Tp) per security, with no normal equations
+and no T x T projection; `annihilator` builds that projection for the tests.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateDesign, DimensionError, ShapeMismatch, TooFewObservations,
-                     ZeroResidualVariance)
-from .linalg import annihilator, design_qr  # noqa: F401  the benchmark traces ols.annihilator
+from .errors import (DegenerateDesign, DimensionError, ShapeMismatch, SingularDesign,
+                     TooFewObservations, ZeroResidualVariance)
 
-__all__ = ["FactorPanel", "OlsFit", "fit"]
+__all__ = ["FactorPanel", "OlsFit", "design_qr", "annihilator", "fit"]
 
 # A residual standard deviation below 1e-10 of the security's RMS return is
 # an exact fit: the relative cut does not depend on the security's units.
@@ -88,6 +87,33 @@ class OlsFit:
     dof: int
 
 
+def design_qr(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduced QR, ``(Q, R)`` with ``Q @ R == X``, of the T x (p+1) design
+    ``X = [F, 1]``, intercept last: ``Q[:, :p]`` spans F and ``R[p, p]**2`` is
+    ``1'M1``.  F must be 2-d with T > p >= 1, and cond(F'F), that is
+    ``cond(R[:p, :p])**2`` from the SVD, at most 1e12."""
+    f = np.asarray(factors, dtype=float)
+    if f.ndim != 2:
+        raise DimensionError(f"factor matrix must be 2-d, got ndim={f.ndim}")
+    t, p = f.shape
+    if t <= p:
+        raise DimensionError(f"need more rows than columns, got {t}x{p}")
+    if p == 0:
+        raise DimensionError(f"need at least one factor column, got {t}x0")
+    q, r = np.linalg.qr(np.column_stack([f, np.ones(t)]))
+    if np.linalg.cond(r[:p, :p]) ** 2 > 1e12:
+        raise SingularDesign("factor Gram matrix is numerically singular")
+    return q, r
+
+
+def annihilator(factors: np.ndarray) -> np.ndarray:
+    """The T x T projection ``M = I - Q_F Q_F'`` off the columns of a T x p factor
+    matrix F, as `design_qr` takes it, Q_F the first p columns of its Q: exactly
+    symmetric and idempotent, with ``M @ F == 0`` and trace(M) == T - p."""
+    q_f = design_qr(factors)[0][:, :-1]
+    return np.eye(q_f.shape[0]) - q_f @ q_f.T
+
+
 def fit(panel: FactorPanel) -> OlsFit:
     """Fit the factor model to every security in the panel.
 
@@ -107,7 +133,7 @@ def fit(panel: FactorPanel) -> OlsFit:
     """
     y = panel.returns
     t = y.shape[1]
-    q, r = design_qr(panel.factors)
+    q, r = design_qr(panel.factors)  # its intercept column last
     v = t - q.shape[1]
     leverage = float(r[-1, -1]) ** 2  # 1'M1, M the factors' annihilator
     if leverage <= 1e-10 * t:

@@ -43,8 +43,8 @@ from alphatest.dependence import (
     EIGEN_FLOOR_FRAC, PSD_EPS_FRAC, TILE_ROWS, MtCorrelation, _mt_cuts,
 )
 from alphatest.errors import DimensionError
-from alphatest.linalg import BlockDiagonal, annihilator, edge_components, layout, psd_repair
-from alphatest.ols import fit
+from alphatest.linalg import BlockDiagonal, edge_components, layout, psd_repair
+from alphatest.ols import annihilator, fit
 
 
 def correlation_scale(sigma):

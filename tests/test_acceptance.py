@@ -35,8 +35,7 @@ from alphatest.harness import (
     run_power_curve,
     table_to_csv,
 )
-from alphatest.linalg import annihilator
-from alphatest.ols import FactorPanel, fit
+from alphatest.ols import FactorPanel, annihilator, fit
 from alphatest import rng as streams
 from dense_reference import blocks, thresholded_dense
 

@@ -1,4 +1,6 @@
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -351,6 +353,35 @@ class TestConfigKnobs:
     def test_gamma_outside_unit_interval_raises(self, value):
         with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\)"):
             Config(gamma=value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("gamma", True), ("threshold_delta", True), ("q_mt", False), ("delta_mt", True),
+        ("gamma", "0.05"), ("threshold_delta", None), ("q_mt", 0.05j), ("delta_mt", [1.0]),
+        ("use_adjusted_critical", "no"), ("use_adjusted_critical", 1),
+        ("use_adjusted_critical", np.True_),
+    ])
+    def test_mistyped_knob_raises(self, field, value):
+        # a bool is no delta, and a non-empty string would read as an adjusted critical value
+        want = "a bool" if field == "use_adjusted_critical" else "a real number"
+        message = f"^{field} must be {want}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            Config(**{field: value})
+
+    def test_numbers_are_stored_as_floats(self):
+        config = Config(gamma=np.float32(0.25), threshold_delta=2, q_mt=Fraction(1, 20),
+                        delta_mt=np.int64(1))
+        values = [config.gamma, config.threshold_delta, config.q_mt, config.delta_mt]
+        assert [type(value) for value in values] == [float] * 4
+        assert values == [0.25, 2.0, 0.05, 1.0]
+
+    def test_scenario_json_round_trip(self):
+        # every config the constructor accepts is written as JSON that reads back as it
+        test = Config(gamma=0.1, threshold_delta=2, q_mt=np.float64(0.01), delta_mt=np.int64(2),
+                      use_adjusted_critical=False)
+        scenario = ScenarioConfig(n=20, t=40, test=test)
+        assert ScenarioConfig.from_json(scenario.to_json()) == scenario
+        with pytest.raises(ValueError, match="^use_adjusted_critical must be a bool, got 'no'$"):
+            ScenarioConfig(n=20, t=40, test=Config(use_adjusted_critical="no"))
 
 
 @pytest.mark.slow

@@ -3,6 +3,7 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -541,6 +542,18 @@ class TestCmdPower:
         assert code == EXIT_IO
         assert capsys.readouterr().err.startswith("error: --m-grid: " + message)
         assert not out.exists()
+
+    def test_huge_m_grid_range_is_checked_by_its_ends(self, tmp_path, capsys):
+        # expanding 0..1e15 would exhaust memory before the N check
+        config = tmp_path / "scenario.json"
+        write_scenario(config, n=20, t=40, reps=2, seed=12)
+        start = time.perf_counter()
+        code = main(["power", "--config", str(config), "--out", str(tmp_path / "power.csv"),
+                     "--m-grid", "0:1000000000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_IO
+        assert capsys.readouterr().err == (
+            "error: --m-grid: entries must not exceed N=20, got 1000000000000000\n")
 
 
 class TestCmdGen:

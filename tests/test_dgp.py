@@ -338,7 +338,11 @@ class TestGenAlpha:
         ([3, 3], r"^support must be m distinct rows in 0\.\.9, got \[3, 3\]$"),
         ([-1], r"^support must be m distinct rows in 0\.\.9, got \[-1\]$"),
         ([2, 10], r"^support must be m distinct rows in 0\.\.9, got \[2, 10\]$"),
-    ], ids=["duplicate", "negative", "past_n"])
+        ([0.5, 1.7], r"^support must be m distinct rows in 0\.\.9, got \[0\.5, 1\.7\]$"),
+        ([2.0], r"^support must be m distinct rows in 0\.\.9, got \[2\.0\]$"),
+        (np.array([False, True]),
+         r"^support must be m distinct rows in 0\.\.9, got \[False, True\]$"),
+    ], ids=["duplicate", "negative", "past_n", "fractional", "float", "bool_mask"])
     def test_bad_support(self, support, message):
         with pytest.raises(ValueError, match=message):
             gen_alpha(10, len(support), 100, support=support)

@@ -11,11 +11,9 @@ from alphatest import harness
 from alphatest.alpha_tests import TestConfig as Config, run_all_detailed
 from alphatest.dependence import EIGEN_FLOOR_FRAC, precision_root
 from alphatest.dgp import cov_sqrt
-from alphatest.errors import DimensionError, SingularDesign
 from dense_reference import blocks, components
 from alphatest.linalg import (
     BlockDiagonal,
-    annihilator,
     edge_components,
     inv_sqrt_psd,
     layout,
@@ -36,44 +34,6 @@ def random_symmetric(n, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((n, n))
     return (a + a.T) / 2.0
-
-
-class TestAnnihilator:
-    def test_trace_is_t_minus_p(self):
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal((10, 3))
-        m = annihilator(f)
-        assert np.isclose(np.trace(m), 7.0, atol=1e-10)
-
-    @given(st.integers(0, 1000), st.integers(5, 30), st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_projection_properties(self, seed, t, p):
-        rng = np.random.default_rng(seed)
-        f = rng.standard_normal((t, p))
-        m = annihilator(f)
-        assert np.array_equal(m, m.T)
-        assert np.allclose(m @ m, m, atol=1e-10)
-        assert np.abs(m @ f).max() < 1e-10
-        assert np.isclose(np.trace(m), t - p, atol=1e-9)
-
-    def test_rank_deficient_raises(self):
-        rng = np.random.default_rng(1)
-        col = rng.standard_normal(12)
-        f = np.column_stack([col, 2.0 * col])
-        with pytest.raises(SingularDesign):
-            annihilator(f)
-
-    def test_wide_matrix_raises(self):
-        with pytest.raises(DimensionError):
-            annihilator(np.ones((3, 5)))
-
-    def test_1d_raises(self):
-        with pytest.raises(DimensionError):
-            annihilator(np.ones(5))
-
-    def test_no_factor_columns_raises(self):
-        with pytest.raises(DimensionError, match=r"^need at least one factor column, got 12x0$"):
-            annihilator(np.ones((12, 0)))
 
 
 class TestSymEigen:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from alphatest import linalg
 from alphatest.errors import (DegenerateDesign, DimensionError, ShapeMismatch, SingularDesign,
                               TooFewObservations, ZeroResidualVariance)
-from alphatest.ols import FactorPanel, fit
+from alphatest.ols import FactorPanel, annihilator, design_qr, fit
 from dense_reference import annihilator_fit
 
 
@@ -266,6 +269,76 @@ class TestRankPResiduals:
     def test_no_eigensolver_call(self, eigen_calls):
         fit(exposed_panel(200, 100, seed=23))
         assert eigen_calls == []
+
+
+class TestAnnihilator:
+    def test_trace_is_t_minus_p(self):
+        rng = np.random.default_rng(0)
+        f = rng.standard_normal((10, 3))
+        m = annihilator(f)
+        assert np.isclose(np.trace(m), 7.0, atol=1e-10)
+
+    @given(st.integers(0, 1000), st.integers(5, 30), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_projection_properties(self, seed, t, p):
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal((t, p))
+        m = annihilator(f)
+        assert np.array_equal(m, m.T)
+        assert np.allclose(m @ m, m, atol=1e-10)
+        assert np.abs(m @ f).max() < 1e-10
+        assert np.isclose(np.trace(m), t - p, atol=1e-9)
+
+    def test_rank_deficient_raises(self):
+        rng = np.random.default_rng(1)
+        col = rng.standard_normal(12)
+        f = np.column_stack([col, 2.0 * col])
+        with pytest.raises(SingularDesign):
+            annihilator(f)
+
+    def test_wide_matrix_raises(self):
+        with pytest.raises(DimensionError):
+            annihilator(np.ones((3, 5)))
+
+    def test_1d_raises(self):
+        with pytest.raises(DimensionError):
+            annihilator(np.ones(5))
+
+    def test_no_factor_columns_raises(self):
+        with pytest.raises(DimensionError, match=r"^need at least one factor column, got 12x0$"):
+            annihilator(np.ones((12, 0)))
+
+
+class TestDesignQR:
+    """The contract `fit` reads off `design_qr`: X = [F, 1] = QR, intercept last."""
+
+    @pytest.mark.parametrize("n,t,scales", DESIGNS, ids=DESIGN_IDS)
+    def test_factors_the_design_intercept_last(self, n, t, scales):
+        f = exposed_panel(n, t, seed=t, scales=scales).factors
+        p = f.shape[1]
+        q, r = design_qr(f)
+        x = np.column_stack([f, np.ones(t)])
+        assert q.shape == (t, p + 1) and r.shape == (p + 1, p + 1)
+        assert np.abs(q @ r - x).max() <= 1e-12 * np.abs(x).max()
+        assert np.abs(q.T @ q - np.eye(p + 1)).max() <= 1e-12
+        ones = np.ones(t)
+        assert np.isclose(r[p, p] ** 2, ones @ annihilator(f) @ ones, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("factors,error,message", [
+        (np.column_stack([np.arange(12.0), 2.0 * np.arange(12.0)]), SingularDesign,
+         "factor Gram matrix is numerically singular"),
+        (np.ones(5), DimensionError, "factor matrix must be 2-d, got ndim=1"),
+        (np.ones((3, 5)), DimensionError, "need more rows than columns, got 3x5"),
+        (np.ones((12, 0)), DimensionError, "need at least one factor column, got 12x0"),
+    ], ids=["collinear", "1d", "wide", "no-columns"])
+    def test_messages(self, factors, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            design_qr(factors)
+
+    def test_ols_owns_the_design(self):
+        # one definition of each, where the fit and the benchmark tracer look it up
+        assert design_qr.__module__ == annihilator.__module__ == "alphatest.ols"
+        assert not hasattr(linalg, "design_qr") and not hasattr(linalg, "annihilator")
 
 
 class TestTRatios:
