@@ -159,6 +159,8 @@ def _parse_m_grid(text: str, n: int) -> tuple:
                          f"comma-separated integers >= 0, got {text!r}")
     if high > n:
         raise ParseError(f"--m-grid: entries must not exceed N={n}, got {high}")
+    if len(set(grid)) < len(grid):
+        raise ParseError(f"--m-grid: entries must be distinct, got {text!r}")
     return tuple(grid)
 
 

@@ -532,7 +532,8 @@ class TestCmdPower:
     @pytest.mark.parametrize("grid,message", [
         ("abc", "expected"), ("5:1", "expected"), ("-1", "expected"),
         ("1,50", "entries must not exceed N=20, got 50\n"),
-    ], ids=["not_integer", "empty_range", "negative", "above_n"])
+        ("1,3,1", "entries must be distinct, got '1,3,1'\n"),
+    ], ids=["not_integer", "empty_range", "negative", "above_n", "repeated"])
     def test_bad_m_grid_exits_io(self, tmp_path, capsys, grid, message):
         config = tmp_path / "scenario.json"
         write_scenario(config, n=20, t=40, reps=2, seed=12)
@@ -572,27 +573,46 @@ class TestCmdGen:
             (tmp_path / "again_returns.csv").read_bytes()
 
 
-# Runs the CLI with every import of scipy failing.
+# Runs the CLI with every import of scipy failing, on two CPUs whatever the
+# host has, so that --workers 2 runs a pool of two.
 WITHOUT_SCIPY = """
-import sys
+import os, sys
 sys.modules["scipy"] = None
+os.sched_getaffinity = lambda pid: {0, 1}
 from alphatest.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
 
 def test_runs_without_scipy(tmp_path):
-    # the runtime needs numpy alone; scipy is the tests' reference
+    # the runtime needs numpy alone; scipy is the tests' reference.  Every
+    # warning is an error: a RuntimeWarning from the fit or the estimate, and,
+    # on Python >= 3.12, a fork beside running threads, which one BLAS thread
+    # per process avoids
     config = tmp_path / "scenario.json"
-    write_scenario(config, n=15, t=40, m=2, reps=2, seed=13)
+    write_scenario(config, n=30, t=60, cov_model="M2", m=3, reps=2, seed=5)
     prefix = str(tmp_path / "data_")
+    panel = ["--returns", prefix + "returns.csv", "--factors", prefix + "factors.csv"]
     src = os.path.dirname(os.path.dirname(alphatest.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    for args in (["gen", "--config", str(config), "--out-prefix", prefix],
-                 ["test", "--returns", prefix + "returns.csv", "--factors",
-                  prefix + "factors.csv", "--out", str(tmp_path / "report.json")],
-                 ["size", "--config", str(config), "--out", str(tmp_path / "size.csv"),
-                  "--workers", "1"]):
-        done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, *args], env=env,
-                              capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def run(*args):
+        done = subprocess.run([sys.executable, "-W", "error", "-c", WITHOUT_SCIPY, *args],
+                              env=env, capture_output=True, text=True)
         assert done.returncode == EXIT_OK, done.stderr
+
+    run("gen", "--config", str(config), "--out-prefix", prefix)
+    run("test", *panel, "--out", str(tmp_path / "report.json"))
+    assert "FC2" in json.loads((tmp_path / "report.json").read_text())["tests"]
+    # 0.05 / (2 * 30**12) vanishes next to 1, yet its critical value is finite
+    run("test", *panel, "--out", str(tmp_path / "tail.json"), "--deltamt", "12")
+    run("size", "--config", str(config), "--out", str(tmp_path / "size.csv"), "--workers", "1")
+    # 3 x 7 = 21 replications split 11/10 over two workers; each pooled table
+    # has the serial bytes, a header and one row per method and m
+    for workers in ("1", "2"):
+        run("power", "--config", str(config), "--out", str(tmp_path / f"w{workers}.csv"),
+            "--m-grid", "1,3,5", "--reps", "7", "--workers", workers)
+    for table in ("w{}.csv", "w{}_plot.csv"):
+        serial = (tmp_path / table.format(1)).read_bytes()
+        assert (tmp_path / table.format(2)).read_bytes() == serial
+        assert serial.count(b"\n") == 1 + len(harness.METHODS) * 3

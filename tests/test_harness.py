@@ -185,13 +185,16 @@ class TestRunExperiment:
         assert tuple(r.method for r in rows) == ("PY", "MAX2")
 
     def test_deterministic_across_worker_counts(self, monkeypatch):
-        # 10 replications split 5/5 over 2 workers and 4/4/2 over 3, 15 split 8/7 and 5/5/5
+        # 10 replications split 5/5 over 2 workers and 4/4/2 over 3, 15 split 8/7
+        # and 5/5/5; a size rate is blind to the order of the shares, so a power
+        # curve over m = 0, 2 (20 and 30 replications) checks that order too
         monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(4)))
         for reps in (10, 15):
-            spec = ExperimentSpec(scenario=SMALL, reps=reps)
-            csv_serial = table_to_csv(run_experiment(spec, workers=1))
-            for workers in (2, 3):
-                assert table_to_csv(run_experiment(spec, workers=workers)) == csv_serial
+            spec = ExperimentSpec(scenario=SMALL, reps=reps, m_grid=(0, 2))
+            for run in (run_experiment, run_power_curve):
+                csv_serial = table_to_csv(run(spec, workers=1))
+                for workers in (2, 3):
+                    assert table_to_csv(run(spec, workers=workers)) == csv_serial
 
     def test_seed_changes_output(self):
         import dataclasses
