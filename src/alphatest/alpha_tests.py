@@ -58,8 +58,8 @@ class TestConfig:
             if isinstance(value, bool) != (f.type is bool) or not isinstance(value, Real):
                 raise ValueError(f"{f.name} must be {want}, got {value!r}")
             object.__setattr__(self, f.name, f.type(value))
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
+        if not 2.0**-54 < self.gamma < 1.0:  # at or below 2**-54, 1 - gamma rounds to 1
+            raise ValueError(f"gamma must be in (0, 1) and above 2**-54, got {self.gamma}")
         for name in ("threshold_delta", "q_mt", "delta_mt"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -17,6 +17,7 @@ in its process, as ``--workers`` above 1 does in each pool worker.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,6 +61,7 @@ SCENARIO_OPTIONS = (
 )
 
 
+@functools.cache  # one tree per process: every call of `main` parses with it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphatest",

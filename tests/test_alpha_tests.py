@@ -349,10 +349,17 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="q_mt must be positive"):
             Config(q_mt=value)
 
-    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 1.5, -0.1, float("nan"),
+                                       2.0**-54, 1e-17, 5e-324])
     def test_gamma_outside_unit_interval_raises(self, value):
-        with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\)"):
+        # at or below 2**-54, 1 - gamma rounds to 1 and the critical values fail
+        with pytest.raises(ValueError, match=rf"gamma must be in \(0, 1\).*, got {value}$"):
             Config(gamma=value)
+
+    def test_smallest_gamma_gives_finite_critical_values(self):
+        gamma = math.nextafter(2.0**-54, 1.0)
+        results = run_all(_synthetic_panel(0), Config(gamma=gamma))
+        assert all(math.isfinite(r.critical_value) for r in results)
 
     @pytest.mark.parametrize("field,value", [
         ("gamma", True), ("threshold_delta", True), ("q_mt", False), ("delta_mt", True),

@@ -246,7 +246,7 @@ class TestCmdTest:
         assert err.startswith("numeric error: ") and knob in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan", "1e-17", "5e-324"])
     def test_bad_gamma_exits_numeric_before_reading(self, tmp_path, capsys, value):
         # the level is checked before the CSVs are read, so absent ones do not matter
         out = tmp_path / "r.json"
@@ -256,6 +256,15 @@ class TestCmdTest:
         assert code == EXIT_NUMERIC
         assert capsys.readouterr().err.startswith("numeric error: gamma must be in (0, 1)")
         assert not out.exists()
+
+    def test_smallest_gamma_runs(self, tmp_path):
+        # the smallest level with 1 - gamma < 1 written to three digits
+        rpath, fpath = null_panel_files(tmp_path)
+        out = tmp_path / "r.json"
+        assert main(["test", "--returns", str(rpath), "--factors", str(fpath),
+                     "--out", str(out), "--gamma", "5.56e-17"]) == EXIT_OK
+        tests = json.loads(out.read_text())["tests"].values()
+        assert all(np.isfinite(entry["critical_value"]) for entry in tests)
 
     @pytest.mark.parametrize("value", ["0", "-0.05"])
     def test_bad_qmt_exits_numeric_before_reading(self, tmp_path, capsys, value):
@@ -463,7 +472,7 @@ class TestCmdSize:
         assert "threshold_delta must be positive" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan"])
+    @pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.1", "nan", "1e-17", "5e-324"])
     def test_bad_gamma_size_exits_numeric(self, tmp_path, capsys, value):
         config = tmp_path / "scenario.json"
         config.write_text('{"N": 20, "T": 40, "reps": 2}')

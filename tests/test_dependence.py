@@ -250,14 +250,25 @@ class TestCorrelationPairs:
         if sign is not None:
             assert sign * cut in pairs.rho[(pairs.i == a) & (pairs.j == b)]
 
-    def test_tile_boundaries(self):
-        # every pair survives a zero cut, across and inside the tiles
-        n = 2 * TILE_ROWS + 3
+    @pytest.mark.parametrize("n", [TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2 * TILE_ROWS + 3])
+    @pytest.mark.parametrize("sign", [0.0, -1.0, 1.0])
+    def test_tile_boundaries(self, n, sign):
+        # index, order and value bits against the tile-by-tile reference, at a
+        # zero cut, which keeps every pair, and at a cut equal to the magnitude
+        # of a negative or of a positive pair near the middle, which keeps it;
+        # a hard threshold at the cut keeps every pair too
         e = np.random.default_rng(9).standard_normal((n, 30))
-        pairs = correlation_pairs(e, 0.0)
-        i, j = np.triu_indices(n, k=1)
+        corr = tiled_correlation(e)
+        upper = corr[np.triu_indices(n, k=1)]
+        cut = float(np.sort(sign * upper[sign * upper > 0])[upper.size // 4]) if sign else 0.0
+        pairs = correlation_pairs(e, cut)
+        i, j, rho = upper_pairs(corr, cut)
         np.testing.assert_array_equal(pairs.i, i)
         np.testing.assert_array_equal(pairs.j, j)
+        assert pairs.rho.tobytes() == rho.tobytes()
+        assert (sign * cut in pairs.rho) if sign else i.size == upper.size
+        thresholded, _ = dependence.hard_threshold(pairs, cut)
+        assert np.asarray(thresholded)[i, j].tobytes() == rho.tobytes()
 
     def test_empty_and_single_row(self):
         for n in (0, 1):
